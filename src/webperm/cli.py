@@ -34,7 +34,12 @@ _DISPLAY_KEY = str.maketrans("NE", "10")
 
 def _default_seed() -> int:
     env = os.environ.get("WEBPERM_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"WEBPERM_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,10 @@ SUITES = ("all", "euler", "entringer", "genocchi", "conjecture", "oracle",
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.max_n > (args.cap if args.cap is not None else webs.DEFAULT_FILTER_CAP):
         raise CapExceeded(
             f"--max-n {args.max_n} exceeds the cap; pass --cap to override")
@@ -316,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,8 +99,11 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     """True iff the claimed expansion matches the minor product of ``m`` on
     ``trials`` seeded random specializations, with exact equality.
 
-    A wrong coefficient vector is refuted by almost any sample.
+    A wrong coefficient vector is refuted by almost any sample.  ``trials``
+    must be at least 1, so that a pass always rests on a sample.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = matching_size(m)
     for m_prime in coeffs:
         if matching_size(m_prime) != n:

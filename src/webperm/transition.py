@@ -6,13 +6,18 @@ both sorted in table order of their Dyck paths (maximum path first, see
 upper-unitriangular.
 
 The entry of row M and column M' counts web permutations sigma with
-D(sigma) contained in D(M) and traced matching M'.  A second construction
-resolves the grid configuration of M outright; both must agree, and both
-must agree with the syzygy-rewriting expansion of :mod:`webperm.oracle`.
+D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
+evaluates this by grouping the web table by (D, M) into counts
+C[p][M'] and summing them over the Dyck lattice with a zeta transform,
+F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  A second
+construction resolves the grid configuration of M outright; both must
+agree, and both must agree with the syzygy-rewriting expansion of
+:mod:`webperm.oracle`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,15 +74,15 @@ def _check_classes(m: Matching, m_prime: Matching) -> None:
 
 
 def entry(m: Matching, m_prime: Matching, method: str = "characterization") -> int:
-    """One matrix entry, by either construction."""
+    """One matrix entry, by either construction: "characterization" reads
+    it from :func:`matrix`, "resolution" resolves the row's configuration."""
     _check_classes(m, m_prime)
     n = matching_size(m)
-    path = dyck_of_matching(m)
     if method == "characterization":
-        return sum(1 for rec in web_table(n)
-                   if rec.matched == m_prime and dyck_leq(rec.dyck, path))
+        a = matrix(n)
+        return a.entries[a.rows.index(m)][a.cols.index(m_prime)]
     if method == "resolution":
-        g = GridConfiguration(identity(n), cells_above(path))
+        g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
         outcome = resolve(g)
         return sum(mult for sigma, mult in outcome.items()
                    if matching_of_permutation(sigma) == m_prime)
@@ -86,18 +91,44 @@ def entry(m: Matching, m_prime: Matching, method: str = "characterization") -> i
 
 @lru_cache(maxsize=None)
 def matrix(n: int) -> TransitionMatrix:
-    """The full transition matrix, entries by the filter construction."""
+    """The full transition matrix, entries by the characterization.
+
+    One pass over the web table groups it by (D, M) into sparse counts
+    C[p][M'], one per Dyck path p.  A zeta transform over the Dyck lattice
+    (paths as column-height vectors, ordered pointwise) then sums them
+    into F(q) = sum of C[p] over p <= q, and row M is F(D(M)).
+
+    The transform runs one pass per coordinate k = 1..n.  F_k(q) sums C[p]
+    over the p <= q that agree with q after coordinate k, so F_0 = C and
+    F_n = F.  Splitting on p_k gives
+
+        F_k(q) = F_{k-1}(q) + F_k(q|k)    when q_k - 1 >= k,
+
+    and F_k(q) = F_{k-1}(q) otherwise.  Here q|k is q with coordinate k
+    lowered by 1 and each earlier coordinate clamped to min(q_j, q_k - 1):
+    heights never decrease, so every p with p_k < q_k lies under q|k.
+    """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
-    table = web_table(n)
+    heights = [dyck_heights(p) for p in dyck_paths(n)]
+    acc: dict[tuple[int, ...], Counter[int]] = {q: Counter() for q in heights}
+    for rec in web_table(n):
+        acc[dyck_heights(rec.dyck)][col_index[rec.matched]] += 1
+    # Reverse table order is a linear extension of the lattice order, so
+    # q|k has finished its pass before q reads it.  k counts from 0 here;
+    # the last coordinate is always n and never lowers.
+    for k in range(n - 1):
+        for q in reversed(heights):
+            top = q[k] - 1
+            if top > k:
+                lower = tuple(min(h, top) for h in q[:k]) + (top,) + q[k + 1:]
+                acc[q].update(acc[lower])
     grid_rows = []
-    for m in rows:
-        heights = dyck_heights(dyck_of_matching(m))
+    for q in heights:
         counts = [0] * len(cols)
-        for rec in table:
-            if all(a <= b for a, b in zip(dyck_heights(rec.dyck), heights)):
-                counts[col_index[rec.matched]] += 1
+        for c, v in acc.pop(q).items():
+            counts[c] = v
         grid_rows.append(tuple(counts))
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 

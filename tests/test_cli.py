@@ -147,6 +147,29 @@ def test_verify_seed_sources(capsys, monkeypatch):
     assert json.loads(out)["parameters"]["seed"] == 7
 
 
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WEBPERM_SEED", "abc")
+    for argv in (["matrix", "2"], ["verify", "--suite", "oracle", "--max-n", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: WEBPERM_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "2",
+                         "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_verify_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--suite", "euler", "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-n must be >= 1, got {max_n}\n"
+
+
 def test_output_determinism(capsys):
     _, first, _ = run(capsys, "web", "4")
     _, second, _ = run(capsys, "web", "4")

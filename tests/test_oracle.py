@@ -135,6 +135,13 @@ def test_verify_expansion_validates_support():
         verify_expansion(m0(2), {m0(3): 1})
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_expansion_rejects_trials_below_one(trials):
+    m = matching([(1, 3), (2, 4)])
+    with pytest.raises(ValueError, match="trials"):
+        verify_expansion(m, syzygy_expand(m), trials=trials)
+
+
 def test_verify_expansion_is_seed_deterministic():
     m = matching([(1, 4), (2, 6), (3, 5)])
     coeffs = syzygy_expand(m)

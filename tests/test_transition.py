@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from webperm.andre import is_312_avoiding
@@ -76,7 +78,32 @@ def test_matrix_matches_reference(n, golden_matrices):
         assert a.entries == ((1,),)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+def literal_entries(n):
+    """The main theorem read literally: entry (M, M') counts the web
+    records sigma with D(sigma) <= D(M) and M(sigma) = M'."""
+    table = web_table(n)
+    cols = col_labels(n)
+    out = []
+    for m in row_labels(n):
+        path = dyck_of_matching(m)
+        below = Counter(rec.matched for rec in table if dyck_leq(rec.dyck, path))
+        out.append(tuple(below[c] for c in cols))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_matrix_matches_literal_characterization(n):
+    assert matrix(n).entries == literal_entries(n)
+
+
+def test_entry_reads_every_position():
+    a = matrix(4)
+    expected = literal_entries(4)
+    assert [[entry(m, c) for c in a.cols] for m in a.rows] == [
+        list(row) for row in expected]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_methods_agree(n):
     assert matrix(n).entries == resolution_matrix(n).entries
 
