@@ -7,12 +7,20 @@ pair remains expands any matching over noncrossing matchings with
 nonnegative integer coefficients.  The rewriting never touches
 polynomials; the numeric evaluator below checks the resulting identity on
 random integer specializations with exact arithmetic.
+
+The samples depend only on (n, trials, seed, bound), so every row of one
+matrix is checked on the same ones.  They are drawn once and kept, with
+their arc minors and the minor products of the noncrossing matchings seen
+so far, in a one-entry cache; a call with other parameters replaces it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 from .combinat import (
     Matching,
@@ -93,6 +101,35 @@ def delta_product(z: list[list[int]], m: Matching) -> int:
     return result
 
 
+class _Samples:
+    """The seeded samples of one (n, trials, seed, bound): the minor of
+    every arc on every sample, and a memo of the minor products of the
+    noncrossing support matchings checked so far (at most Catalan(n))."""
+
+    def __init__(self, n: int, trials: int, seed: int, bound: int) -> None:
+        rng = random.Random(seed)
+        self.zs = [sample_z(n, rng, bound) for _ in range(trials)]
+        self.minors = {(i, j): tuple(minor(z, i, j) for z in self.zs)
+                       for i, j in combinations(range(1, 2 * n + 1), 2)}
+        self.support: dict[Matching, tuple[int, ...]] = {}
+
+    def products(self, m: Matching) -> tuple[int, ...]:
+        """:func:`delta_product` of ``m`` on each sample."""
+        out = (1,) * len(self.zs)
+        for i, j in m:
+            column = self.minors.get((i, j))
+            if column is None:
+                # not an arc on [2n]: minor() raises the ValueError
+                column = tuple(minor(z, i, j) for z in self.zs)
+            out = tuple(map(mul, out, column))
+        return out
+
+
+@lru_cache(maxsize=1)
+def _samples(n: int, trials: int, seed: int, bound: int) -> _Samples:
+    return _Samples(n, trials, seed, bound)
+
+
 def verify_expansion(m: Matching, coeffs: dict[Matching, int],
                      trials: int = 20, seed: int = DEFAULT_SEED,
                      bound: int = DEFAULT_ENTRY_BOUND) -> bool:
@@ -100,21 +137,25 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     ``trials`` seeded random specializations, with exact equality.
 
     A wrong coefficient vector is refuted by almost any sample.  ``trials``
-    must be at least 1, so that a pass always rests on a sample.
+    must be at least 1, so that a pass always rests on a sample.  The
+    samples, their minors and the products of support matchings already
+    validated are shared with the previous call when (n, trials, seed,
+    bound) are the same; the result is what fresh samples would give.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = matching_size(m)
+    samples = _samples(n, trials, seed, bound)
+    support = samples.support
     for m_prime in coeffs:
+        if m_prime in support:
+            continue
         if matching_size(m_prime) != n:
             raise ValueError(f"size mismatch in expansion support: {m_prime}")
         if not is_noncrossing(m_prime):
             raise ValueError(f"expansion support must be noncrossing: {m_prime}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        z = sample_z(n, rng, bound)
-        lhs = delta_product(z, m)
-        rhs = sum(c * delta_product(z, m_prime) for m_prime, c in coeffs.items())
-        if lhs != rhs:
-            return False
-    return True
+        support[m_prime] = samples.products(m_prime)
+    lhs = samples.products(m)
+    terms = [(c, support[m_prime]) for m_prime, c in coeffs.items()]
+    return all(value == sum(c * p[k] for c, p in terms)
+               for k, value in enumerate(lhs))

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .combinat import (
     Matching,
+    Permutation,
     cells_above,
     dyck_heights,
     dyck_leq,
@@ -134,16 +135,24 @@ def matrix(n: int) -> TransitionMatrix:
 
 
 def resolution_matrix(n: int, node_cap: int = DEFAULT_NODE_CAP) -> TransitionMatrix:
-    """The same matrix computed by resolving each row's configuration."""
+    """The same matrix computed by resolving each row's configuration.
+
+    Every tree ends in web permutations, and the same sigma ends many of
+    them, so each sigma is traced to its column once per call.
+    """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
+    col_of: dict[Permutation, int] = {}
     grid_rows = []
     for m in rows:
         g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
         counts = [0] * len(cols)
         for sigma, mult in resolve(g, node_cap).items():
-            counts[col_index[matching_of_permutation(sigma)]] += mult
+            c = col_of.get(sigma)
+            if c is None:
+                c = col_of[sigma] = col_index[matching_of_permutation(sigma)]
+            counts[c] += mult
         grid_rows.append(tuple(counts))
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from webperm import cli
+from webperm import cli, oracle, transition, webs
 from webperm.enumeration import seidel_rows
 
 
@@ -33,6 +34,73 @@ def test_matrix_verify(capsys):
     assert code == 0
     assert out.splitlines()[0] == "1,1,1,1,1,2,1,1,1,1,1,1,1,2"
     assert "verify OK" in err
+
+
+def _bump(a, r, c):
+    """``a`` with entry (r, c) raised by one."""
+    rows = [list(row) for row in a.entries]
+    rows[r][c] += 1
+    return dataclasses.replace(a, entries=tuple(map(tuple, rows)))
+
+
+def _break_resolution(monkeypatch):
+    real = transition.resolution_matrix
+    monkeypatch.setattr(transition, "resolution_matrix",
+                        lambda n: _bump(real(n), 0, 1))
+
+
+def _break_syzygy(monkeypatch):
+    real = oracle.syzygy_expand
+
+    def wrong(m):
+        coeffs = real(m)
+        top = next(iter(coeffs))
+        return {**coeffs, top: coeffs[top] + 1}
+    monkeypatch.setattr(oracle, "syzygy_expand", wrong)
+
+
+def _break_numeric(monkeypatch):
+    real = oracle.verify_expansion
+    monkeypatch.setattr(
+        oracle, "verify_expansion",
+        lambda m, coeffs, **kw: real(m, {c: v + 1 for c, v in coeffs.items()},
+                                     **kw))
+
+
+def _break_support(monkeypatch):
+    real = transition.support_check
+    monkeypatch.setattr(transition, "support_check",
+                        lambda a: real(_bump(a, 1, 0)))
+
+
+@pytest.mark.parametrize("breaker, line", [
+    (_break_resolution, "FAIL: entry methods disagree"),
+    (_break_syzygy, "FAIL: syzygy expansion disagrees on row ((1, 4), (2, 5), (3, 6))"),
+    (_break_numeric, "FAIL: numeric identity refuted on row ((1, 4), (2, 5), (3, 6))"),
+    (_break_support, "FAIL: lower triangle must vanish at (2,1)"),
+])
+def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
+    breaker(monkeypatch)
+    code, out, err = run(capsys, "matrix", "3", "--verify")
+    assert code == 1
+    assert out == "1,1,1,1,1\n0,1,1,1,1\n0,0,1,0,1\n0,0,0,1,1\n0,0,0,0,1\n"
+    assert line in err.splitlines()
+    assert "verify OK" not in err
+
+
+def test_web_source_both_runs_the_filter_once(capsys, monkeypatch):
+    real = webs.web_set
+    sources = []
+
+    def counting(n, source="characterize", *rest):
+        sources.append(source)
+        return real(n, source, *rest)
+    monkeypatch.setattr(webs, "web_set", counting)
+    webs.web_table.cache_clear()
+    code, out, _ = run(capsys, "web", "5", "--source", "both")
+    assert code == 0
+    assert out.endswith("agreement OK (61 permutations)\n")
+    assert sorted(sources) == ["characterize", "resolve"]
 
 
 def test_web_text(capsys, golden_web_tables):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from webperm.combinat import (
+    catalan,
     crossing_arc_pairs,
     enumerate_matchings,
     is_noncrossing,
@@ -13,6 +14,7 @@ from webperm.combinat import (
 )
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
+    _samples,
     delta_product,
     expansion_to_json,
     minor,
@@ -21,6 +23,7 @@ from webperm.oracle import (
     syzygy_step,
     verify_expansion,
 )
+from webperm.transition import row_labels
 
 
 def test_syzygy_expand_noncrossing_is_itself():
@@ -148,3 +151,77 @@ def test_verify_expansion_is_seed_deterministic():
     rng = random.Random(5)
     assert sample_z(2, rng) == sample_z(2, random.Random(5))
     assert verify_expansion(m, coeffs, trials=5, seed=5) is True
+
+
+def fresh_verify(m, coeffs, trials=20, seed=1729, bound=1000):
+    """The numeric check with fresh samples on every call: the definition
+    that the shared samples of ``verify_expansion`` must reproduce."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        z = sample_z(len(m), rng, bound)
+        if delta_product(z, m) != sum(c * delta_product(z, mp)
+                                      for mp, c in coeffs.items()):
+            return False
+    return True
+
+
+def perturbed(coeffs):
+    first = next(iter(coeffs))
+    return {**coeffs, first: coeffs[first] + 1}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_shared_samples_agree_with_fresh_on_every_row(n):
+    for m in row_labels(n):
+        coeffs = syzygy_expand(m)
+        assert verify_expansion(m, coeffs) is fresh_verify(m, coeffs) is True
+        wrong = perturbed(coeffs)
+        assert verify_expansion(m, wrong) is fresh_verify(m, wrong) is False
+    assert len(_samples(n, 20, 1729, 1000).support) <= catalan(n)
+
+
+def test_shared_samples_survive_hits_and_evictions():
+    rows = {n: row_labels(n) for n in (3, 4, 5)}
+    calls = [(n, seed, trials) for seed in (1, 2) for trials in (1, 3)
+             for n in (3, 4, 5)]
+    for n, seed, trials in calls + calls[::-1]:
+        for m in rows[n][::5]:
+            for coeffs in (syzygy_expand(m), perturbed(syzygy_expand(m))):
+                assert (verify_expansion(m, coeffs, trials=trials, seed=seed)
+                        is fresh_verify(m, coeffs, trials=trials, seed=seed))
+
+
+def test_shared_samples_follow_seed_trials_and_bound():
+    # with entries in {-1, 0, 1} a wrong expansion survives some samples,
+    # so the verdict shows which samples were used
+    m = matching([(1, 3), (2, 4)])
+    wrong = {matching([(1, 2), (3, 4)]): 2}
+    verdicts = set()
+    for seed in range(12):
+        for trials, bound in ((1, 1), (2, 1), (1, 1000)):
+            got = verify_expansion(m, wrong, trials=trials, seed=seed, bound=bound)
+            assert got is fresh_verify(m, wrong, trials, seed, bound)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_perturbed_coefficient_is_refuted_on_a_warm_cache():
+    m = matching([(1, 4), (2, 6), (3, 5), (7, 8)])
+    coeffs = syzygy_expand(m)
+    assert verify_expansion(m, coeffs, seed=5)
+    for m_prime in coeffs:
+        assert not verify_expansion(m, {**coeffs, m_prime: coeffs[m_prime] - 1},
+                                    seed=5)
+    missing = next(mp for mp in enumerate_matchings(4, "NC") if mp not in coeffs)
+    assert not verify_expansion(m, {**coeffs, missing: 1}, seed=5)
+    assert verify_expansion(m, coeffs, seed=5)
+
+
+def test_malformed_arc_raises_value_error():
+    good = m0(2)
+    verify_expansion(good, {good: 1})
+    for bad in (((1, 2), (3, 5)), ((1, 2), (4, 3)), ((0, 1), (2, 3))):
+        with pytest.raises(ValueError):
+            verify_expansion(bad, {good: 1})
+        with pytest.raises(ValueError):
+            verify_expansion(good, {bad: 1})

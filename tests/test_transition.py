@@ -10,6 +10,7 @@ from webperm.combinat import (
     matching,
     matching_from_dyck,
 )
+from webperm import transition
 from webperm.oracle import syzygy_expand
 from webperm.transition import (
     TransitionMatrix,
@@ -106,6 +107,19 @@ def test_entry_reads_every_position():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_methods_agree(n):
     assert matrix(n).entries == resolution_matrix(n).entries
+
+
+def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
+    real = transition.matching_of_permutation
+    traced = []
+
+    def counting(sigma):
+        traced.append(sigma)
+        return real(sigma)
+    monkeypatch.setattr(transition, "matching_of_permutation", counting)
+    a = resolution_matrix(5)
+    assert len(traced) == len(set(traced)) == 61
+    assert a.entries == matrix(5).entries
 
 
 @pytest.mark.parametrize("n", range(1, 6))
