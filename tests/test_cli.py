@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -11,6 +13,54 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# SHA-256 of stdout for a fixed command set, recorded before the library
+# was trimmed; "wall_time_s" is scrubbed from the verify report.
+SNAPSHOTS = {
+    "web 0": "03e88438f3c62efefab36662464a3dcccbcdf8b7eca53a26090d101c3b5597e7",
+    "web 1": "5e98ddf28fa30a7db1960a0da6bd9968bb515368ee3355c343bc27c4b52a42b1",
+    "web 2": "621311845da4a9a094661d809720b13e6186c21587001e8c3615f31e11bc5b5c",
+    "web 3": "c0c17b7a0a50d83f17dba9abe7d7a5d9ac582e9716dfde89225282f55bc243dd",
+    "web 4": "bdaa00413e7036a854e0114fc6cbf3f1feb14508166d3f32445901b1a7ae0ba9",
+    "web 5": "ee0e5f2efc52169542e8862a02a0d74d4fdcbf365f56584012c660e9106395e5",
+    "web 4 --format json":
+        "f3c8f5bd9502308b1c053fe55b82bbdc694b01fa8695011b172f1aaccf9d753b",
+    "web 5 --source both":
+        "06144d086e4821e77d8163135fa2bf4a0fe9e6201964c2d52f9cddf5d887e7ab",
+    "web 5 --source resolve --format json":
+        "2e6a430eaed68fb584e78083e7d0a7887d24a658dcc7fc669a02dfb1422cf360",
+    "matrix 0": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "matrix 1": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "matrix 2": "bfaf0e3719ad4b364c47fb2adbbb2d6079a9a5d45509cf4e673e5919bf3731c2",
+    "matrix 3": "656a77086b2bbd01fb7dc99020281932b977eb94cc982c5c9321e01e6dcc3b0f",
+    "matrix 4": "354e288683cbed2f14ef211a92ab33bab5ae89839a784d3f59e77d7e64c539cc",
+    "matrix 5": "672a8bac4e9205857ed03e7177b757b3d2360e9ac3831cfa643b1a1d83c4f661",
+    "matrix 4 --format json":
+        "5adc278b5a917411ac2009d3a93b32df406067c2b4c8f9fa2948262bc4b7209d",
+    "matrix 4 --format latex":
+        "909f22f870928485481c38562b3fb71d9d6ff7a6ee45266c6229d4851eee2c64",
+    "matrix 4 --verify":
+        "354e288683cbed2f14ef211a92ab33bab5ae89839a784d3f59e77d7e64c539cc",
+    "seidel --rows 9":
+        "9251e41209e35207ca645da9a0e86e824b23b23d6045e37adae4af741734b96a",
+    "verify --suite all --max-n 5":
+        "67fcd8e187a1d825fcb279cb756a1e4c5832de198564843fa9dd29ea6e6f88ab",
+}
+
+
+@pytest.mark.parametrize("command", SNAPSHOTS)
+def test_output_bytes_are_unchanged(capsys, monkeypatch, command):
+    monkeypatch.delenv("WEBPERM_SEED", raising=False)
+    code, out, err = run(capsys, *command.split())
+    out = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": null', out)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS[command]
+    if command.endswith("--verify"):
+        assert err == ("verify OK (methods, syzygy oracle with seed 1729, "
+                       "support)\n")
+    else:
+        assert err == ""
 
 
 def test_matrix_csv(capsys):
