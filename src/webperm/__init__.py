@@ -10,7 +10,6 @@ from .combinat import (
     CapExceeded,
     catalan,
     cells_above,
-    classify,
     dyck_leq,
     dyck_of_matching,
     dyck_of_permutation,

@@ -98,7 +98,8 @@ def cycles_to_str(decomposition: Sequence[Cycle]) -> str:
 
 
 def permutation_from_cycle(cycle: Sequence[int], n: int) -> Permutation:
-    """The permutation of [n] acting as the given cycle, fixing the rest."""
+    """The permutation of [n] acting as the given cycle, fixing the rest.
+    It certifies that each phi(sigma) is one (n+2)-cycle sending n+2 to 1."""
     c = tuple(cycle)
     if any(not 1 <= x <= n for x in c):
         raise ValueError(f"cycle entries must lie in [1, {n}]: {c}")
@@ -174,7 +175,8 @@ def foata_inverse(word: Sequence[int]) -> Permutation:
 
 
 def rlmin(word: Sequence[int]) -> int:
-    """Number of right-to-left minima."""
+    """Number of right-to-left minima.  It certifies that :func:`foata`
+    sends cycles to them: rlmin(foata(sigma)) counts the cycles of sigma."""
     count = 0
     low = None
     for x in reversed(word):
@@ -186,11 +188,6 @@ def rlmin(word: Sequence[int]) -> int:
 
 def cycle_count(sigma: Permutation) -> int:
     return len(cycles(sigma))
-
-
-def cycle_stats(sigma: Permutation) -> tuple[int, int, int]:
-    """(number of cycles, right-to-left minima of the Foata word, sigma(1))."""
-    return cycle_count(sigma), rlmin(foata(sigma)), sigma[0]
 
 
 def phi(sigma: Permutation) -> Cycle:

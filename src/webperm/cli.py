@@ -29,8 +29,6 @@ from .combinat import (
 )
 from .oracle import DEFAULT_SEED
 
-_DISPLAY_KEY = str.maketrans("NE", "10")
-
 
 def _default_seed() -> int:
     env = os.environ.get("WEBPERM_SEED")
@@ -46,13 +44,6 @@ def _default_seed() -> int:
 # web
 # ---------------------------------------------------------------------------
 
-def _web_rows(n: int):
-    rows = [(r.sigma, webs.cycle_notation(r.sigma), r.dyck, r.matched)
-            for r in webs.web_table(n)]
-    rows.sort(key=lambda r: (r[2].translate(_DISPLAY_KEY), r[0]))
-    return rows
-
-
 def cmd_web(args: argparse.Namespace) -> int:
     webs.check_web_cap(args.n, args.source, args.cap)
     agreement = None
@@ -63,7 +54,8 @@ def cmd_web(args: argparse.Namespace) -> int:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
             return 1
-    rows = _web_rows(args.n)
+    rows = [(r.sigma, webs.cycle_notation(r.sigma), r.dyck, r.matched)
+            for r in webs.web_table(args.n)]
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -268,8 +260,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     text = json.dumps(report, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write the report to {args.out}: "
+                             f"{exc.strerror}") from None
         print(f"{report['passed']} passed, {report['failed']} failed; "
               f"report written to {args.out}")
     else:
@@ -291,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     web = sub.add_parser("web", help="list web permutations with D and M columns")
     web.add_argument("n", type=int)
     web.add_argument("--format", choices=("text", "json"), default="text")
-    web.add_argument("--source", choices=webs.WEB_SOURCES, default="characterize")
+    web.add_argument("--source", choices=("characterize", "resolve", "both"),
+                     default="characterize")
     web.add_argument("--cap", "--unsafe-cap", dest="cap", type=int, default=None,
                      help="override the size guard (characterize 8, resolve 6)")
     web.set_defaults(func=cmd_web)
@@ -328,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -25,8 +24,6 @@ Arc = tuple[int, int]
 Matching = tuple[Arc, ...]
 Permutation = tuple[int, ...]
 Cell = tuple[int, int]
-
-MATCHING_CLASSES = ("all", "NC", "NN")
 
 # Enumerating every matching on [2n] grows as (2n-1)!!; the default cap
 # keeps accidental `enumerate_matchings(12)` from eating the machine.
@@ -153,24 +150,6 @@ def is_nonnesting(m: Matching) -> bool:
     return not nesting_arc_pairs(m)
 
 
-def classify(m: Matching) -> str:
-    """One of "noncrossing", "nonnesting", "both", "neither".
-
-    >>> classify(matching([(1, 2), (3, 5), (4, 7), (6, 8)]))
-    'nonnesting'
-    >>> classify(matching([(1, 6), (2, 3), (4, 5), (7, 8)]))
-    'noncrossing'
-    """
-    nc, nn = is_noncrossing(m), is_nonnesting(m)
-    if nc and nn:
-        return "both"
-    if nc:
-        return "noncrossing"
-    if nn:
-        return "nonnesting"
-    return "neither"
-
-
 def matchings(n: int) -> Iterator[Matching]:
     """Generate every matching on [2n], in canonical arc order."""
 
@@ -235,25 +214,8 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def double_factorial(k: int) -> int:
-    return math.prod(range(k, 0, -2))
-
-
 def matching_to_json(m: Matching) -> list[list[int]]:
     return [list(arc) for arc in m]
-
-
-def matching_from_json(data: Iterable[Sequence[int]]) -> Matching:
-    return matching(data)
-
-
-def matching_to_str(m: Matching) -> str:
-    """Canonical compact string, usable as a JSON map key."""
-    return json.dumps(matching_to_json(m), separators=(",", ":"))
-
-
-def matching_from_str(text: str) -> Matching:
-    return matching(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +377,9 @@ def cells_above(path: str) -> frozenset[Cell]:
 def syt_to_matching(rows: Sequence[Sequence[int]]) -> Matching:
     """Arc up the two entries of each column of a 2 x n standard tableau.
 
-    The result is always nonnesting.
+    This certifies that the rows of the transition matrix are the Specht
+    basis: standard tableaux of shape (n, n) correspond one to one to the
+    nonnesting matchings on [2n].
 
     >>> syt_to_matching([[1, 3, 4, 6], [2, 5, 7, 8]])
     ((1, 2), (3, 5), (4, 7), (6, 8))

@@ -113,10 +113,6 @@ def entringer(n: int, k: int) -> int:
     return _zigzag_rows(n)[n][k]
 
 
-def entringer_row(n: int) -> list[int]:
-    return [entringer(n, k) for k in range(1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # statistics of web permutations
 # ---------------------------------------------------------------------------

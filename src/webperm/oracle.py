@@ -28,7 +28,6 @@ from .combinat import (
     is_noncrossing,
     matching,
     matching_size,
-    matching_to_str,
 )
 
 SYZYGY_POLICIES = ("first", "last")
@@ -70,10 +69,6 @@ def syzygy_expand(m: Matching, policy: str = "first") -> dict[Matching, int]:
         for branch in syzygy_step(current, pair):
             stack.append((branch, mult))
     return dict(sorted(out.items()))
-
-
-def expansion_to_json(coeffs: dict[Matching, int]) -> dict[str, int]:
-    return {matching_to_str(m): c for m, c in sorted(coeffs.items())}
 
 
 # ---------------------------------------------------------------------------

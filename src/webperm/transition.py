@@ -10,9 +10,9 @@ D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
 evaluates this by grouping the web table by (D, M) into counts
 C[p][M'] and summing them over the Dyck lattice with a zeta transform,
 F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  A second
-construction resolves the grid configuration of M outright; both must
-agree, and both must agree with the syzygy-rewriting expansion of
-:mod:`webperm.oracle`.
+construction, :func:`resolution_matrix`, resolves the grid configuration
+of each row outright; both must agree, and both must agree with the
+syzygy-rewriting expansion of :mod:`webperm.oracle`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .combinat import (
     matching_from_dyck,
     matching_size,
     matching_to_json,
+    nonnesting_matchings,
 )
 from .grid import (
     DEFAULT_NODE_CAP,
@@ -43,8 +44,6 @@ from .grid import (
     resolve,
 )
 from .webs import web_table
-
-ENTRY_METHODS = ("characterization", "resolution")
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,8 @@ class TransitionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-def row_labels(n: int) -> list[Matching]:
-    """Nonnesting matchings in table order."""
-    return [matching_from_dyck(p, "NN") for p in dyck_paths(n)]
+# The rows are the nonnesting matchings, which come in table order.
+row_labels = nonnesting_matchings
 
 
 def col_labels(n: int) -> list[Matching]:
@@ -74,20 +72,12 @@ def _check_classes(m: Matching, m_prime: Matching) -> None:
         raise ValueError("matchings have different sizes")
 
 
-def entry(m: Matching, m_prime: Matching, method: str = "characterization") -> int:
-    """One matrix entry, by either construction: "characterization" reads
-    it from :func:`matrix`, "resolution" resolves the row's configuration."""
+def entry(m: Matching, m_prime: Matching) -> int:
+    """The entry of row ``m`` and column ``m_prime``, read from
+    :func:`matrix`."""
     _check_classes(m, m_prime)
-    n = matching_size(m)
-    if method == "characterization":
-        a = matrix(n)
-        return a.entries[a.rows.index(m)][a.cols.index(m_prime)]
-    if method == "resolution":
-        g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
-        outcome = resolve(g)
-        return sum(mult for sigma, mult in outcome.items()
-                   if matching_of_permutation(sigma) == m_prime)
-    raise ValueError(f"unknown method {method!r}")
+    a = matrix(matching_size(m))
+    return a.entries[a.rows.index(m)][a.cols.index(m_prime)]
 
 
 @lru_cache(maxsize=None)

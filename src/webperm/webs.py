@@ -1,12 +1,14 @@
 """Web permutation sets and their associated paths and matchings.
 
-Two constructions are available and must agree:
+Two constructions give the web permutations of [n]:
 
-- "resolve": full crossing resolution of the identity grid configuration,
-- "characterize": filtering the symmetric group by the Andre-cycle test.
+- "characterize": filtering the symmetric group by the Andre-cycle test,
+- "resolve": full crossing resolution of the identity grid configuration.
 
-The filter is the default; it has no branching tree and stays cheap well
-past the point where resolution is comfortable.
+The filter is the default and the one behind :func:`web_table`; it has no
+branching tree and stays cheap well past the point where resolution is
+comfortable.  Resolution is the cross-check: ``webperm web --source both``
+and the test suite compare the two sets.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .andre import cycles, cycles_to_str, is_web
 from .combinat import CapExceeded, Matching, Permutation, all_permutations
 from .combinat import dyck_of_permutation
 from .grid import DEFAULT_NODE_CAP, matching_of_permutation, web_permutations
-
-WEB_SOURCES = ("characterize", "resolve", "both")
 
 # Filtering S_n gets painful past 8! = 40320 words; resolution trees are
 # kept on an even shorter leash.
@@ -38,10 +38,8 @@ class WebRecord:
 
 def web_set(n: int, source: str = "characterize",
             node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Permutation]:
-    """The web permutations of [n], by either construction.
-
-    ``source="both"`` computes both and raises if they disagree.
-    """
+    """The web permutations of [n], by the construction named by
+    ``source``: "characterize" (the filter) or "resolve"."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -50,14 +48,6 @@ def web_set(n: int, source: str = "characterize",
         return frozenset(s for s in all_permutations(n) if is_web(s))
     if source == "resolve":
         return web_permutations(n, node_cap)
-    if source == "both":
-        filtered = web_set(n, "characterize")
-        resolved = web_set(n, "resolve", node_cap)
-        if filtered != resolved:
-            raise RuntimeError(
-                f"resolution and cycle-type filter disagree at n = {n}: "
-                f"{sorted(filtered ^ resolved)}")
-        return filtered
     raise ValueError(f"unknown source {source!r}")
 
 
@@ -67,6 +57,12 @@ def web_table(n: int) -> tuple[WebRecord, ...]:
 
     Uses the filter construction; the test suite certifies its agreement
     with resolution.
+
+    Two Dyck orders are in use, both pinned by output bytes.  This one
+    compares paths as strings, E < N, so the staircase comes first; the
+    ``web`` listings print the table in it.  Matrix rows and columns use
+    table order, N < E (:func:`webperm.combinat.dyck_sort_key`), which
+    puts the maximum path first.
     """
     records = [WebRecord(s, dyck_of_permutation(s), matching_of_permutation(s))
                for s in web_set(n)]

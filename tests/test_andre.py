@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from webperm.andre import (
     andre_full_cycles,
     canonical_cycle,
-    cycle_stats,
+    cycle_count,
     cycles,
     cycles_to_str,
     foata,
@@ -197,9 +197,10 @@ def test_foata_inverse_rejects_bad_word():
 
 
 def test_cycle_stats():
-    assert cycle_stats((5, 6, 8, 4, 7, 9, 3, 1, 2)) == (3, 3, 5)
-    assert cycle_stats(identity(4)) == (4, 4, 1)
-    assert cycle_stats((2, 1)) == (1, 1, 2)
+    # cycles, right-to-left minima of the Foata word, first letter
+    for sigma, stats in [((5, 6, 8, 4, 7, 9, 3, 1, 2), (3, 3, 5)),
+                         (identity(4), (4, 4, 1)), ((2, 1), (1, 1, 2))]:
+        assert (cycle_count(sigma), rlmin(foata(sigma)), sigma[0]) == stats
 
 
 def test_phi_examples():

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from webperm import cli, oracle, transition, webs
 from webperm.enumeration import seidel_rows
@@ -254,6 +257,53 @@ def test_verify_out_file(tmp_path, capsys):
     report = json.loads(target.read_text())
     assert report["payload"] == str(target)
     assert report["failed"] == 0
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("", "Is a directory"),
+    ("missing/report.json", "No such file or directory"),
+])
+def test_verify_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, "verify", "--suite", "euler", "--max-n", "1",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write the report to {path}: {reason}\n"
+
+
+@st.composite
+def cli_arguments(draw):
+    """Bounded argument lists for every subcommand, n at most 5."""
+    command = draw(st.sampled_from(["web", "matrix", "verify", "seidel"]))
+    if command == "seidel":
+        return ["seidel", "--rows", str(draw(st.integers(-2, 30)))]
+    n = draw(st.integers(-2, 5))
+    if command == "web":
+        source = draw(st.sampled_from(["characterize", "resolve", "both"]))
+        argv = ["web", str(n), "--source", source,
+                "--format", draw(st.sampled_from(["text", "json"]))]
+    elif command == "matrix":
+        argv = ["matrix", str(n),
+                "--format", draw(st.sampled_from(["csv", "json", "latex"]))]
+        argv += ["--verify"] if draw(st.booleans()) else []
+    else:
+        argv = ["verify", "--max-n", str(n),
+                "--suite", draw(st.sampled_from(cli.SUITES))]
+    if draw(st.booleans()):
+        argv += ["--cap", str(n - draw(st.integers(1, 3)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_arguments())
+def test_every_argument_list_exits_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_verify_seed_sources(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +8,6 @@ from webperm.combinat import (
     CapExceeded,
     catalan,
     cells_above,
-    classify,
-    double_factorial,
     dyck_heights,
     dyck_leq,
     dyck_of_matching,
@@ -23,8 +22,7 @@ from webperm.combinat import (
     m0,
     matching,
     matching_from_dyck,
-    matching_from_str,
-    matching_to_str,
+    matching_to_json,
     matchings,
     perm_from_str,
     perm_to_str,
@@ -53,25 +51,16 @@ def test_matching_rejects_bad_input(pairs):
         matching(pairs)
 
 
-@pytest.mark.parametrize("pairs,expected", [
-    ([(1, 2), (3, 5), (4, 7), (6, 8)], "nonnesting"),
-    ([(1, 6), (2, 3), (4, 5), (7, 8)], "noncrossing"),
-    ([(1, 2), (3, 4)], "both"),
-    ([(1, 4), (2, 6), (3, 5)], "neither"),
-])
-def test_classify(pairs, expected):
-    assert classify(matching(pairs)) == expected
-
-
 @pytest.mark.parametrize("n", SMALL)
 def test_classify_both_iff_staircase(n):
     for m in matchings(n):
-        assert (classify(m) == "both") == (m == m0(n))
+        assert (is_noncrossing(m) and is_nonnesting(m)) == (m == m0(n))
 
 
 def test_enumerate_counts():
     for n in range(1, 5):
-        assert len(enumerate_matchings(n, "all")) == double_factorial(2 * n - 1)
+        odd_double_factorial = math.prod(range(2 * n - 1, 0, -2))
+        assert len(enumerate_matchings(n, "all")) == odd_double_factorial
     assert len(enumerate_matchings(4, "all")) == 105
     for n in range(1, 9):
         assert len(enumerate_matchings(n, "NC")) == catalan(n)
@@ -294,8 +283,8 @@ def test_syt_correspondence_with_nonnesting(n):
 
 def test_serialization_roundtrips():
     m = matching([(1, 4), (2, 5), (3, 6)])
-    assert matching_from_str(matching_to_str(m)) == m
-    assert matching_to_str(m) == "[[1,4],[2,5],[3,6]]"
+    assert matching(matching_to_json(m)) == m
+    assert matching_to_json(m) == [[1, 4], [2, 5], [3, 6]]
     assert perm_from_str("312") == (3, 1, 2)
     assert perm_from_str(perm_to_str(tuple(range(1, 12)))) == tuple(range(1, 12))
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from webperm.combinat import perm_from_str
 from webperm.enumeration import (
     cc_distribution,
     entringer,
-    entringer_row,
     euler_numbers,
     f,
     f_nk,
@@ -50,6 +49,10 @@ def test_genocchi():
 def test_euler_numbers():
     assert euler_numbers(6) == [1, 1, 1, 2, 5, 16, 61]
     assert euler_numbers(8)[7:] == [272, 1385]
+
+
+def entringer_row(n):
+    return [entringer(n, k) for k in range(1, n + 1)]
 
 
 def test_entringer_values_and_identities():

@@ -21,14 +21,13 @@ from webperm.grid import (
     empty_configuration,
     matching_of_permutation,
     maximal_crossing,
-    outcome_to_json,
     pick_bottom,
     pick_top_left,
     resolve,
     smooth,
     switch,
+    _dominated,
     trace_matching,
-    upper_left_maximal,
     web_permutations,
     web_permutations_for,
 )
@@ -63,12 +62,6 @@ def test_configuration_validation():
         GridConfiguration((2, 1), frozenset({(1, 2)}))  # not a crossing
     with pytest.raises(ValueError):
         GridConfiguration((1, 1), frozenset())          # not a permutation
-
-
-def test_configuration_json_roundtrip():
-    g = GridConfiguration(FIG_SIGMA, FIG_ELBOWS)
-    assert GridConfiguration.from_json(g.to_json()) == g
-    assert g.to_json() == {"sigma": [1, 3, 2, 4], "elbows": [[1, 3], [1, 4]]}
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +107,13 @@ def test_maximal_crossing():
 
 
 def test_upper_left_maximal_is_antichain():
-    cells = {(1, 2), (2, 2), (2, 3), (3, 1), (3, 3)}
-    maximal = upper_left_maximal(cells)
-    assert maximal == [(1, 2), (2, 3)] or set(maximal) == {(2, 3), (1, 2)}
+    cells = frozenset({(1, 2), (2, 2), (2, 3), (3, 1), (3, 3)})
+    maximal = {c for c in cells if not _dominated(c, cells)}
+    assert maximal == {(1, 2), (2, 3)}
     for c, d in itertools.permutations(maximal, 2):
         assert not (c[0] <= d[0] and c[1] >= d[1])
+    assert pick_bottom(cells) == (1, 2)
+    assert pick_top_left(cells) == (2, 3)
 
 
 def test_smooth_and_switch_worked_example():
@@ -211,11 +206,6 @@ def test_resolution_order_independence(n):
         b = resolve(g, pick=pick_bottom)
         assert a == b
         assert set(a.values()) <= {1}
-
-
-def test_outcome_json():
-    out = outcome_to_json(resolve(empty_configuration(2)))
-    assert out == {"12": 1, "21": 1}
 
 
 @pytest.mark.parametrize("n", range(1, 7))

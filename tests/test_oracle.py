@@ -16,7 +16,6 @@ from webperm.grid import web_permutations_for
 from webperm.oracle import (
     _samples,
     delta_product,
-    expansion_to_json,
     minor,
     sample_z,
     syzygy_expand,
@@ -79,12 +78,6 @@ def test_expansion_support_is_noncrossing():
         for m_prime, coeff in syzygy_expand(m).items():
             assert is_noncrossing(m_prime)
             assert coeff >= 1
-
-
-def test_expansion_json():
-    coeffs = syzygy_expand(matching([(1, 3), (2, 4)]))
-    assert expansion_to_json(coeffs) == {
-        "[[1,2],[3,4]]": 1, "[[1,4],[2,3]]": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ def test_entry_examples():
     top_row = matching_from_dyck("NNNNEEEE", "NN")
     sixth_col = col_labels(4)[5]
     assert entry(top_row, sixth_col) == 2
-    assert entry(top_row, sixth_col, method="resolution") == 2
 
 
 def test_entry_validates_classes():
@@ -66,8 +65,6 @@ def test_entry_validates_classes():
         entry(has_crossing, has_crossing)    # column must be noncrossing
     with pytest.raises(ValueError):
         entry(matching([(1, 2)]), matching([(1, 2), (3, 4)]))  # size mismatch
-    with pytest.raises(ValueError):
-        entry(has_crossing, has_nesting, method="guess")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
