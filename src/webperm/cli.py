@@ -29,6 +29,10 @@ from .combinat import (
 )
 from .oracle import DEFAULT_SEED
 
+# The largest n at which every command fits in 60 s and 2 GiB; the slowest
+# is ``matrix 8 --verify``.  ``--cap`` raises it.
+DEFAULT_CAP = 8
+
 
 def _default_seed() -> int:
     env = os.environ.get("WEBPERM_SEED")
@@ -40,12 +44,18 @@ def _default_seed() -> int:
         raise ValueError(f"WEBPERM_SEED must be an integer, got {env!r}") from None
 
 
+def _check_cap(name: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"{name} = {n} exceeds the cap {cap}; "
+                          f"pass a larger --cap to force it")
+
+
 # ---------------------------------------------------------------------------
 # web
 # ---------------------------------------------------------------------------
 
 def cmd_web(args: argparse.Namespace) -> int:
-    webs.check_web_cap(args.n, args.source, args.cap)
+    _check_cap("n", args.n, args.cap)
     agreement = None
     if args.source in ("resolve", "both"):
         resolved = webs.web_set(args.n, "resolve")
@@ -85,8 +95,7 @@ def cmd_web(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    source = "both" if args.verify else "characterize"
-    webs.check_web_cap(args.n, source, args.cap)
+    _check_cap("n", args.n, args.cap)
     a = transition.matrix(args.n)
     if args.format == "csv":
         print(transition.to_csv(a))
@@ -230,9 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.max_n > (args.cap if args.cap is not None else webs.DEFAULT_FILTER_CAP):
-        raise CapExceeded(
-            f"--max-n {args.max_n} exceeds the cap; pass --cap to override")
+    _check_cap("--max-n", args.max_n, args.cap)
     started = time.monotonic()
     checks: list[dict] = []
     if args.suite in ("all", "euler"):
@@ -283,33 +290,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Web permutations, transition matrices and their "
                     "enumerative identities, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", "--unsafe-cap", dest="cap", type=int,
+                        default=DEFAULT_CAP,
+                        help="refuse sizes above this (default %(default)s)")
 
-    web = sub.add_parser("web", help="list web permutations with D and M columns")
+    web = sub.add_parser("web", parents=[capped],
+                         help="list web permutations with D and M columns")
     web.add_argument("n", type=int)
     web.add_argument("--format", choices=("text", "json"), default="text")
     web.add_argument("--source", choices=("characterize", "resolve", "both"),
                      default="characterize")
-    web.add_argument("--cap", "--unsafe-cap", dest="cap", type=int, default=None,
-                     help="override the size guard (characterize 8, resolve 6)")
     web.set_defaults(func=cmd_web)
 
-    mat = sub.add_parser("matrix", help="print a transition matrix")
+    mat = sub.add_parser("matrix", parents=[capped],
+                         help="print a transition matrix")
     mat.add_argument("n", type=int)
     mat.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
     mat.add_argument("--verify", action="store_true",
                      help="cross-check methods, the syzygy oracle and the "
                           "support pattern")
     mat.add_argument("--seed", type=int, default=None)
-    mat.add_argument("--cap", "--unsafe-cap", dest="cap", type=int, default=None)
     mat.set_defaults(func=cmd_matrix)
 
-    ver = sub.add_parser("verify", help="run an identity suite, emit a JSON report")
+    ver = sub.add_parser("verify", parents=[capped],
+                         help="run an identity suite, emit a JSON report")
     ver.add_argument("--suite", choices=SUITES, default="all")
     ver.add_argument("--max-n", type=int, default=6)
     ver.add_argument("--out", default=None, help="write the JSON report here")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--cap", "--unsafe-cap", dest="cap", type=int, default=None)
     ver.set_defaults(func=cmd_verify)
 
     sei = sub.add_parser("seidel", help="print the boustrophedon triangle; "

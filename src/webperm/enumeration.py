@@ -118,7 +118,7 @@ def entringer(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def web_count(n: int) -> int:
-    return len(web_table(n)) if n >= 1 else 1
+    return len(web_table(n))
 
 
 def first_letter_counts(n: int) -> Counter[int]:
@@ -160,8 +160,6 @@ def cc_distribution(n: int) -> dict[int, int]:
     {1: 1, 2: 3, 3: 1}
     """
     from .andre import cycle_count
-    if n == 0:
-        return {0: 1}
     counts = Counter(cycle_count(rec.sigma) for rec in web_table(n))
     return dict(sorted(counts.items()))
 

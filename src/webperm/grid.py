@@ -290,13 +290,12 @@ def _distinct_terminals(outcome: Counter[Permutation]) -> frozenset[Permutation]
     return frozenset(outcome)
 
 
-def web_permutations(n: int, node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Permutation]:
+def web_permutations(n: int) -> frozenset[Permutation]:
     """All permutations surviving full resolution of the identity grid."""
-    return _distinct_terminals(resolve(empty_configuration(n), node_cap))
+    return _distinct_terminals(resolve(empty_configuration(n)))
 
 
-def web_permutations_for(m: Matching,
-                         node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Permutation]:
+def web_permutations_for(m: Matching) -> frozenset[Permutation]:
     """Permutations surviving resolution started from the configuration of
     a nonnesting matching (identity marking, elbows above its Dyck path).
 
@@ -307,7 +306,7 @@ def web_permutations_for(m: Matching,
         raise ValueError(f"matching is not nonnesting: {m}")
     n = matching_size(m)
     g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
-    return _distinct_terminals(resolve(g, node_cap))
+    return _distinct_terminals(resolve(g))
 
 
 def matching_of_permutation(sigma: Permutation) -> Matching:

@@ -37,12 +37,7 @@ from .combinat import (
     matching_to_json,
     nonnesting_matchings,
 )
-from .grid import (
-    DEFAULT_NODE_CAP,
-    GridConfiguration,
-    matching_of_permutation,
-    resolve,
-)
+from .grid import GridConfiguration, matching_of_permutation, resolve
 from .webs import web_table
 
 
@@ -124,7 +119,7 @@ def matrix(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 
 
-def resolution_matrix(n: int, node_cap: int = DEFAULT_NODE_CAP) -> TransitionMatrix:
+def resolution_matrix(n: int) -> TransitionMatrix:
     """The same matrix computed by resolving each row's configuration.
 
     Every tree ends in web permutations, and the same sigma ends many of
@@ -138,7 +133,7 @@ def resolution_matrix(n: int, node_cap: int = DEFAULT_NODE_CAP) -> TransitionMat
     for m in rows:
         g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
         counts = [0] * len(cols)
-        for sigma, mult in resolve(g, node_cap).items():
+        for sigma, mult in resolve(g).items():
             c = col_of.get(sigma)
             if c is None:
                 c = col_of[sigma] = col_index[matching_of_permutation(sigma)]

@@ -5,10 +5,11 @@ Two constructions give the web permutations of [n]:
 - "characterize": filtering the symmetric group by the Andre-cycle test,
 - "resolve": full crossing resolution of the identity grid configuration.
 
-The filter is the default and the one behind :func:`web_table`; it has no
-branching tree and stays cheap well past the point where resolution is
-comfortable.  Resolution is the cross-check: ``webperm web --source both``
-and the test suite compare the two sets.
+The filter is the default and the one behind :func:`web_table`.
+Resolution is no slower, but it caches the crossing set of every word it
+visits, so its memory grows faster with n.  Resolution is the
+cross-check: ``webperm web --source both`` and the test suite compare the
+two sets.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .andre import cycles, cycles_to_str, is_web
-from .combinat import CapExceeded, Matching, Permutation, all_permutations
+from .combinat import Matching, Permutation, all_permutations
 from .combinat import dyck_of_permutation
-from .grid import DEFAULT_NODE_CAP, matching_of_permutation, web_permutations
-
-# Filtering S_n gets painful past 8! = 40320 words; resolution trees are
-# kept on an even shorter leash.
-DEFAULT_FILTER_CAP = 8
-DEFAULT_RESOLVE_CAP = 6
+from .grid import matching_of_permutation, web_permutations
 
 
 @dataclass(frozen=True)
@@ -36,18 +32,15 @@ class WebRecord:
     matched: Matching
 
 
-def web_set(n: int, source: str = "characterize",
-            node_cap: int = DEFAULT_NODE_CAP) -> frozenset[Permutation]:
+def web_set(n: int, source: str = "characterize") -> frozenset[Permutation]:
     """The web permutations of [n], by the construction named by
     ``source``: "characterize" (the filter) or "resolve"."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return frozenset({()})
     if source == "characterize":
         return frozenset(s for s in all_permutations(n) if is_web(s))
     if source == "resolve":
-        return web_permutations(n, node_cap)
+        return web_permutations(n)
     raise ValueError(f"unknown source {source!r}")
 
 
@@ -72,14 +65,3 @@ def web_table(n: int) -> tuple[WebRecord, ...]:
 
 def cycle_notation(sigma: Permutation) -> str:
     return cycles_to_str(cycles(sigma))
-
-
-def check_web_cap(n: int, source: str, cap: int | None = None) -> None:
-    """Raise :class:`CapExceeded` when n is beyond the default size guard
-    for the requested construction (``cap`` overrides the default)."""
-    if cap is None:
-        cap = DEFAULT_RESOLVE_CAP if source in ("resolve", "both") else DEFAULT_FILTER_CAP
-    if n > cap:
-        raise CapExceeded(
-            f"n = {n} exceeds the cap {cap} for source {source!r}; "
-            f"raise the cap explicitly to force it")

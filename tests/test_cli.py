@@ -191,13 +191,31 @@ def test_web_json(capsys):
 def test_caps(capsys):
     code, _, err = run(capsys, "web", "9")
     assert code == 2 and "cap" in err
-    code, _, err = run(capsys, "web", "7", "--source", "resolve")
+    code, _, err = run(capsys, "web", "9", "--source", "resolve")
     assert code == 2 and "cap" in err
     code, out, _ = run(capsys, "web", "7", "--source", "resolve", "--cap", "7")
     assert code == 0
     assert len(out.strip().splitlines()) == 1385
     code, _, err = run(capsys, "verify", "--max-n", "9")
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("command", [
+    "web 9", "web 9 --source resolve", "web 9 --source both", "matrix 9",
+    "matrix 9 --verify", "verify --max-n 9"])
+def test_one_cap_guards_every_command(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the cap 8;" in err
+    assert not any(source in err
+                   for source in ("characterize", "resolve", "both"))
+
+
+def test_web_source_both_runs_at_seven_without_cap(capsys):
+    code, out, _ = run(capsys, "web", "7", "--source", "both")
+    assert code == 0
+    assert out.endswith("agreement OK (1385 permutations)\n")
 
 
 def test_seidel(capsys):
@@ -273,11 +291,12 @@ def test_verify_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason
 
 @st.composite
 def cli_arguments(draw):
-    """Bounded argument lists for every subcommand, n at most 5."""
+    """Bounded argument lists for every subcommand: n at most 5, or above
+    the cap, where every command is refused before any work."""
     command = draw(st.sampled_from(["web", "matrix", "verify", "seidel"]))
     if command == "seidel":
         return ["seidel", "--rows", str(draw(st.integers(-2, 30)))]
-    n = draw(st.integers(-2, 5))
+    n = draw(st.integers(-2, 5) | st.integers(cli.DEFAULT_CAP + 1, 11))
     if command == "web":
         source = draw(st.sampled_from(["characterize", "resolve", "both"]))
         argv = ["web", str(n), "--source", source,

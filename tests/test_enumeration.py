@@ -18,7 +18,7 @@ from webperm.enumeration import (
     verify_conjecture,
     web_count,
 )
-from webperm.webs import web_table
+from webperm.webs import web_set, web_table
 
 # the first nine rows of the boustrophedon triangle
 SEIDEL_9 = [
@@ -74,6 +74,16 @@ def test_entringer_row4_against_reference_table(golden_web_tables):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_web_count_is_zigzag(n):
     assert web_count(n) == euler_numbers(n + 1)[n + 1]
+
+
+@pytest.mark.parametrize("source", ["characterize", "resolve"])
+def test_web_set_of_zero_is_the_empty_word(source):
+    assert web_set(0, source) == {()}
+
+
+def test_web_count_rejects_negative_n():
+    with pytest.raises(ValueError):
+        web_count(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
