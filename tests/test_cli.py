@@ -27,10 +27,13 @@ SNAPSHOTS = {
     "web 3": "c0c17b7a0a50d83f17dba9abe7d7a5d9ac582e9716dfde89225282f55bc243dd",
     "web 4": "bdaa00413e7036a854e0114fc6cbf3f1feb14508166d3f32445901b1a7ae0ba9",
     "web 5": "ee0e5f2efc52169542e8862a02a0d74d4fdcbf365f56584012c660e9106395e5",
+    "web 7": "33d80c49e02992b03c96f903b370a68989dfa6094799c4f0f0f74545a02129c9",
     "web 4 --format json":
         "f3c8f5bd9502308b1c053fe55b82bbdc694b01fa8695011b172f1aaccf9d753b",
     "web 5 --source both":
         "06144d086e4821e77d8163135fa2bf4a0fe9e6201964c2d52f9cddf5d887e7ab",
+    "web 6 --source both":
+        "e758aca40762e520d94ac6b64647794563a04abc8b7aeea27cd3d751c08ce1da",
     "web 5 --source resolve --format json":
         "2e6a430eaed68fb584e78083e7d0a7887d24a658dcc7fc669a02dfb1422cf360",
     "matrix 0": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
