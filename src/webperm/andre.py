@@ -74,9 +74,14 @@ def cycles(sigma: Permutation) -> tuple[Cycle, ...]:
     >>> cycles((5, 6, 8, 4, 7, 9, 3, 1, 2))
     ((1, 5, 7, 3, 8), (2, 6, 9), (4,))
     """
+    return tuple(_cycles(sigma))
+
+
+def _cycles(sigma: Permutation) -> Iterator[Cycle]:
+    """The cycles of :func:`cycles`, one at a time, so that a caller can
+    stop at the first cycle it rejects."""
     n = len(sigma)
     seen = [False] * (n + 1)
-    out = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
@@ -87,8 +92,7 @@ def cycles(sigma: Permutation) -> tuple[Cycle, ...]:
             cyc.append(x)
             seen[x] = True
             x = sigma[x - 1]
-        out.append(tuple(cyc))
-    return tuple(out)
+        yield tuple(cyc)
 
 
 def cycles_to_str(decomposition: Sequence[Cycle]) -> str:
@@ -117,7 +121,7 @@ def is_web(sigma: Permutation) -> bool:
     """
     if not is_permutation(sigma):
         raise ValueError(f"not a permutation: {sigma}")
-    return all(_andre(c[1:]) for c in cycles(sigma))
+    return all(_andre(c[1:]) for c in _cycles(sigma))
 
 
 def is_312_avoiding(sigma: Permutation) -> bool:

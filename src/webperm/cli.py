@@ -116,7 +116,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             failures.append(f"syzygy expansion disagrees on row {m}")
         if not oracle.verify_expansion(m, coeffs, seed=args.seed):
             failures.append(f"numeric identity refuted on row {m}")
-    failures.extend(v["reason"] + f" at ({v['row']},{v['col']})"
+    failures.extend(f"{v['reason']} at ({v['row']},{v['col']}): "
+                    f"row {v['row_path']}, col {v['col_path']}"
                     for v in transition.support_check(a))
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)

@@ -9,7 +9,10 @@ upper-right corner.
 
 Boundary intervals are labelled 1..n up the left side and n+1..2n along
 the top, so tracing the strands of a configuration reads off a matching
-on [2n].
+on [2n].  One walker on the integer arrays sigma and sigma^-1 does all
+tracing: :func:`trace_matching` for any configuration, and
+:func:`matching_of_permutation`, M(sigma), for the fully smoothed one,
+where every crossing is an elbow and no crossing set is built.
 
 Resolving a crossing ``c`` replaces a configuration by two others:
 
@@ -99,67 +102,45 @@ def empty_configuration(n: int) -> GridConfiguration:
 # strand tracing
 # ---------------------------------------------------------------------------
 
-# How a strand passes through one cell, by cell kind and entry edge
-# (L/R/T/B = left/right/top/bottom).  A marking joins its left edge to its
-# top edge; an elbow carries two quarter-turns (left-bottom and top-right);
-# an unresolved crossing and plain line segments pass straight through.
-_ROUTES: dict[str, dict[str, str]] = {
-    "marking": {"L": "T", "T": "L"},
-    "elbow": {"L": "B", "B": "L", "T": "R", "R": "T"},
-    "crossing": {"L": "R", "R": "L", "B": "T", "T": "B"},
-    "hline": {"L": "R", "R": "L"},
-    "vline": {"B": "T", "T": "B"},
-    "empty": {},
-}
+def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
+    """Trace every strand of G(sigma, elbows); ``None`` smooths every crossing.
 
-# Moving out of cell (i, j) through an edge: the neighbour cell and the
-# edge through which the strand enters it.
-_MOVES = {"L": (-1, 0, "R"), "R": (1, 0, "L"), "T": (0, 1, "B"), "B": (0, -1, "T")}
-
-
-def _cell_kind(g: GridConfiguration, inv: Permutation, i: int, j: int) -> str:
-    if g.sigma[i - 1] == j:
-        return "marking"
-    if (i, j) in g.elbows:
-        return "elbow"
-    has_v = g.sigma[i - 1] < j
-    has_h = i < inv[j - 1]
-    if has_v and has_h:
-        return "crossing"
-    if has_h:
-        return "hline"
-    if has_v:
-        return "vline"
-    return "empty"
-
-
-def trace_matching(g: GridConfiguration) -> Matching:
-    """The matching on [2n] read off the strands of the configuration.
-
-    >>> g = GridConfiguration((1, 3, 2, 4), frozenset({(1, 3), (1, 4)}))
-    >>> trace_matching(g)
-    ((1, 3), (2, 7), (4, 6), (5, 8))
+    Column i carries a vertical line above its marking, and row j a
+    horizontal line left of its marking, so cell (i, j) holds a vertical
+    line iff col[i] < j and a horizontal one iff i < row[j].  A strand
+    moves by (di, dj).  A marking joins the left edge to the top edge, an
+    elbow turns left-bottom and top-right, and anything else passes
+    straight along a line that must be there.
     """
-    n = g.n
-    inv = inverse(g.sigma)
+    n = len(sigma)
+    col = (0,) + tuple(sigma)
+    row = [0] * (n + 1)
+    for i, j in enumerate(sigma, 1):
+        row[j] = i
     arcs = []
-    used = set()
+    used = [False] * (2 * n + 1)
     for label in range(1, 2 * n + 1):
-        if label in used:
+        if used[label]:
             continue
         if label <= n:
-            i, j, edge = 1, label, "L"
+            i, j, di, dj = 1, label, 1, 0
         else:
-            i, j, edge = label - n, n, "T"
+            i, j, di, dj = label - n, n, 0, -1
         for _ in range(4 * n * n + 1):
-            routes = _ROUTES[_cell_kind(g, inv, i, j)]
-            if edge not in routes:
+            c = col[i]
+            if c == j and di - dj == 1:         # marking, entered left or top
+                di, dj = dj, di
+            elif c < j and i < row[j]:          # crossing
+                if elbows is None or (i, j) in elbows:
+                    di, dj = -dj, -di
+            elif c == j or not (i < row[j] if dj == 0 else c < j):  # no line
+                edge = ("L" if di == 1 else "R" if di == -1
+                        else "B" if dj == 1 else "T")
                 raise RuntimeError(
-                    f"strand entered cell ({i}, {j}) of {g.sigma} through an "
+                    f"strand entered cell ({i}, {j}) of {sigma} through an "
                     f"unconnected edge {edge}")
-            out = routes[edge]
-            di, dj, edge = _MOVES[out]
-            i, j = i + di, j + dj
+            i += di
+            j += dj
             if i == 0:
                 end = j
                 break
@@ -173,8 +154,18 @@ def trace_matching(g: GridConfiguration) -> Matching:
         else:
             raise RuntimeError(f"strand from {label} did not terminate")
         arcs.append((label, end))
-        used.update((label, end))
+        used[label] = used[end] = True
     return matching(arcs)
+
+
+def trace_matching(g: GridConfiguration) -> Matching:
+    """The matching on [2n] read off the strands of the configuration.
+
+    >>> g = GridConfiguration((1, 3, 2, 4), frozenset({(1, 3), (1, 4)}))
+    >>> trace_matching(g)
+    ((1, 3), (2, 7), (4, 6), (5, 8))
+    """
+    return _walk(g.sigma, g.elbows)
 
 
 # ---------------------------------------------------------------------------
@@ -311,4 +302,6 @@ def web_permutations_for(m: Matching) -> frozenset[Permutation]:
 
 def matching_of_permutation(sigma: Permutation) -> Matching:
     """M(sigma): the matching traced from the fully smoothed configuration."""
-    return trace_matching(GridConfiguration(sigma, crossings_of(sigma)))
+    if not is_permutation(sigma):
+        raise ValueError(f"not a permutation: {sigma}")
+    return _walk(sigma, None)

@@ -145,26 +145,27 @@ def resolution_matrix(n: int) -> TransitionMatrix:
 def support_check(a: TransitionMatrix) -> list[dict]:
     """Verify positivity pattern, unit diagonal and vanishing lower triangle.
 
-    Returns a list of violation records; empty means the matrix is clean.
+    Returns a list of violation records, each naming the entry by its
+    1-based (row, col) and by the Dyck paths of the row and column
+    matchings; empty means the matrix is clean.
     """
     violations = []
     row_paths = [dyck_of_matching(m) for m in a.rows]
     col_paths = [dyck_of_matching(m) for m in a.cols]
+
+    def fail(r: int, c: int, value: int, reason: str) -> None:
+        violations.append({"row": r + 1, "col": c + 1, "value": value,
+                           "row_path": row_paths[r], "col_path": col_paths[c],
+                           "reason": reason})
     for r, row in enumerate(a.entries):
         for c, value in enumerate(row):
             expected_positive = dyck_leq(col_paths[c], row_paths[r])
             if (value > 0) != expected_positive:
-                violations.append({
-                    "row": r + 1, "col": c + 1, "value": value,
-                    "reason": "positivity must match path inclusion"})
+                fail(r, c, value, "positivity must match path inclusion")
             if row_paths[r] == col_paths[c] and value != 1:
-                violations.append({
-                    "row": r + 1, "col": c + 1, "value": value,
-                    "reason": "diagonal entry must be 1"})
+                fail(r, c, value, "diagonal entry must be 1")
             if c < r and value != 0:
-                violations.append({
-                    "row": r + 1, "col": c + 1, "value": value,
-                    "reason": "lower triangle must vanish"})
+                fail(r, c, value, "lower triangle must vanish")
     return violations
 
 

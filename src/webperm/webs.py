@@ -7,9 +7,15 @@ Two constructions give the web permutations of [n]:
 
 The filter is the default and the one behind :func:`web_table`.
 Resolution is no slower, but it caches the crossing set of every word it
-visits, so its memory grows faster with n.  Resolution is the
-cross-check: ``webperm web --source both`` and the test suite compare the
-two sets.
+visits, so its memory grows faster with n.  Each construction alone, in a
+fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of three:
+
+    n    filter            resolution
+    8    0.23 s, 19 MiB    0.20 s,  31 MiB
+    9    2.15 s, 43 MiB    1.60 s, 155 MiB
+
+Resolution is the cross-check: ``webperm web --source both`` and the test
+suite compare the two sets.
 """
 
 from __future__ import annotations

@@ -118,6 +118,12 @@ def test_is_web_examples():
         is_web((1, 3))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_is_web_tests_every_cycle(n):
+    for sigma in itertools.permutations(range(1, n + 1)):
+        assert is_web(sigma) == all(is_andre_cycle(c) for c in cycles(sigma))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cycle_type_filter_equals_resolution(n):
     filtered = {s for s in itertools.permutations(range(1, n + 1)) if is_web(s)}

@@ -133,7 +133,8 @@ def _break_support(monkeypatch):
     (_break_resolution, "FAIL: entry methods disagree"),
     (_break_syzygy, "FAIL: syzygy expansion disagrees on row ((1, 4), (2, 5), (3, 6))"),
     (_break_numeric, "FAIL: numeric identity refuted on row ((1, 4), (2, 5), (3, 6))"),
-    (_break_support, "FAIL: lower triangle must vanish at (2,1)"),
+    (_break_support, "FAIL: lower triangle must vanish at (2,1): "
+                     "row NNENEE, col NNNEEE"),
 ])
 def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
     breaker(monkeypatch)

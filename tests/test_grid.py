@@ -12,6 +12,7 @@ from webperm.combinat import (
     dyck_of_permutation,
     enumerate_matchings,
     identity,
+    inverse,
     m0,
     matching,
 )
@@ -67,6 +68,103 @@ def test_configuration_validation():
 # ---------------------------------------------------------------------------
 # strand tracing
 # ---------------------------------------------------------------------------
+
+# A reference walker that classifies each cell by kind and routes the
+# strand through tables: how it passes through one cell, by cell kind and
+# entry edge (L/R/T/B = left/right/top/bottom), and where it goes when it
+# leaves.  The package's integer walk must agree with it everywhere.
+_ROUTES = {
+    "marking": {"L": "T", "T": "L"},
+    "elbow": {"L": "B", "B": "L", "T": "R", "R": "T"},
+    "crossing": {"L": "R", "R": "L", "B": "T", "T": "B"},
+    "hline": {"L": "R", "R": "L"},
+    "vline": {"B": "T", "T": "B"},
+    "empty": {},
+}
+_MOVES = {"L": (-1, 0, "R"), "R": (1, 0, "L"), "T": (0, 1, "B"), "B": (0, -1, "T")}
+
+
+def _cell_kind(g, inv, i, j):
+    if g.sigma[i - 1] == j:
+        return "marking"
+    if (i, j) in g.elbows:
+        return "elbow"
+    has_v = g.sigma[i - 1] < j
+    has_h = i < inv[j - 1]
+    if has_v and has_h:
+        return "crossing"
+    if has_h:
+        return "hline"
+    if has_v:
+        return "vline"
+    return "empty"
+
+
+def _reference_trace(g):
+    n = g.n
+    inv = inverse(g.sigma)
+    arcs = []
+    used = set()
+    for label in range(1, 2 * n + 1):
+        if label in used:
+            continue
+        if label <= n:
+            i, j, edge = 1, label, "L"
+        else:
+            i, j, edge = label - n, n, "T"
+        while 1 <= i <= n and 1 <= j <= n:
+            di, dj, edge = _MOVES[_ROUTES[_cell_kind(g, inv, i, j)][edge]]
+            i, j = i + di, j + dj
+        assert i == 0 or j == n + 1, "strand left through an unlabelled side"
+        end = j if i == 0 else n + i
+        arcs.append((label, end))
+        used.update((label, end))
+    return matching(arcs)
+
+
+def _resolution_states(root, pick):
+    """Every configuration that ``resolve(root, pick=pick)`` visits."""
+    stack = [root]
+    leaves = Counter()
+    while stack:
+        g = stack.pop()
+        yield g
+        rest = g.unresolved()
+        if not rest:
+            leaves[g.sigma] += 1
+            continue
+        c = pick(rest)
+        stack.append(switch(g, c))
+        stack.append(smooth(g, c))
+    assert leaves == resolve(root, pick=pick)
+
+
+@pytest.mark.parametrize("pick", [pick_top_left, pick_bottom])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_trace_matches_reference_on_resolution_states(n, pick):
+    roots = [empty_configuration(n)]
+    roots += [GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
+              for m in enumerate_matchings(n, "NN")]
+    partial = 0
+    for root in roots:
+        for g in _resolution_states(root, pick):
+            assert trace_matching(g) == _reference_trace(g)
+            partial += not g.is_terminal()
+    assert partial > 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_matching_of_permutation_matches_reference(n):
+    for sigma in itertools.permutations(range(1, n + 1)):
+        full = GridConfiguration(sigma, crossings_of(sigma))
+        assert matching_of_permutation(sigma) == _reference_trace(full)
+
+
+def test_matching_of_permutation_rejects_non_permutations():
+    for word in [(1, 1), (2, 3)]:
+        with pytest.raises(ValueError):
+            matching_of_permutation(word)
+
 
 def test_trace_figure_configuration():
     g = GridConfiguration(FIG_SIGMA, FIG_ELBOWS)

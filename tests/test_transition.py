@@ -138,9 +138,11 @@ def test_support_check_reports_violations():
         a.n, a.rows, a.cols,
         tuple(tuple(2 if (r, c) == (1, 0) else v for c, v in enumerate(row))
               for r, row in enumerate(a.entries)))
-    reasons = {v["reason"] for v in support_check(doctored)}
-    assert reasons == {"positivity must match path inclusion",
-                       "lower triangle must vanish"}
+    violations = support_check(doctored)
+    assert {v["reason"] for v in violations} == {
+        "positivity must match path inclusion", "lower triangle must vanish"}
+    assert {(v["row_path"], v["col_path"]) for v in violations} == {
+        ("NNENEE", "NNNEEE")}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
