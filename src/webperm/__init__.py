@@ -25,10 +25,7 @@ from .grid import (
     GridConfiguration,
     crossings_of,
     matching_of_permutation,
-    maximal_crossing,
     resolve,
-    smooth,
-    switch,
     trace_matching,
     web_permutations,
     web_permutations_for,

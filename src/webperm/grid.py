@@ -21,7 +21,11 @@ Resolving a crossing ``c`` replaces a configuration by two others:
 
 Only cells that are maximal in the upper-left partial order may be
 resolved; this keeps the elbow set valid in the switched configuration.
-Fully resolving the identity configuration yields the web permutations.
+:func:`_step` is the one resolution step and :func:`resolve` walks the
+tree it spans.  Fully resolving the identity configuration yields the web
+permutations; resolving :func:`row_configuration` of a nonnesting
+matching M yields the web permutations that make up row M of the
+transition matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .combinat import (
 )
 
 DEFAULT_NODE_CAP = 10_000_000
+
+# A resolution state (sigma, elbows).
+State = tuple[Permutation, frozenset[Cell]]
 
 
 @lru_cache(maxsize=None)
@@ -82,20 +89,23 @@ class GridConfiguration:
         if stray:
             raise ValueError(f"elbows outside the crossing set: {sorted(stray)}")
 
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    def unresolved(self) -> frozenset[Cell]:
-        return crossings_of(self.sigma) - self.elbows
-
-    def is_terminal(self) -> bool:
-        return self.elbows == crossings_of(self.sigma)
-
 
 def empty_configuration(n: int) -> GridConfiguration:
     """G(id, {}): the starting point of every full resolution."""
     return GridConfiguration(identity(n), frozenset())
+
+
+def row_configuration(m: Matching) -> GridConfiguration:
+    """G(id, cells above D(m)): the root whose resolution gives row ``m``
+    of the transition matrix; ``m`` must be nonnesting.
+
+    >>> sorted(row_configuration(((1, 2), (3, 5), (4, 6))).elbows)
+    [(1, 2), (1, 3)]
+    """
+    if not is_nonnesting(m):
+        raise ValueError(f"matching is not nonnesting: {m}")
+    return GridConfiguration(identity(matching_size(m)),
+                             cells_above(dyck_of_matching(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +207,6 @@ def pick_bottom(cells: frozenset[Cell]) -> Cell:
                key=lambda c: (c[1], c[0]))
 
 
-def _check_resolvable(g: GridConfiguration, c: Cell) -> None:
-    rest = g.unresolved()
-    if c not in rest:
-        raise ValueError(f"{c} is not an unresolved crossing of {g.sigma}")
-    if _dominated(c, rest):
-        raise ValueError(f"{c} is not maximal among unresolved crossings")
-
-
-def maximal_crossing(g: GridConfiguration) -> Optional[Cell]:
-    """The canonical crossing to resolve next, or None when terminal."""
-    rest = g.unresolved()
-    return pick_top_left(rest) if rest else None
-
-
-def smooth(g: GridConfiguration, c: Cell) -> GridConfiguration:
-    """Resolve the maximal crossing ``c`` by turning it into an elbow."""
-    _check_resolvable(g, c)
-    return GridConfiguration(g.sigma, g.elbows | {c})
-
-
 def _switched_word(sigma: Permutation, c: Cell) -> Permutation:
     i, j = c
     word = list(sigma)
@@ -224,14 +214,28 @@ def _switched_word(sigma: Permutation, c: Cell) -> Permutation:
     return tuple(word)
 
 
-def switch(g: GridConfiguration, c: Cell) -> GridConfiguration:
-    """Resolve the maximal crossing ``c = (i, j)`` by moving the marking of
-    column i up to row j (and the marking of row j down accordingly)."""
-    _check_resolvable(g, c)
-    switched = _switched_word(g.sigma, c)
-    # Maximality of c guarantees the elbows stay inside the crossing set;
-    # GridConfiguration would reject them otherwise.
-    return GridConfiguration(switched, g.elbows)
+def _step(sigma: Permutation, elbows: frozenset[Cell],
+          pick: Callable[[frozenset[Cell]], Cell],
+          ) -> Optional[tuple[State, State]]:
+    """Resolve the crossing of G(sigma, elbows) chosen by ``pick``.
+
+    Returns the smoothed and the switched child, in that order, or None
+    when no crossing is left.  ``pick`` must return a maximal cell of the
+    unresolved crossings it is given.
+    """
+    rest = crossings_of(sigma) - elbows
+    if not rest:
+        return None
+    c = pick(rest)
+    if c not in rest:
+        raise ValueError(f"{c} is not an unresolved crossing of {sigma}")
+    if _dominated(c, rest):
+        raise ValueError(f"selection policy returned non-maximal cell {c}")
+    switched = _switched_word(sigma, c)
+    if not elbows <= crossings_of(switched):
+        raise RuntimeError(
+            f"switching {c} in {sigma} invalidated elbows {sorted(elbows)}")
+    return (sigma, elbows | {c}), (switched, elbows)
 
 
 def resolve(g: GridConfiguration,
@@ -240,33 +244,27 @@ def resolve(g: GridConfiguration,
             ) -> Counter[Permutation]:
     """Fully resolve ``g`` and return the terminal permutations as a multiset.
 
-    Branches depth-first on (smooth, switch) at the crossing chosen by
-    ``pick``, which must always return a maximal cell of its argument.
-    Terminal states are recognised by elbow-set/crossing-set equality.
+    Branches depth-first on (smooth, switch) with :func:`_step` at the
+    crossing chosen by ``pick``, which must always return a maximal cell
+    of its argument.  Terminal states are recognised by
+    elbow-set/crossing-set equality.
     Raises :class:`CapExceeded` when more than ``node_cap`` states are
     visited.
     """
     out: Counter[Permutation] = Counter()
-    stack: list[tuple[Permutation, frozenset[Cell]]] = [(g.sigma, g.elbows)]
+    stack: list[State] = [(g.sigma, g.elbows)]
     nodes = 0
     while stack:
         sigma, elbows = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise CapExceeded(f"resolution exceeded the node cap {node_cap}")
-        rest = crossings_of(sigma) - elbows
-        if not rest:
+        children = _step(sigma, elbows, pick)
+        if children is None:
             out[sigma] += 1
             continue
-        c = pick(rest)
-        if _dominated(c, rest):
-            raise ValueError(f"selection policy returned non-maximal cell {c}")
-        switched = _switched_word(sigma, c)
-        if not elbows <= crossings_of(switched):
-            raise RuntimeError(
-                f"switching {c} in {sigma} invalidated elbows {sorted(elbows)}")
-        stack.append((switched, elbows))
-        stack.append((sigma, elbows | {c}))
+        smoothed, switched = children
+        stack += switched, smoothed
     return out
 
 
@@ -293,11 +291,7 @@ def web_permutations_for(m: Matching) -> frozenset[Permutation]:
     This certifies the main theorem's sum: resolving the configuration of
     M gives each web permutation sigma with D(sigma) <= D(M) exactly once.
     """
-    if not is_nonnesting(m):
-        raise ValueError(f"matching is not nonnesting: {m}")
-    n = matching_size(m)
-    g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
-    return _distinct_terminals(resolve(g))
+    return _distinct_terminals(resolve(row_configuration(m)))
 
 
 def matching_of_permutation(sigma: Permutation) -> Matching:

@@ -24,12 +24,10 @@ from functools import lru_cache
 from .combinat import (
     Matching,
     Permutation,
-    cells_above,
     dyck_heights,
     dyck_leq,
     dyck_of_matching,
     dyck_paths,
-    identity,
     is_noncrossing,
     is_nonnesting,
     matching_from_dyck,
@@ -37,7 +35,7 @@ from .combinat import (
     matching_to_json,
     nonnesting_matchings,
 )
-from .grid import GridConfiguration, matching_of_permutation, resolve
+from .grid import matching_of_permutation, resolve, row_configuration
 from .webs import web_table
 
 
@@ -131,9 +129,8 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     col_of: dict[Permutation, int] = {}
     grid_rows = []
     for m in rows:
-        g = GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
         counts = [0] * len(cols)
-        for sigma, mult in resolve(g).items():
+        for sigma, mult in resolve(row_configuration(m)).items():
             c = col_of.get(sigma)
             if c is None:
                 c = col_of[sigma] = col_index[matching_of_permutation(sigma)]

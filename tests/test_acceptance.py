@@ -13,12 +13,9 @@ from webperm.andre import andre_full_cycles, foata, foata_inverse, is_312_avoidi
 from webperm.combinat import (
     all_permutations,
     catalan,
-    cells_above,
-    dyck_of_matching,
     dyck_of_permutation,
     dyck_paths,
     enumerate_matchings,
-    identity,
     inverse,
     matchings,
     perm_from_str,
@@ -26,11 +23,11 @@ from webperm.combinat import (
 )
 from webperm.enumeration import euler_numbers, f, f_nk, f_witnesses, verify_conjecture
 from webperm.grid import (
-    GridConfiguration,
     empty_configuration,
     pick_bottom,
     pick_top_left,
     resolve,
+    row_configuration,
     web_permutations,
 )
 from webperm.oracle import syzygy_expand, verify_expansion
@@ -175,9 +172,7 @@ def test_c11_order_independence():
         assert syzygy_expand(m, "first") == syzygy_expand(m, "last")
     for n in range(1, 6):
         roots = [empty_configuration(n)]
-        roots += [GridConfiguration(identity(n),
-                                    cells_above(dyck_of_matching(m)))
-                  for m in enumerate_matchings(n, "NN")]
+        roots += [row_configuration(m) for m in enumerate_matchings(n, "NN")]
         for g in roots:
             assert resolve(g, pick=pick_top_left) == resolve(g, pick=pick_bottom)
     _report("criterion 11 order independence",

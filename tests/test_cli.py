@@ -238,6 +238,14 @@ def test_seidel(capsys):
     assert out.strip().splitlines()[7] == "[56] 48 34 17"
 
 
+def test_seidel_refuses_too_many_rows(capsys):
+    rows = cli.MAX_SEIDEL_ROWS + 1
+    code, out, err = run(capsys, "seidel", "--rows", str(rows))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --rows = {rows} exceeds the limit "
+                   f"{cli.MAX_SEIDEL_ROWS}\n")
+
+
 def test_verify_report_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "conjecture", "--max-n", "6")
     report = json.loads(out)
@@ -295,11 +303,13 @@ def test_verify_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason
 
 @st.composite
 def cli_arguments(draw):
-    """Bounded argument lists for every subcommand: n at most 5, or above
-    the cap, where every command is refused before any work."""
+    """Bounded argument lists for every subcommand: n at most 5 and at
+    most 30 seidel rows, or sizes above the cap or the row limit, where
+    every command is refused before any work."""
     command = draw(st.sampled_from(["web", "matrix", "verify", "seidel"]))
     if command == "seidel":
-        return ["seidel", "--rows", str(draw(st.integers(-2, 30)))]
+        rows = st.integers(-2, 30) | st.just(cli.MAX_SEIDEL_ROWS + 1)
+        return ["seidel", "--rows", str(draw(rows))]
     n = draw(st.integers(-2, 5) | st.integers(cli.DEFAULT_CAP + 1, 11))
     if command == "web":
         source = draw(st.sampled_from(["characterize", "resolve", "both"]))

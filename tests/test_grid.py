@@ -21,13 +21,12 @@ from webperm.grid import (
     crossings_of,
     empty_configuration,
     matching_of_permutation,
-    maximal_crossing,
     pick_bottom,
     pick_top_left,
     resolve,
-    smooth,
-    switch,
+    row_configuration,
     _dominated,
+    _step,
     trace_matching,
     web_permutations,
     web_permutations_for,
@@ -101,7 +100,7 @@ def _cell_kind(g, inv, i, j):
 
 
 def _reference_trace(g):
-    n = g.n
+    n = len(g.sigma)
     inv = inverse(g.sigma)
     arcs = []
     used = set()
@@ -124,18 +123,17 @@ def _reference_trace(g):
 
 def _resolution_states(root, pick):
     """Every configuration that ``resolve(root, pick=pick)`` visits."""
-    stack = [root]
+    stack = [(root.sigma, root.elbows)]
     leaves = Counter()
     while stack:
-        g = stack.pop()
-        yield g
-        rest = g.unresolved()
-        if not rest:
-            leaves[g.sigma] += 1
+        sigma, elbows = stack.pop()
+        yield GridConfiguration(sigma, elbows)
+        children = _step(sigma, elbows, pick)
+        if children is None:
+            leaves[sigma] += 1
             continue
-        c = pick(rest)
-        stack.append(switch(g, c))
-        stack.append(smooth(g, c))
+        smoothed, switched = children
+        stack += switched, smoothed
     assert leaves == resolve(root, pick=pick)
 
 
@@ -143,13 +141,12 @@ def _resolution_states(root, pick):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_trace_matches_reference_on_resolution_states(n, pick):
     roots = [empty_configuration(n)]
-    roots += [GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
-              for m in enumerate_matchings(n, "NN")]
+    roots += [row_configuration(m) for m in enumerate_matchings(n, "NN")]
     partial = 0
     for root in roots:
         for g in _resolution_states(root, pick):
             assert trace_matching(g) == _reference_trace(g)
-            partial += not g.is_terminal()
+            partial += g.elbows != crossings_of(g.sigma)
     assert partial > 0
 
 
@@ -173,9 +170,9 @@ def test_trace_figure_configuration():
 
 def test_trace_elbows_above_path_reproduce_matching():
     m = matching([(1, 2), (3, 5), (4, 7), (6, 8)])
-    elbows = cells_above(dyck_of_matching(m))
-    assert elbows == frozenset({(1, 2), (1, 3), (1, 4), (2, 4)})
-    assert trace_matching(GridConfiguration(identity(4), elbows)) == m
+    g = row_configuration(m)
+    assert g.elbows == frozenset({(1, 2), (1, 3), (1, 4), (2, 4)})
+    assert trace_matching(g) == m
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -194,14 +191,31 @@ def test_traced_terminal_matchings_are_noncrossing(n):
 
 
 # ---------------------------------------------------------------------------
-# crossing selection, smoothing, switching
+# crossing selection and the resolution step
 # ---------------------------------------------------------------------------
 
+def _picked(g):
+    """The crossing ``_step`` resolves in ``g`` by default, or None when
+    ``g`` is terminal."""
+    children = _step(g.sigma, g.elbows, pick_top_left)
+    if children is None:
+        return None
+    (_, smoothed), _ = children
+    (c,) = smoothed - g.elbows
+    return c
+
+
+def _children(g, c):
+    """The smoothed and switched configurations of ``g`` at ``c``."""
+    smoothed, switched = _step(g.sigma, g.elbows, lambda cells: c)
+    return GridConfiguration(*smoothed), GridConfiguration(*switched)
+
+
 def test_maximal_crossing():
-    assert maximal_crossing(GridConfiguration(FIG_SIGMA, FIG_ELBOWS)) == (2, 4)
-    assert maximal_crossing(empty_configuration(3)) == (1, 3)
+    assert _picked(GridConfiguration(FIG_SIGMA, FIG_ELBOWS)) == (2, 4)
+    assert _picked(empty_configuration(3)) == (1, 3)
     full = GridConfiguration(FIG_SIGMA, crossings_of(FIG_SIGMA))
-    assert maximal_crossing(full) is None
+    assert _picked(full) is None
 
 
 def test_upper_left_maximal_is_antichain():
@@ -215,39 +229,37 @@ def test_upper_left_maximal_is_antichain():
 
 
 def test_smooth_and_switch_worked_example():
-    g = GridConfiguration(FIG_SIGMA, FIG_ELBOWS)
-    smoothed = smooth(g, (2, 4))
-    assert smoothed == GridConfiguration(FIG_SIGMA, FIG_ELBOWS | {(2, 4)})
-    switched = switch(g, (2, 4))
-    assert switched.sigma == (1, 4, 2, 3)
-    assert switched.elbows == FIG_ELBOWS
+    assert _step(FIG_SIGMA, FIG_ELBOWS, lambda cells: (2, 4)) == (
+        (FIG_SIGMA, FIG_ELBOWS | {(2, 4)}), ((1, 4, 2, 3), FIG_ELBOWS))
 
 
 def test_switch_identity_n3():
-    assert switch(empty_configuration(3), (1, 3)).sigma == (3, 2, 1)
-    assert smooth(empty_configuration(3), (1, 3)).elbows == frozenset({(1, 3)})
+    smoothed, switched = _children(empty_configuration(3), (1, 3))
+    assert switched.sigma == (3, 2, 1)
+    assert switched.elbows == frozenset()
+    assert smoothed.elbows == frozenset({(1, 3)})
 
 
 def test_resolving_preconditions():
     g = empty_configuration(3)
-    with pytest.raises(ValueError):
-        smooth(g, (1, 2))   # crossing, but not maximal
-    with pytest.raises(ValueError):
-        switch(g, (2, 2))   # not a crossing at all
-    with pytest.raises(ValueError):
-        smooth(GridConfiguration((1, 2, 3), frozenset({(1, 3)})), (1, 3))
+    with pytest.raises(ValueError, match="non-maximal"):
+        _children(g, (1, 2))   # crossing, but not maximal
+    with pytest.raises(ValueError, match="not an unresolved crossing"):
+        _children(g, (2, 2))   # not a crossing at all
+    with pytest.raises(ValueError, match="not an unresolved crossing"):
+        _children(GridConfiguration((1, 2, 3), frozenset({(1, 3)})), (1, 3))
 
 
 def test_smoothing_everything_is_order_independent():
     for sigma in itertools.permutations(range(1, 5)):
         g = GridConfiguration(sigma, frozenset())
-        while not g.is_terminal():
-            g = smooth(g, maximal_crossing(g))
+        while (c := _picked(g)) is not None:
+            g, _ = _children(g, c)
         assert g.elbows == crossings_of(sigma)
 
 
 def test_switch_merges_the_two_cycles():
-    # Walk the whole resolution tree through the public API and check the
+    # Walk the whole resolution tree through the one step and check the
     # cycle bookkeeping at every switch: the cycles holding column i and
     # row j concatenate, minima first.
     for n in range(2, 6):
@@ -255,7 +267,7 @@ def test_switch_merges_the_two_cycles():
         switches = 0
         while stack:
             g = stack.pop()
-            c = maximal_crossing(g)
+            c = _picked(g)
             if c is None:
                 continue
             i, j = c
@@ -263,12 +275,12 @@ def test_switch_merges_the_two_cycles():
             holder_i = next(cyc for cyc in before if i in cyc)
             holder_j = next(cyc for cyc in before if j in cyc)
             assert holder_i != holder_j
-            switched = switch(g, c)
+            smoothed, switched = _children(g, c)
             merged = holder_i + holder_j
             assert merged in cycles(switched.sigma)
             assert len(cycles(switched.sigma)) == len(before) - 1
             switches += 1
-            stack.append(smooth(g, c))
+            stack.append(smoothed)
             stack.append(switched)
         assert switches > 0
 
@@ -292,13 +304,17 @@ def test_resolve_node_cap():
 def test_resolve_rejects_bad_policy():
     with pytest.raises(ValueError):
         resolve(empty_configuration(3), pick=lambda cells: min(cells))
+    # (1, 1) is no crossing of 312 and is dominated by none, so only the
+    # membership check stops it before the switch breaks the elbows.
+    with pytest.raises(ValueError, match="not an unresolved crossing"):
+        resolve(GridConfiguration((3, 1, 2), frozenset()),
+                pick=lambda cells: (1, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_resolution_order_independence(n):
     roots = [empty_configuration(n)]
-    roots += [GridConfiguration(identity(n), cells_above(dyck_of_matching(m)))
-              for m in enumerate_matchings(n, "NN")]
+    roots += [row_configuration(m) for m in enumerate_matchings(n, "NN")]
     for g in roots:
         a = resolve(g, pick=pick_top_left)
         b = resolve(g, pick=pick_bottom)
@@ -331,6 +347,21 @@ def test_web_for_matching_is_path_filter(n):
 def test_web_for_rejects_nesting():
     with pytest.raises(ValueError):
         web_permutations_for(matching([(1, 4), (2, 3)]))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_row_configuration(n):
+    aligned = matching((i, n + i) for i in range(1, n + 1))
+    assert row_configuration(aligned) == empty_configuration(n)
+    for m in enumerate_matchings(n, "NN"):
+        g = row_configuration(m)
+        assert g.sigma == identity(n)
+        assert g.elbows == cells_above(dyck_of_matching(m))
+
+
+def test_row_configuration_rejects_nesting():
+    with pytest.raises(ValueError, match="not nonnesting"):
+        row_configuration(matching([(1, 4), (2, 3)]))
 
 
 # ---------------------------------------------------------------------------
