@@ -69,27 +69,27 @@ def cmd_web(args: argparse.Namespace) -> int:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
             return 1
-    rows = [(r.sigma, webs.cycle_notation(r.sigma), r.dyck, r.matched)
+    rows = [(perm_to_str(r.sigma), webs.cycle_notation(r.sigma), r.dyck,
+             r.matched)
             for r in webs.web_table(args.n)]
     if args.format == "json":
         payload = {
             "n": args.n,
             "source": args.source,
-            "rows": [{"sigma": perm_to_str(s), "cycles": cyc, "dyck": d,
+            "rows": [{"sigma": word, "cycles": cyc, "dyck": d,
                       "matching_dyck": dyck_of_matching(m),
                       "matching": matching_to_json(m)}
-                     for s, cyc, d, m in rows],
+                     for word, cyc, d, m in rows],
         }
         if agreement is not None:
             payload["agreement"] = agreement
         print(json.dumps(payload, indent=1))
     else:
-        widths = [max(len(perm_to_str(r[0])) for r in rows),
-                  max(len(r[1]) for r in rows),
-                  max(len(r[2]) for r in rows)]
-        for s, cyc, d, m in rows:
-            print(f"{perm_to_str(s):<{widths[0]}}  {cyc:<{widths[1]}}  "
-                  f"{d:<{widths[2]}}  {dyck_of_matching(m)}")
+        widths = [max(len(r[k]) for r in rows) for k in range(3)]
+        # Web_0 is the empty word, whose row is all padding: print it empty.
+        for word, cyc, d, m in rows:
+            print(f"{word:<{widths[0]}}  {cyc:<{widths[1]}}  "
+                  f"{d:<{widths[2]}}  {dyck_of_matching(m)}".rstrip())
         if args.source == "both":
             print(f"agreement OK ({len(rows)} permutations)")
     return 0
