@@ -39,7 +39,7 @@ from .andre import (
     is_web,
     phi,
 )
-from .transition import TransitionMatrix, entry, matrix, support_check
+from .transition import TransitionMatrix, matrix, support_check
 from .enumeration import (
     cc_distribution,
     entringer,

@@ -25,8 +25,9 @@ Matching = tuple[Arc, ...]
 Permutation = tuple[int, ...]
 Cell = tuple[int, int]
 
-# Enumerating every matching on [2n] grows as (2n-1)!!; the default cap
-# keeps accidental `enumerate_matchings(12)` from eating the machine.
+# Enumerating every matching on [2n] grows as (2n-1)!!; the cap keeps an
+# accidental `enumerate_matchings(12)` from eating the machine.  The
+# Catalan(n) noncrossing and nonnesting classes need no cap.
 DEFAULT_ENUMERATION_CAP = 8
 
 
@@ -167,47 +168,23 @@ def matchings(n: int) -> Iterator[Matching]:
     return rec(tuple(range(1, 2 * n + 1)))
 
 
-def noncrossing_matchings(n: int) -> list[Matching]:
-    """All noncrossing matchings, built by the inside/outside split at the
-    arc of the smallest open vertex (no Dyck-path detour)."""
-
-    @lru_cache(maxsize=None)
-    def rec(lo: int, hi: int) -> tuple[Matching, ...]:
-        if lo > hi:
-            return ((),)
-        out = []
-        for b in range(lo + 1, hi + 1, 2):
-            for inside in rec(lo + 1, b - 1):
-                for outside in rec(b + 1, hi):
-                    out.append(((lo, b),) + inside + outside)
-        return tuple(out)
-
-    return list(rec(1, 2 * n))
-
-
-def nonnesting_matchings(n: int) -> list[Matching]:
-    """All nonnesting matchings, in table order of their Dyck paths."""
-    return [matching_from_dyck(p, "NN") for p in dyck_paths(n)]
-
-
-def enumerate_matchings(n: int, klass: str = "all",
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> list[Matching]:
+def enumerate_matchings(n: int, klass: str = "all") -> list[Matching]:
     """Complete duplicate-free list of matchings on [2n] in the given class.
 
     ``klass`` is "all", "NC" or "NN"; sizes are (2n-1)!!, Catalan(n) and
-    Catalan(n).  Raises :class:`CapExceeded` for n above ``cap``.
+    Catalan(n).  The two classes are read off the Dyck paths in table
+    order.  "all" raises :class:`CapExceeded` for n above
+    ``DEFAULT_ENUMERATION_CAP``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"matching enumeration capped at n = {cap}, got {n}")
-    if klass == "all":
-        return list(matchings(n))
-    if klass == "NC":
-        return noncrossing_matchings(n)
-    if klass == "NN":
-        return nonnesting_matchings(n)
-    raise ValueError(f"unknown matching class {klass!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if klass != "all":
+        # matching_from_dyck rejects an unknown class
+        return [matching_from_dyck(p, klass) for p in dyck_paths(n)]
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"matching enumeration capped at n = "
+                          f"{DEFAULT_ENUMERATION_CAP}, got {n}")
+    return list(matchings(n))
 
 
 def catalan(n: int) -> int:

@@ -1,13 +1,19 @@
 """Counting web permutations: zigzag numbers, their first-letter refinement,
 the Seidel triangle, and the staircase-matching statistics f(n) and f(n, k).
 
-All integers are exact (Python ints).
+Both triangles are built by one step of the boustrophedon transform: each
+row accumulates the previous one, read in alternating direction (Seidel
+1877; Millar, Sloane and Young, JCTA 76, 1996).  The rows come one at a
+time, so a caller holds only the rows it keeps.  All integers are exact
+(Python ints).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
+from typing import Iterator
 
 from .combinat import m0
 from .webs import web_table
@@ -17,39 +23,30 @@ from .webs import web_table
 # Seidel triangle and Genocchi numbers
 # ---------------------------------------------------------------------------
 
-def seidel_rows(rows: int) -> list[list[int]]:
-    """The first ``rows`` rows of the boustrophedon triangle s[i][j].
+def _seidel_step(prev: list[int], i: int) -> list[int]:
+    """Row i of the Seidel triangle from row i - 1, which is padded with
+    zeros to ceil(i/2) entries and accumulated left to right on odd rows,
+    right to left on even rows."""
+    padded = prev + [0] * ((i + 1) // 2 - len(prev))
+    if i % 2 == 1:
+        return list(accumulate(padded))
+    return list(accumulate(reversed(padded)))[::-1]
+
+
+def seidel_rows(rows: int) -> Iterator[list[int]]:
+    """The first ``rows`` rows of the boustrophedon triangle s[i][j], one at
+    a time; each row is built from the previous one and then dropped.
 
     Row i holds ceil(i/2) entries.  Odd rows accumulate left to right on
     top of the previous row, even rows right to left; out-of-range
-    neighbours count as zero.
+    neighbours count as zero.  ``rows`` is checked when this is called.
 
-    >>> seidel_rows(7)[6]
+    >>> list(seidel_rows(7))[6]
     [8, 14, 17, 17]
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    tri: list[list[int]] = [[1]]
-    for i in range(2, rows + 1):
-        width = (i + 1) // 2
-        prev = tri[-1]
-
-        def above(j: int) -> int:
-            return prev[j - 1] if 1 <= j <= len(prev) else 0
-
-        row = [0] * width
-        if i % 2 == 1:                       # left to right
-            running = 0
-            for j in range(1, width + 1):
-                running += above(j)
-                row[j - 1] = running
-        else:                                # right to left
-            running = 0
-            for j in range(width, 0, -1):
-                running += above(j)
-                row[j - 1] = running
-        tri.append(row)
-    return tri
+    return accumulate(range(2, rows + 1), _seidel_step, initial=[1])
 
 
 def genocchi(upto: int) -> list[int]:
@@ -59,37 +56,22 @@ def genocchi(upto: int) -> list[int]:
     >>> genocchi(9)
     [1, 1, 1, 2, 3, 8, 17, 56, 155]
     """
-    tri = seidel_rows(upto)
-    return [tri[k - 1][-1] if k % 2 == 1 else tri[k - 1][0]
-            for k in range(1, upto + 1)]
-
-
-def _seidel_entry(tri: list[list[int]], i: int, j: int) -> int:
-    # Row 0 acts as the seed row [1]: the value that primes s[1][1].
-    if i == 0:
-        return 1 if j == 1 else 0
-    if 1 <= i <= len(tri) and 1 <= j <= len(tri[i - 1]):
-        return tri[i - 1][j - 1]
-    return 0
+    return [row[-1] if k % 2 == 1 else row[0]
+            for k, row in enumerate(seidel_rows(upto), start=1)]
 
 
 # ---------------------------------------------------------------------------
 # zigzag (secant-tangent) numbers and their refinement
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _zigzag_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Boustrophedon rows: row[0] = (1,); row k starts at 0 and accumulates
-    the previous row read backwards.  Row n is (0, E_{n,1}, ..., E_{n,n})
-    and its last entry is the zigzag number E_n."""
-    rows: list[tuple[int, ...]] = [(1,)]
-    for k in range(1, n + 1):
-        prev = rows[-1]
-        row = [0]
-        for j in range(1, k + 1):
-            row.append(row[-1] + prev[k - j])
-        rows.append(tuple(row))
-    return tuple(rows)
+def _zigzag_rows(n: int) -> Iterator[list[int]]:
+    """Boustrophedon rows 0..n: row 0 is [1], and row k starts at 0 and
+    accumulates row k - 1 read backwards.  Row n is [0, E_{n,1}, ...,
+    E_{n,n}] and its last entry is the zigzag number E_n."""
+    row = [1]
+    for _ in range(n + 1):
+        yield row
+        row = list(accumulate(reversed(row), initial=0))
 
 
 def euler_numbers(upto: int) -> list[int]:
@@ -98,8 +80,7 @@ def euler_numbers(upto: int) -> list[int]:
     >>> euler_numbers(8)
     [1, 1, 1, 2, 5, 16, 61, 272, 1385]
     """
-    rows = _zigzag_rows(upto)
-    return [rows[k][-1] for k in range(upto + 1)]
+    return [row[-1] for row in _zigzag_rows(upto)]
 
 
 def entringer(n: int, k: int) -> int:
@@ -110,7 +91,8 @@ def entringer(n: int, k: int) -> int:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return _zigzag_rows(n)[n][k]
+    *_, row = _zigzag_rows(n)
+    return row[k]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +160,8 @@ def verify_conjecture(max_n: int) -> list[dict]:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    tri = seidel_rows(max(max_n, 1))
+    # Row 0 is the seed row [1], the value that primes s[1][1].
+    tri = [[1], *seidel_rows(max_n)]
     reports = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1, 2):
@@ -189,7 +172,7 @@ def verify_conjecture(max_n: int) -> list[dict]:
             else:
                 m = n // 2
                 i, j = 2 * m - 1, m - (k + 1) // 2 + 1
-            rhs = _seidel_entry(tri, i, j)
+            rhs = tri[i][j - 1] if j <= len(tri[i]) else 0
             reports.append({
                 "claim": f"f({n},{k}) = s[{i},{j}]",
                 "n": n, "k": k, "lhs": lhs, "rhs": rhs,

@@ -48,15 +48,16 @@ def syzygy_expand(m: Matching, policy: str = "first") -> dict[Matching, int]:
     """Expand a matching over noncrossing matchings by iterated rewriting.
 
     ``policy`` chooses which crossing pair to resolve at each step ("first"
-    or "last" in lexicographic opener order); the result is independent of
-    the choice.
+    or "last" in lexicographic opener order, the order in which
+    :func:`~webperm.combinat.crossing_arc_pairs` lists them); the result is
+    independent of the choice.
 
     >>> syzygy_expand(matching([(1, 3), (2, 4)]))
     {((1, 2), (3, 4)): 1, ((1, 4), (2, 3)): 1}
     """
     if policy not in SYZYGY_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    select = min if policy == "first" else max
+    pick = 0 if policy == "first" else -1
     out: Counter[Matching] = Counter()
     stack: list[tuple[Matching, int]] = [(m, 1)]
     while stack:
@@ -65,8 +66,7 @@ def syzygy_expand(m: Matching, policy: str = "first") -> dict[Matching, int]:
         if not pairs:
             out[current] += mult
             continue
-        pair = select(pairs, key=lambda pr: (pr[0][0], pr[1][0]))
-        for branch in syzygy_step(current, pair):
+        for branch in syzygy_step(current, pairs[pick]):
             stack.append((branch, mult))
     return dict(sorted(out.items()))
 

@@ -28,12 +28,8 @@ from .combinat import (
     dyck_leq,
     dyck_of_matching,
     dyck_paths,
-    is_noncrossing,
-    is_nonnesting,
-    matching_from_dyck,
-    matching_size,
+    enumerate_matchings,
     matching_to_json,
-    nonnesting_matchings,
 )
 from .grid import matching_of_permutation, resolve, row_configuration
 from .webs import web_table
@@ -47,30 +43,14 @@ class TransitionMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-# The rows are the nonnesting matchings, which come in table order.
-row_labels = nonnesting_matchings
+def row_labels(n: int) -> list[Matching]:
+    """Nonnesting matchings in table order."""
+    return enumerate_matchings(n, "NN")
 
 
 def col_labels(n: int) -> list[Matching]:
     """Noncrossing matchings in table order."""
-    return [matching_from_dyck(p, "NC") for p in dyck_paths(n)]
-
-
-def _check_classes(m: Matching, m_prime: Matching) -> None:
-    if not is_nonnesting(m):
-        raise ValueError(f"row matching must be nonnesting: {m}")
-    if not is_noncrossing(m_prime):
-        raise ValueError(f"column matching must be noncrossing: {m_prime}")
-    if matching_size(m) != matching_size(m_prime):
-        raise ValueError("matchings have different sizes")
-
-
-def entry(m: Matching, m_prime: Matching) -> int:
-    """The entry of row ``m`` and column ``m_prime``, read from
-    :func:`matrix`."""
-    _check_classes(m, m_prime)
-    a = matrix(matching_size(m))
-    return a.entries[a.rows.index(m)][a.cols.index(m_prime)]
+    return enumerate_matchings(n, "NC")
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,7 +230,7 @@ def test_seidel(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     values = [[int(tok.strip("[]")) for tok in line.split()] for line in lines]
-    assert values == seidel_rows(9)
+    assert values == list(seidel_rows(9))
     flagged = [next(i for i, tok in enumerate(line.split()) if "[" in tok)
                for line in lines]
     assert flagged == [0, 0, 1, 0, 2, 0, 3, 0, 4]
@@ -237,6 +239,23 @@ def test_seidel(capsys):
     assert out == "[1]\n"
     _, out, _ = run(capsys, "seidel", "--rows", "8")
     assert out.strip().splitlines()[7] == "[56] 48 34 17"
+
+
+def test_seidel_streams_its_rows():
+    rows = seidel_rows(5)
+    assert iter(rows) is rows
+    # Printing 300 rows holds about one row at a time: the traced peak is a
+    # small multiple of the widest printed line (70 kB), not the triangle.
+    *_, widest = seidel_rows(300)
+    line = len(" ".join(map(str, widest)))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(["seidel", "--rows", "300"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 10 * line
 
 
 def test_seidel_refuses_too_many_rows(capsys):

@@ -96,9 +96,10 @@ def test_enumerate_classes_agree_with_filter(n):
 
 
 def test_enumerate_cap():
+    # only "all" is capped: it builds (2n-1)!! matchings, the classes Catalan(n)
     with pytest.raises(CapExceeded):
-        enumerate_matchings(9, "NC")
-    assert len(enumerate_matchings(9, "NC", cap=9)) == catalan(9)
+        enumerate_matchings(9, "all")
+    assert len(enumerate_matchings(9, "NC")) == catalan(9)
     with pytest.raises(ValueError):
         enumerate_matchings(2, "XX")
 

@@ -35,9 +35,9 @@ SEIDEL_9 = [
 
 
 def test_seidel_rows():
-    assert seidel_rows(9) == SEIDEL_9
-    assert seidel_rows(7)[6] == [8, 14, 17, 17]
-    assert seidel_rows(1) == [[1]]
+    assert list(seidel_rows(9)) == SEIDEL_9
+    assert list(seidel_rows(7))[6] == [8, 14, 17, 17]
+    assert list(seidel_rows(1)) == [[1]]
     with pytest.raises(ValueError):
         seidel_rows(0)
 
