@@ -340,9 +340,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # The reader closed stdout early.  What is still buffered goes to
+        # the null device, so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc.strerror}",
+              file=sys.stderr)
         return 2
 
 

@@ -22,8 +22,12 @@ Resolving a crossing ``c`` replaces a configuration by two others:
 Only cells that are maximal in the upper-left partial order may be
 resolved; this keeps the elbow set valid in the switched configuration.
 :func:`_step` is the one resolution step and :func:`resolve` walks the
-tree it spans.  Fully resolving the identity configuration yields the web
-permutations; resolving :func:`row_configuration` of a nonnesting
+tree it spans; :func:`children` is the same step on a configuration.
+Each state carries its crossing set: a smoothed child shares its parent's,
+and a switched child's is its parent's with the cells the switch moves
+recomputed, so only the root's set is built from scratch and none is
+kept after its state.  Fully resolving the identity configuration yields
+the web permutations; resolving :func:`row_configuration` of a nonnesting
 matching M yields the web permutations that make up row M of the
 transition matrix.
 """
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .combinat import (
@@ -52,13 +55,16 @@ from .combinat import (
 
 DEFAULT_NODE_CAP = 10_000_000
 
-# A resolution state (sigma, elbows).
-State = tuple[Permutation, frozenset[Cell]]
+# A resolution state (sigma, elbows, crossings), where crossings is
+# crossings_of(sigma), carried along so that no step rebuilds it.
+State = tuple[Permutation, frozenset[Cell], frozenset[Cell]]
 
 
-@lru_cache(maxsize=None)
 def crossings_of(sigma: Permutation) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j and i < sigma^-1(j).
+
+    Built from scratch for validation and for the roots of resolution;
+    :func:`resolve` updates it along the tree instead.
 
     >>> sorted(crossings_of((1, 2, 3)))
     [(1, 2), (1, 3), (2, 3)]
@@ -207,23 +213,42 @@ def pick_bottom(cells: frozenset[Cell]) -> Cell:
                key=lambda c: (c[1], c[0]))
 
 
-def _switched_word(sigma: Permutation, c: Cell) -> Permutation:
+def _switch(sigma: Permutation, crossings: frozenset[Cell], c: Cell,
+            ) -> tuple[Permutation, frozenset[Cell]]:
+    """Switch the crossing c = (i, j) of sigma, whose crossing set is
+    ``crossings``; returns the switched word and its crossing set.
+
+    The switch moves the markings of columns i and k = sigma^-1(j), in
+    rows a = sigma(i) < j, to rows j and a, so only cells on those four
+    lines change, and only inside the rectangle [i, k] x [a, j]: column
+    i loses its vertical line on rows a < y <= j and column k gains it on
+    rows a < y < j, row j loses its horizontal line on columns i < x < k
+    and row a gains it there.  Every other cell is kept.
+    """
     i, j = c
+    inv = inverse(sigma)
+    k, a = inv[j - 1], sigma[i - 1]
     word = list(sigma)
-    word[i - 1], word[inverse(sigma)[j - 1] - 1] = j, sigma[i - 1]
-    return tuple(word)
+    word[i - 1], word[k - 1] = j, a
+    gone = {(i, y) for y in range(a + 1, j + 1) if i < inv[y - 1]}
+    gone.update((x, j) for x in range(i + 1, k) if sigma[x - 1] < j)
+    new = {(k, y) for y in range(a + 1, j) if k < inv[y - 1]}
+    new.update((x, a) for x in range(i + 1, k) if sigma[x - 1] < a)
+    return tuple(word), (crossings - gone) | new
 
 
-def _step(sigma: Permutation, elbows: frozenset[Cell],
-          pick: Callable[[frozenset[Cell]], Cell],
+def _step(state: State, pick: Callable[[frozenset[Cell]], Cell],
           ) -> Optional[tuple[State, State]]:
-    """Resolve the crossing of G(sigma, elbows) chosen by ``pick``.
+    """Resolve the crossing of ``state`` chosen by ``pick``.
 
     Returns the smoothed and the switched child, in that order, or None
-    when no crossing is left.  ``pick`` must return a maximal cell of the
-    unresolved crossings it is given.
+    when no crossing is left.  The smoothed child keeps the crossing set
+    of its parent; the switched child's set comes from :func:`_switch`.
+    ``pick`` must return a maximal cell of the unresolved crossings it is
+    given.
     """
-    rest = crossings_of(sigma) - elbows
+    sigma, elbows, crossings = state
+    rest = crossings - elbows
     if not rest:
         return None
     c = pick(rest)
@@ -231,11 +256,29 @@ def _step(sigma: Permutation, elbows: frozenset[Cell],
         raise ValueError(f"{c} is not an unresolved crossing of {sigma}")
     if _dominated(c, rest):
         raise ValueError(f"selection policy returned non-maximal cell {c}")
-    switched = _switched_word(sigma, c)
-    if not elbows <= crossings_of(switched):
+    switched, switched_crossings = _switch(sigma, crossings, c)
+    if not elbows <= switched_crossings:
         raise RuntimeError(
             f"switching {c} in {sigma} invalidated elbows {sorted(elbows)}")
-    return (sigma, elbows | {c}), (switched, elbows)
+    return ((sigma, elbows | {c}, crossings),
+            (switched, elbows, switched_crossings))
+
+
+def children(g: GridConfiguration,
+             pick: Callable[[frozenset[Cell]], Cell] = pick_top_left,
+             ) -> Optional[tuple[GridConfiguration, GridConfiguration]]:
+    """The smoothed and the switched child of ``g`` at the crossing chosen
+    by ``pick``, or None when ``g`` is terminal.
+
+    >>> smoothed, switched = children(empty_configuration(3))
+    >>> sorted(smoothed.elbows), switched.sigma
+    ([(1, 3)], (3, 2, 1))
+    """
+    step = _step((g.sigma, g.elbows, crossings_of(g.sigma)), pick)
+    if step is None:
+        return None
+    (sigma, elbows, _), (switched, kept, _) = step
+    return GridConfiguration(sigma, elbows), GridConfiguration(switched, kept)
 
 
 def resolve(g: GridConfiguration,
@@ -246,24 +289,26 @@ def resolve(g: GridConfiguration,
 
     Branches depth-first on (smooth, switch) with :func:`_step` at the
     crossing chosen by ``pick``, which must always return a maximal cell
-    of its argument.  Terminal states are recognised by
+    of its argument.  Each state on the stack carries its crossing set,
+    built once for ``g`` and updated by every switch, so a set lives only
+    as long as its state.  Terminal states are recognised by
     elbow-set/crossing-set equality.
     Raises :class:`CapExceeded` when more than ``node_cap`` states are
     visited.
     """
     out: Counter[Permutation] = Counter()
-    stack: list[State] = [(g.sigma, g.elbows)]
+    stack: list[State] = [(g.sigma, g.elbows, crossings_of(g.sigma))]
     nodes = 0
     while stack:
-        sigma, elbows = stack.pop()
+        state = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise CapExceeded(f"resolution exceeded the node cap {node_cap}")
-        children = _step(sigma, elbows, pick)
-        if children is None:
-            out[sigma] += 1
+        step = _step(state, pick)
+        if step is None:
+            out[state[0]] += 1
             continue
-        smoothed, switched = children
+        smoothed, switched = step
         stack += switched, smoothed
     return out
 

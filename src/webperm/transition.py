@@ -11,8 +11,9 @@ evaluates this by grouping the web table by (D, M) into counts
 C[p][M'] and summing them over the Dyck lattice with a zeta transform,
 F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  A second
 construction, :func:`resolution_matrix`, resolves the grid configuration
-of each row outright; both must agree, and both must agree with the
-syzygy-rewriting expansion of :mod:`webperm.oracle`.
+of each row, reusing the row its smoothed root belongs to; both must
+agree, and both must agree with the syzygy-rewriting expansion of
+:mod:`webperm.oracle`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .combinat import (
     enumerate_matchings,
     matching_to_json,
 )
-from .grid import matching_of_permutation, resolve, row_configuration
+from .grid import children, matching_of_permutation, resolve, row_configuration
 from .webs import web_table
 
 
@@ -98,24 +99,46 @@ def matrix(n: int) -> TransitionMatrix:
 
 
 def resolution_matrix(n: int) -> TransitionMatrix:
-    """The same matrix computed by resolving each row's configuration.
+    """The same matrix computed by resolving the row configurations.
 
-    Every tree ends in web permutations, and the same sigma ends many of
-    them, so each sigma is traced to its column once per call.
+    Smoothing the root G(id, cells above D(M)) of row M at the crossing
+    :func:`~webperm.grid.pick_top_left` picks gives exactly the root of a
+    row M+ later in table order, and the staircase is the only terminal
+    root.  Resolution splits into the smoothed and the switched subtree,
+    so, with the staircase row counting its own root,
+
+        row(M) = row(M+) + the column counts of resolve(switched child).
+
+    Rows are built in reverse table order, each as the tuple the matrix
+    keeps, and only the switched subtrees are resolved.  A smoothed root
+    that is no later row's root raises :class:`RuntimeError`.  Every tree
+    ends in web permutations, and the same sigma ends many of them, so
+    each sigma is traced to its column once per call.
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
     col_of: dict[Permutation, int] = {}
-    grid_rows = []
-    for m in rows:
-        counts = [0] * len(cols)
-        for sigma, mult in resolve(row_configuration(m)).items():
+    roots = [row_configuration(m) for m in rows]
+    row_of = {g.elbows: r for r, g in enumerate(roots)}
+    grid_rows: list[tuple[int, ...]] = [()] * len(rows)
+    for r in reversed(range(len(rows))):
+        split = children(roots[r])
+        if split is None:
+            counts, subtree = [0] * len(cols), roots[r]
+        else:
+            smoothed, subtree = split
+            later = row_of.get(smoothed.elbows, -1)
+            if later <= r:
+                raise RuntimeError(f"smoothing the root of row {rows[r]} "
+                                   f"gives no later row's root")
+            counts = list(grid_rows[later])
+        for sigma, mult in resolve(subtree).items():
             c = col_of.get(sigma)
             if c is None:
                 c = col_of[sigma] = col_index[matching_of_permutation(sigma)]
             counts[c] += mult
-        grid_rows.append(tuple(counts))
+        grid_rows[r] = tuple(counts)
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -296,6 +298,24 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     assert code == 1
     assert report["failed"] == 3
     assert [c["lhs"] for c in report["checks"] if not c["pass"]] == [99, 99, 99]
+
+
+def test_stdout_closed_early_is_a_usage_error():
+    # The pipe's read end is closed before the command starts, so its first
+    # write fails; it must exit 2 without a traceback, also at the
+    # interpreter's final flush.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "webperm.cli", "web", "6", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "error: cannot write the output: Broken pipe\n"
 
 
 def test_verify_out_file(tmp_path, capsys):

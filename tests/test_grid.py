@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from webperm import grid
 from webperm.andre import cycles
 from webperm.combinat import (
     CapExceeded,
@@ -27,6 +28,7 @@ from webperm.grid import (
     row_configuration,
     _dominated,
     _step,
+    children,
     trace_matching,
     web_permutations,
     web_permutations_for,
@@ -121,18 +123,25 @@ def _reference_trace(g):
     return matching(arcs)
 
 
+def _roots(n):
+    """The identity configuration and the root of every matrix row."""
+    return [empty_configuration(n)] + [row_configuration(m)
+                                       for m in enumerate_matchings(n, "NN")]
+
+
 def _resolution_states(root, pick):
-    """Every configuration that ``resolve(root, pick=pick)`` visits."""
-    stack = [(root.sigma, root.elbows)]
+    """Every state (sigma, elbows, carried crossings) that
+    ``resolve(root, pick=pick)`` visits."""
+    stack = [(root.sigma, root.elbows, crossings_of(root.sigma))]
     leaves = Counter()
     while stack:
-        sigma, elbows = stack.pop()
-        yield GridConfiguration(sigma, elbows)
-        children = _step(sigma, elbows, pick)
-        if children is None:
-            leaves[sigma] += 1
+        state = stack.pop()
+        yield state
+        step = _step(state, pick)
+        if step is None:
+            leaves[state[0]] += 1
             continue
-        smoothed, switched = children
+        smoothed, switched = step
         stack += switched, smoothed
     assert leaves == resolve(root, pick=pick)
 
@@ -140,14 +149,50 @@ def _resolution_states(root, pick):
 @pytest.mark.parametrize("pick", [pick_top_left, pick_bottom])
 @pytest.mark.parametrize("n", range(2, 6))
 def test_trace_matches_reference_on_resolution_states(n, pick):
-    roots = [empty_configuration(n)]
-    roots += [row_configuration(m) for m in enumerate_matchings(n, "NN")]
     partial = 0
-    for root in roots:
-        for g in _resolution_states(root, pick):
+    for root in _roots(n):
+        for sigma, elbows, _ in _resolution_states(root, pick):
+            g = GridConfiguration(sigma, elbows)
             assert trace_matching(g) == _reference_trace(g)
             partial += g.elbows != crossings_of(g.sigma)
     assert partial > 0
+
+
+def _first_stale_state(n, pick):
+    """The first state of the identity tree or a row tree of size ``n``
+    whose carried crossing set is not ``crossings_of`` its word."""
+    for root in _roots(n):
+        for sigma, elbows, carried in _resolution_states(root, pick):
+            if carried != crossings_of(sigma):
+                return sigma, elbows
+    return None
+
+
+@pytest.mark.parametrize("pick", [pick_top_left, pick_bottom])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carried_crossings_equal_crossings_of(n, pick):
+    assert _first_stale_state(n, pick) is None
+
+
+def _switch_skipping(line):
+    """``_switch`` with one of the four lines it must recompute left as it
+    was in the parent: column i or k = sigma^-1(j), row a = sigma(i) or j."""
+    real = grid._switch
+
+    def switch(sigma, crossings, c):
+        i, j = c
+        axis, index = {"column i": (0, i), "column k": (0, sigma.index(j) + 1),
+                       "row a": (1, sigma[i - 1]), "row j": (1, j)}[line]
+        word, fresh = real(sigma, crossings, c)
+        return word, (frozenset(d for d in fresh if d[axis] != index)
+                      | {d for d in crossings if d[axis] == index})
+    return switch
+
+
+@pytest.mark.parametrize("line", ["column i", "column k", "row a", "row j"])
+def test_a_line_left_unrecomputed_is_caught(line, monkeypatch):
+    monkeypatch.setattr(grid, "_switch", _switch_skipping(line))
+    assert _first_stale_state(5, pick_top_left) is not None
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -197,18 +242,17 @@ def test_traced_terminal_matchings_are_noncrossing(n):
 def _picked(g):
     """The crossing ``_step`` resolves in ``g`` by default, or None when
     ``g`` is terminal."""
-    children = _step(g.sigma, g.elbows, pick_top_left)
-    if children is None:
+    split = children(g)
+    if split is None:
         return None
-    (_, smoothed), _ = children
-    (c,) = smoothed - g.elbows
+    smoothed, _ = split
+    (c,) = smoothed.elbows - g.elbows
     return c
 
 
 def _children(g, c):
     """The smoothed and switched configurations of ``g`` at ``c``."""
-    smoothed, switched = _step(g.sigma, g.elbows, lambda cells: c)
-    return GridConfiguration(*smoothed), GridConfiguration(*switched)
+    return children(g, lambda cells: c)
 
 
 def test_maximal_crossing():
@@ -229,8 +273,14 @@ def test_upper_left_maximal_is_antichain():
 
 
 def test_smooth_and_switch_worked_example():
-    assert _step(FIG_SIGMA, FIG_ELBOWS, lambda cells: (2, 4)) == (
-        (FIG_SIGMA, FIG_ELBOWS | {(2, 4)}), ((1, 4, 2, 3), FIG_ELBOWS))
+    state = (FIG_SIGMA, FIG_ELBOWS, crossings_of(FIG_SIGMA))
+    assert _step(state, lambda cells: (2, 4)) == (
+        (FIG_SIGMA, FIG_ELBOWS | {(2, 4)}, crossings_of(FIG_SIGMA)),
+        ((1, 4, 2, 3), FIG_ELBOWS, frozenset({(1, 2), (1, 3), (1, 4), (3, 3)})))
+    assert children(GridConfiguration(FIG_SIGMA, FIG_ELBOWS),
+                    lambda cells: (2, 4)) == (
+        GridConfiguration(FIG_SIGMA, FIG_ELBOWS | {(2, 4)}),
+        GridConfiguration((1, 4, 2, 3), FIG_ELBOWS))
 
 
 def test_switch_identity_n3():

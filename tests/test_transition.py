@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -7,10 +8,17 @@ from webperm.combinat import (
     dyck_leq,
     dyck_of_matching,
     dyck_of_permutation,
+    identity,
     matching,
     matching_from_dyck,
 )
 from webperm import transition
+from webperm.grid import (
+    children,
+    matching_of_permutation,
+    resolve,
+    row_configuration,
+)
 from webperm.oracle import syzygy_expand
 from webperm.transition import (
     TransitionMatrix,
@@ -102,6 +110,60 @@ def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
     a = resolution_matrix(5)
     assert len(traced) == len(set(traced)) == 61
     assert a.entries == matrix(5).entries
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_smoothing_a_row_root_gives_a_later_row_root(n):
+    roots = [row_configuration(m) for m in row_labels(n)]
+    later = {g.elbows: r for r, g in enumerate(roots)}
+    for r, g in enumerate(roots):
+        split = children(g)
+        if r == len(roots) - 1:
+            assert split is None            # the staircase, all elbows
+        else:
+            assert later[split[0].elbows] > r
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recurrence_equals_per_row_resolution(n):
+    a = resolution_matrix(n)
+    col = {m: k for k, m in enumerate(a.cols)}
+    for m, row in zip(a.rows, a.entries):
+        counts = [0] * len(a.cols)
+        for sigma, mult in resolve(row_configuration(m)).items():
+            counts[col[matching_of_permutation(sigma)]] += mult
+        assert tuple(counts) == row
+
+
+def test_recurrence_without_the_switch_subtree_disagrees(monkeypatch):
+    # Switching moves a marking off the diagonal, so only the terminal
+    # staircase root still resolves.
+    real = transition.resolve
+    monkeypatch.setattr(transition, "resolve", lambda g: real(g) if
+                        g.sigma == identity(len(g.sigma)) else Counter())
+    assert resolution_matrix(4).entries != matrix(4).entries
+
+
+def test_recurrence_from_the_wrong_row_disagrees(monkeypatch):
+    # Every smoothed root is sent to the staircase, the last row.
+    real = transition.children
+    staircase = row_configuration(row_labels(4)[-1])
+
+    def wrong(g):
+        split = real(g)
+        return split and (staircase, split[1])
+    monkeypatch.setattr(transition, "children", wrong)
+    assert resolution_matrix(4).entries != matrix(4).entries
+
+
+def test_recurrence_refuses_a_smoothed_root_that_is_no_later_row(monkeypatch):
+    real = transition.children
+    monkeypatch.setattr(transition, "children",
+                        lambda g: (split := real(g)) and (g, split[1]))
+    row = row_labels(4)[-2]
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"smoothing the root of row {row} gives no later row's root")):
+        resolution_matrix(4)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
