@@ -349,7 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError as exc:
         # The reader closed stdout early.  What is still buffered goes to
         # the null device, so the interpreter's final flush stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: cannot write the output: {exc.strerror}",
               file=sys.stderr)
         return 2

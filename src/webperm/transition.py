@@ -103,11 +103,13 @@ def resolution_matrix(n: int) -> TransitionMatrix:
 
     Smoothing the root G(id, cells above D(M)) of row M at the crossing
     :func:`~webperm.grid.pick_top_left` picks gives exactly the root of a
-    row M+ later in table order, and the staircase is the only terminal
-    root.  Resolution splits into the smoothed and the switched subtree,
-    so, with the staircase row counting its own root,
+    row M+ later in table order.  Resolution splits into the smoothed and
+    the switched subtree, so
 
-        row(M) = row(M+) + the column counts of resolve(switched child).
+        row(M) = row(M+) + the column counts of resolve(switched child)
+
+    for every row but the last, the staircase, whose root is the only
+    terminal one and is its own row.
 
     Rows are built in reverse table order, each as the tuple the matrix
     keeps, and only the switched subtrees are resolved.  A smoothed root
