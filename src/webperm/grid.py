@@ -218,12 +218,13 @@ def _switch(sigma: Permutation, crossings: frozenset[Cell], c: Cell,
     """Switch the crossing c = (i, j) of sigma, whose crossing set is
     ``crossings``; returns the switched word and its crossing set.
 
-    The switch moves the markings of columns i and k = sigma^-1(j), in
-    rows a = sigma(i) < j, to rows j and a, so only cells on those four
-    lines change, and only inside the rectangle [i, k] x [a, j]: column
-    i loses its vertical line on rows a < y <= j and column k gains it on
-    rows a < y < j, row j loses its horizontal line on columns i < x < k
-    and row a gains it there.  Every other cell is kept.
+    The switch moves the marking of column i up from row a = sigma(i) to
+    row j, and that of column k = sigma^-1(j) down from row j to row a.
+    So only cells on those four lines change, and only inside the
+    rectangle [i, k] x [a, j]: column i loses its vertical line on rows
+    a < y <= j and column k gains it on rows a < y < j, row j loses its
+    horizontal line on columns i < x < k and row a gains it there.  Every
+    other cell is kept.
     """
     i, j = c
     inv = inverse(sigma)
