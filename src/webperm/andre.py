@@ -4,12 +4,15 @@
 Words are tuples of distinct positive integers.  Cycles are tuples in
 canonical rotation: the minimum entry first.  A full cycle decomposition
 is a tuple of cycles sorted by their minima.
+
+Andre words are defined by the min-split recursion of :func:`is_andre_word`
+and tested in one pass (Foata-Strehl 1974): a letter x with a larger left
+neighbour needs its right run of larger letters to peak above its left run.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .combinat import Permutation, is_permutation
@@ -17,13 +20,11 @@ from .combinat import Permutation, is_permutation
 Word = tuple[int, ...]
 Cycle = tuple[int, ...]
 
-_NEG_INF = float("-inf")
-
 
 def is_andre_word(word: Sequence[int]) -> bool:
-    """Recursive test: the minimum letter splits the word into two Andre
+    """By definition, the minimum letter splits the word into two Andre
     factors whose maxima increase left to right (max of the empty factor
-    counts as -infinity).
+    counts as -infinity).  The code checks each letter's two runs instead.
 
     >>> is_andre_word((5, 4, 7, 2, 3, 9))
     True
@@ -36,15 +37,18 @@ def is_andre_word(word: Sequence[int]) -> bool:
     return _andre(w)
 
 
-@lru_cache(maxsize=None)
 def _andre(w: Word) -> bool:
-    if len(w) <= 1:
-        return True
-    k = w.index(min(w))
-    left, right = w[:k], w[k + 1:]
-    if max(left, default=_NEG_INF) >= max(right, default=_NEG_INF):
+    # Every Andre word ends with its maximum; this settles most words.
+    if w and w[-1] != max(w):
         return False
-    return _andre(left) and _andre(right)
+    for i in range(1, len(w)):
+        x = w[i]
+        if w[i - 1] > x:
+            left = max(itertools.takewhile(x.__lt__, reversed(w[:i])))
+            right = max(itertools.takewhile(x.__lt__, w[i + 1:]), default=0)
+            if left > right:
+                return False
+    return True
 
 
 def canonical_cycle(entries: Sequence[int]) -> Cycle:

@@ -347,13 +347,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError as exc:
-        # The reader closed stdout early.  What is still buffered goes to
-        # the null device, so the interpreter's final flush stays quiet.
+        # The reader closed stdout, and maybe stderr too.  What is still
+        # buffered goes to the null device, so the final flush stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write the output: {exc.strerror}",
+                  file=sys.stderr)
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        print(f"error: cannot write the output: {exc.strerror}",
-              file=sys.stderr)
         return 2
 
 

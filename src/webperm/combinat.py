@@ -111,11 +111,6 @@ def matching(pairs: Iterable[Sequence[int]]) -> Matching:
     return arcs
 
 
-def matching_size(m: Matching) -> int:
-    """Half-size n (the number of arcs)."""
-    return len(m)
-
-
 def m0(n: int) -> Matching:
     """The unique matching that is both noncrossing and nonnesting."""
     return tuple((2 * k - 1, 2 * k) for k in range(1, n + 1))

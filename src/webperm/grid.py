@@ -50,7 +50,6 @@ from .combinat import (
     is_nonnesting,
     is_permutation,
     matching,
-    matching_size,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -110,7 +109,7 @@ def row_configuration(m: Matching) -> GridConfiguration:
     """
     if not is_nonnesting(m):
         raise ValueError(f"matching is not nonnesting: {m}")
-    return GridConfiguration(identity(matching_size(m)),
+    return GridConfiguration(identity(len(m)),
                              cells_above(dyck_of_matching(m)))
 
 

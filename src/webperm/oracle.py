@@ -27,7 +27,6 @@ from .combinat import (
     crossing_arc_pairs,
     is_noncrossing,
     matching,
-    matching_size,
 )
 
 SYZYGY_POLICIES = ("first", "last")
@@ -139,13 +138,13 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = matching_size(m)
+    n = len(m)
     samples = _samples(n, trials, seed, bound)
     support = samples.support
     for m_prime in coeffs:
         if m_prime in support:
             continue
-        if matching_size(m_prime) != n:
+        if len(m_prime) != n:
             raise ValueError(f"size mismatch in expansion support: {m_prime}")
         if not is_noncrossing(m_prime):
             raise ValueError(f"expansion support must be noncrossing: {m_prime}")

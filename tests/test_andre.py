@@ -1,8 +1,13 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import webperm
 from webperm.andre import (
     andre_full_cycles,
     canonical_cycle,
@@ -34,6 +39,56 @@ def test_andre_word_examples():
     assert is_andre_word(())
     assert all(is_andre_word((k,)) for k in (1, 5, 9))
     assert not is_andre_word((2, 1))
+
+
+def _andre_by_min_split(w):
+    """The recursive definition: split at the minimum, the left factor's
+    maximum below the right factor's (an empty factor's is -infinity), and
+    both factors Andre."""
+    if len(w) <= 1:
+        return True
+    k = w.index(min(w))
+    left, right = w[:k], w[k + 1:]
+    if max(left, default=0) >= max(right, default=0):
+        return False
+    return _andre_by_min_split(left) and _andre_by_min_split(right)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_andre_word_equals_min_split_on_permutations(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        assert is_andre_word(w) == _andre_by_min_split(w), w
+
+
+def test_andre_word_equals_min_split_on_words_with_gaps():
+    # Cycle tails are words on a subset of [n], not permutations of [L].
+    # Appending 31 gives each word a copy that ends with its maximum, so
+    # that the letter-by-letter checks run on half of the words.
+    rng = random.Random(7)
+    andre = 0
+    for _ in range(10000):
+        word = tuple(rng.sample(range(1, 31), rng.randint(0, 10)))
+        for w in (word, word + (31,)):
+            assert is_andre_word(w) == _andre_by_min_split(w), w
+            andre += is_andre_word(w)
+    assert andre > 1000
+
+
+def test_web_filter_keeps_nothing_after_it_returns():
+    # A fresh interpreter, so no earlier test has filled a cache: building
+    # Web_8 by the filter and dropping it leaves no memo behind.
+    src = os.path.dirname(os.path.dirname(webperm.__file__))
+    script = ("import gc, tracemalloc\n"
+              "from webperm import webs\n"
+              "tracemalloc.start()\n"
+              "assert len(webs.web_set(8)) == 7936\n"
+              "gc.collect()\n"
+              "print(tracemalloc.get_traced_memory()[0])\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100_000
 
 
 def test_andre_word_rejects_bad_input():

@@ -97,10 +97,10 @@ def test_matrix_verify(capsys):
     assert "verify OK" in err
 
 
-def _bump(a, r, c):
-    """``a`` with entry (r, c) raised by one."""
+def _bump(a, r, c, by=1):
+    """``a`` with entry (r, c) raised by ``by``."""
     rows = [list(row) for row in a.entries]
-    rows[r][c] += 1
+    rows[r][c] += by
     return dataclasses.replace(a, entries=tuple(map(tuple, rows)))
 
 
@@ -134,12 +134,28 @@ def _break_support(monkeypatch):
                         lambda a: real(_bump(a, 1, 0)))
 
 
+def _break_diagonal(monkeypatch):
+    real = transition.support_check
+    monkeypatch.setattr(transition, "support_check",
+                        lambda a: real(_bump(a, 2, 2)))
+
+
+def _break_positivity(monkeypatch):
+    real = transition.support_check
+    monkeypatch.setattr(transition, "support_check",
+                        lambda a: real(_bump(a, 0, 1, by=-1)))
+
+
 @pytest.mark.parametrize("breaker, line", [
     (_break_resolution, "FAIL: entry methods disagree"),
     (_break_syzygy, "FAIL: syzygy expansion disagrees on row ((1, 4), (2, 5), (3, 6))"),
     (_break_numeric, "FAIL: numeric identity refuted on row ((1, 4), (2, 5), (3, 6))"),
     (_break_support, "FAIL: lower triangle must vanish at (2,1): "
                      "row NNENEE, col NNNEEE"),
+    (_break_diagonal, "FAIL: diagonal entry must be 1 at (3,3): "
+                      "row NNEENE, col NNEENE"),
+    (_break_positivity, "FAIL: positivity must match path inclusion at (1,2): "
+                        "row NNNEEE, col NNENEE"),
 ])
 def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
     breaker(monkeypatch)
@@ -300,7 +316,7 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     assert [c["lhs"] for c in report["checks"] if not c["pass"]] == [99, 99, 99]
 
 
-def test_stdout_closed_early_is_a_usage_error():
+def _web_json_into_closed_pipe(stderr_too):
     # The pipe's read end is closed before the command starts, so its first
     # write fails; it must exit 2 without a traceback, also at the
     # interpreter's final flush.
@@ -309,13 +325,26 @@ def test_stdout_closed_early_is_a_usage_error():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "webperm.cli", "web", "6", "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end,
+            stderr=write_end if stderr_too else subprocess.PIPE,
+            env=env, timeout=60)
     finally:
         os.close(write_end)
+
+
+def test_stdout_closed_early_is_a_usage_error():
+    done = _web_json_into_closed_pipe(stderr_too=False)
     assert done.returncode == 2
     assert done.stderr.decode() == "error: cannot write the output: Broken pipe\n"
+
+
+def test_stdout_and_stderr_closed_early_is_a_usage_error():
+    # The error line is lost with stderr, but the exit code is still 2.
+    done = _web_json_into_closed_pipe(stderr_too=True)
+    assert done.returncode == 2
+    assert done.stderr is None
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -179,17 +179,31 @@ def test_support_check_is_clean(n):
     assert support_check(matrix(n)) == []
 
 
-def test_support_check_reports_violations():
-    a = matrix(3)
-    doctored = TransitionMatrix(
+def _with_entry(a, r, c, value):
+    """``a`` with entry (r, c), 0-based, set to ``value``."""
+    return TransitionMatrix(
         a.n, a.rows, a.cols,
-        tuple(tuple(2 if (r, c) == (1, 0) else v for c, v in enumerate(row))
-              for r, row in enumerate(a.entries)))
-    violations = support_check(doctored)
+        tuple(tuple(value if (i, j) == (r, c) else v for j, v in enumerate(row))
+              for i, row in enumerate(a.entries)))
+
+
+def test_support_check_reports_violations():
+    violations = support_check(_with_entry(matrix(3), 1, 0, 2))
     assert {v["reason"] for v in violations} == {
         "positivity must match path inclusion", "lower triangle must vanish"}
     assert {(v["row_path"], v["col_path"]) for v in violations} == {
         ("NNENEE", "NNNEEE")}
+
+
+@pytest.mark.parametrize("r, c, value, paths, reason", [
+    (2, 2, 2, ("NNEENE", "NNEENE"), "diagonal entry must be 1"),
+    (0, 1, 0, ("NNNEEE", "NNENEE"), "positivity must match path inclusion"),
+])
+def test_support_check_reports_one_violation(r, c, value, paths, reason):
+    # Each doctored entry breaks exactly one of the three conditions.
+    violations = support_check(_with_entry(matrix(3), r, c, value))
+    assert [(v["row"], v["col"], v["row_path"], v["col_path"], v["reason"])
+            for v in violations] == [(r + 1, c + 1, *paths, reason)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
