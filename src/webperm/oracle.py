@@ -1,23 +1,36 @@
-"""Independent verification path: syzygy rewriting of matching minor
-products into the noncrossing basis, plus exact numeric evaluation.
+"""Independent verification path: the expansion of a matching's minor
+product over the noncrossing basis, plus exact numeric evaluation.
 
-A crossing pair of arcs {a,c}, {b,d} (a<b<c<d) rewrites into the two
-uncrossed pairs {a,b},{c,d} and {a,d},{b,c}; iterating until no crossing
-pair remains expands any matching over noncrossing matchings with
-nonnegative integer coefficients.  The rewriting never touches
-polynomials; the numeric evaluator below checks the resulting identity on
-random integer specializations with exact arithmetic.
+The minors obey the Plücker relation Δ_ac·Δ_bd = Δ_ab·Δ_cd + Δ_ad·Δ_bc
+(a < b < c < d), which rewrites a crossing pair of arcs into its two
+uncrossed pairs.  The expansion over noncrossing matchings is unique
+(Rumer–Teller–Weyl), with nonnegative integer coefficients, so any order
+of rewriting reaches it.  Two constructions compute it:
 
-The samples depend only on (n, trials, seed, bound), so every row of one
-matrix is checked on the same ones.  They are drawn once and kept, with
-their arc minors and the minor products of the noncrossing matchings seen
-so far, in a one-entry cache; a call with other parameters replaces it.
+- :func:`syzygy_rows`, the production path, expands rows one arc at a
+  time.  Inserting an arc into a noncrossing partial matching walks along
+  the new chord and smooths each arc it crosses, in order, into 2^k
+  noncrossing states of coefficient 1.  A stack keeps the expansions of
+  the previous row's arc prefixes, so rows in table order share the work
+  of their common prefixes; nothing is kept across rows beyond that stack.
+- :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
+  time, until none is left.  It is the reference that the tests hold the
+  insertion to.
+
+The rewriting never touches polynomials; the numeric evaluator below
+checks the resulting identity on random integer specializations with
+exact arithmetic.  The samples depend only on (n, trials, seed, bound), so
+every row of one matrix is checked on the same ones.  They are drawn once
+and kept, with their arc minors and the minor products of the noncrossing
+matchings seen so far, in a one-entry cache; a call with other parameters
+replaces it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -68,6 +81,75 @@ def syzygy_expand(m: Matching, policy: str = "first") -> dict[Matching, int]:
         for branch in syzygy_step(current, pairs[pick]):
             stack.append((branch, mult))
     return dict(sorted(out.items()))
+
+
+def _insert_arc(partner: tuple[int, ...], x: int,
+                y: int) -> Iterator[tuple[int, ...]]:
+    """Expand N·Δ_xy over noncrossing partial matchings, for a noncrossing
+    partial matching N and x < y free points of N.
+
+    N is given as its ``partner`` tuple (``partner[p]`` is the other end of
+    the arc at p, 0 at a free point), and so is each state yielded; every
+    state has coefficient 1.  The k arcs of N that cross (x, y) are walked
+    in the order of their endpoint inside (x, y), and each of them crosses
+    the chord from the current loose end, x at first, to y.  At each one
+    the loose end is joined to one of its endpoints and the other endpoint
+    becomes the loose end: the two smoothings of the Plücker relation.  The
+    last loose end is joined to y.  The joins form one path from x to y,
+    never a closed loop, so the 2^k walks give 2^k noncrossing states.
+    """
+    crossed = [(p, q) for p, q in enumerate(partner[x + 1:y], x + 1)
+               if q and not x < q < y]
+    walks: list[tuple[tuple[int, ...], int]] = [((), x)]
+    for inner, outer in crossed:
+        walks = [(ends + (loose, end), other)
+                 for ends, loose in walks
+                 for end, other in ((inner, outer), (outer, inner))]
+    for ends, loose in walks:
+        state = list(partner)
+        ends += (loose, y)
+        for k in range(0, len(ends), 2):
+            p, q = ends[k], ends[k + 1]
+            state[p] = q
+            state[q] = p
+        yield tuple(state)
+
+
+def syzygy_rows(rows: Iterable[Matching]
+                ) -> Iterator[tuple[Matching, dict[Matching, int]]]:
+    """Yield ``(m, coeffs)`` for each matching of ``rows``, in order, where
+    ``coeffs`` equals ``syzygy_expand(m)`` up to the order of its keys.
+
+    Each row is expanded one arc at a time by :func:`_insert_arc`, starting
+    from the empty matching.  A stack keeps the expansion of every arc
+    prefix of the previous row, so a row pays only for the arcs after the
+    longest prefix it shares with the previous one; at most n + 1
+    expansions are alive.  The expansion over the noncrossing basis is
+    unique, so neither the arc order nor the row order changes a result.
+
+    >>> m, coeffs = next(syzygy_rows([matching([(1, 3), (2, 4)])]))
+    >>> sorted(coeffs.items())
+    [(((1, 2), (3, 4)), 1), (((1, 4), (2, 3)), 1)]
+    """
+    # stack[j]: the expansion of previous[:j], keyed by partner tuples
+    stack: list[dict[tuple[int, ...], int]] = []
+    previous: Matching = ()
+    for m in rows:
+        if not stack or len(m) != len(previous):
+            stack, previous = [{(0,) * (2 * len(m) + 1): 1}], ()
+        shared = 0
+        while shared < len(previous) and m[shared] == previous[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for x, y in m[shared:]:
+            top: dict[tuple[int, ...], int] = {}
+            for partner, coeff in stack[-1].items():
+                for state in _insert_arc(partner, x, y):
+                    top[state] = top.get(state, 0) + coeff
+            stack.append(top)
+        previous = m
+        yield m, {tuple([(p, q) for p, q in enumerate(partner) if p < q]): coeff
+                  for partner, coeff in stack[-1].items()}
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,13 @@ def _break_resolution(monkeypatch):
 
 
 def _break_syzygy(monkeypatch):
-    real = oracle.syzygy_expand
+    real = oracle.syzygy_rows
 
-    def wrong(m):
-        coeffs = real(m)
-        top = next(iter(coeffs))
-        return {**coeffs, top: coeffs[top] + 1}
-    monkeypatch.setattr(oracle, "syzygy_expand", wrong)
+    def wrong(rows):
+        for m, coeffs in real(rows):
+            top = next(iter(coeffs))
+            yield m, {**coeffs, top: coeffs[top] + 1}
+    monkeypatch.setattr(oracle, "syzygy_rows", wrong)
 
 
 def _break_numeric(monkeypatch):
@@ -163,6 +163,23 @@ def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
     assert code == 1
     assert out == "1,1,1,1,1\n0,1,1,1,1\n0,0,1,0,1\n0,0,0,1,1\n0,0,0,0,1\n"
     assert line in err.splitlines()
+    assert "verify OK" not in err
+
+
+def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
+    # a fault inside the arc insertion, not in the rows it yields
+    real = oracle._insert_arc
+
+    def dropping(partner, x, y):
+        states = list(real(partner, x, y))
+        return states[:-1] if len(states) > 1 else states
+    monkeypatch.setattr(oracle, "_insert_arc", dropping)
+    code, out, err = run(capsys, "matrix", "4", "--verify")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 4"]
+    row = "((1, 5), (2, 6), (3, 7), (4, 8))"
+    assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
+    assert f"FAIL: numeric identity refuted on row {row}" in err.splitlines()
     assert "verify OK" not in err
 
 

@@ -14,11 +14,13 @@ from webperm.combinat import (
 )
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
+    _insert_arc,
     _samples,
     delta_product,
     minor,
     sample_z,
     syzygy_expand,
+    syzygy_rows,
     syzygy_step,
     verify_expansion,
 )
@@ -78,6 +80,91 @@ def test_expansion_support_is_noncrossing():
         for m_prime, coeff in syzygy_expand(m).items():
             assert is_noncrossing(m_prime)
             assert coeff >= 1
+
+
+# ---------------------------------------------------------------------------
+# arc insertion over shared row prefixes
+# ---------------------------------------------------------------------------
+
+def partners(arcs, n):
+    """The partner tuple of a partial matching on [2n]: the other end of
+    the arc at each point, 0 at a free point and at index 0."""
+    out = [0] * (2 * n + 1)
+    for p, q in arcs:
+        out[p], out[q] = q, p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_syzygy_rows_equals_rewriting_on_every_matching(n):
+    for m in matchings(n):
+        [(row, coeffs)] = syzygy_rows([m])
+        assert row == m
+        assert coeffs == syzygy_expand(m, "first") == syzygy_expand(m, "last")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_syzygy_rows_equals_rewriting_on_nn_rows_in_table_order(n):
+    rows = row_labels(n)
+    got = list(syzygy_rows(rows))
+    assert [m for m, _ in got] == rows
+    for m, coeffs in got:
+        assert coeffs == syzygy_expand(m, "first") == syzygy_expand(m, "last")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_syzygy_rows_ignore_row_order(n):
+    # the prefix stack must pop back correctly whatever precedes a row
+    rows = row_labels(n)
+    expected = dict(syzygy_rows(rows))
+    shuffled = rows[:]
+    random.Random(n).shuffle(shuffled)
+    for order in (rows[::-1], shuffled):
+        got = list(syzygy_rows(order))
+        assert [m for m, _ in got] == order
+        assert all(coeffs == expected[m] for m, coeffs in got)
+
+
+def test_syzygy_rows_reset_between_sizes():
+    rows = [m for n in (3, 2, 4, 0, 3) for m in row_labels(n)[::2]]
+    for m, coeffs in syzygy_rows(rows):
+        assert coeffs == syzygy_expand(m)
+
+
+def test_syzygy_rows_ignore_arc_order():
+    rng = random.Random(11)
+    for n in range(2, 6):
+        for m in matchings(n):
+            shuffled = list(m)
+            rng.shuffle(shuffled)
+            [(row, coeffs)] = syzygy_rows([tuple(shuffled)])
+            assert row == tuple(shuffled)
+            assert coeffs == syzygy_expand(m)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_insert_arc_is_one_plucker_walk(n):
+    # inserting any arc of m into the rest of m, when the rest is
+    # noncrossing, yields 2^k distinct noncrossing states, k the number of
+    # arcs it crosses, and they are the expansion of m
+    for m in matchings(n):
+        for arc in m:
+            rest = [a for a in m if a != arc]
+            if not is_noncrossing(rest):
+                continue
+            states = list(_insert_arc(partners(rest, n), *arc))
+            x, y = arc
+            k = sum(1 for a, b in rest if (x < a < y) != (x < b < y))
+            assert len(states) == len(set(states)) == 2 ** k
+            assert set(states) == {partners(mp, n) for mp in syzygy_expand(m)}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_insert_arc_that_crosses_nothing_adds_it(n):
+    for m in enumerate_matchings(n, "NC"):
+        for arc in m:
+            rest = [a for a in m if a != arc]
+            assert list(_insert_arc(partners(rest, n), *arc)) == [partners(m, n)]
 
 
 # ---------------------------------------------------------------------------
