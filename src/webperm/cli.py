@@ -30,7 +30,7 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # The largest n at which every command fits in 60 s and 2 GiB; the slowest
-# is ``matrix 8 --verify``, about 14 s and 63 MiB cold (Python 3.11.7 on a
+# is ``matrix 8 --verify``, about 15 s and 63 MiB cold (Python 3.11.7 on a
 # 2-vCPU KVM guest).  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
