@@ -7,12 +7,12 @@ uncrossed pairs.  The expansion over noncrossing matchings is unique
 (Rumer–Teller–Weyl), with nonnegative integer coefficients, so any order
 of rewriting reaches it.  Two constructions compute it:
 
-- :func:`syzygy_rows`, the production path, expands rows one arc at a
-  time.  Inserting an arc into a noncrossing partial matching walks along
-  the new chord and smooths each arc it crosses, in order, into 2^k
-  noncrossing states of coefficient 1.  A stack keeps the expansions of
-  the previous row's arc prefixes, so rows in table order share the work
-  of their common prefixes; nothing is kept across rows beyond that stack.
+- :func:`syzygy_insert`, the production path, inserts the arcs of a
+  matching one at a time into the expansion of those before it.
+  Inserting an arc into a noncrossing partial matching walks along the
+  new chord and smooths each arc it crosses, in order, into 2^k
+  noncrossing states of coefficient 1.  Every row starts from the empty
+  matching and nothing is kept across rows.
 - :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
   time, until none is left.  It is the reference that the tests hold the
   insertion to.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -115,41 +115,27 @@ def _insert_arc(partner: tuple[int, ...], x: int,
         yield tuple(state)
 
 
-def syzygy_rows(rows: Iterable[Matching]
-                ) -> Iterator[tuple[Matching, dict[Matching, int]]]:
-    """Yield ``(m, coeffs)`` for each matching of ``rows``, in order, where
-    ``coeffs`` equals ``syzygy_expand(m)`` up to the order of its keys.
+def syzygy_insert(m: Matching) -> dict[Matching, int]:
+    """Expand a matching over noncrossing matchings by arc insertion.
 
-    Each row is expanded one arc at a time by :func:`_insert_arc`, starting
-    from the empty matching.  A stack keeps the expansion of every arc
-    prefix of the previous row, so a row pays only for the arcs after the
-    longest prefix it shares with the previous one; at most n + 1
-    expansions are alive.  The expansion over the noncrossing basis is
-    unique, so neither the arc order nor the row order changes a result.
+    Starting from the empty matching, the arcs of ``m`` are inserted one
+    at a time by :func:`_insert_arc`.  The expansion over the noncrossing
+    basis is unique, so the arc order does not change the result, which
+    equals ``syzygy_expand(m)`` up to the order of its keys.
 
-    >>> m, coeffs = next(syzygy_rows([matching([(1, 3), (2, 4)])]))
-    >>> sorted(coeffs.items())
+    >>> sorted(syzygy_insert(matching([(1, 3), (2, 4)])).items())
     [(((1, 2), (3, 4)), 1), (((1, 4), (2, 3)), 1)]
     """
-    # stack[j]: the expansion of previous[:j], keyed by partner tuples
-    stack: list[dict[tuple[int, ...], int]] = []
-    previous: Matching = ()
-    for m in rows:
-        if not stack or len(m) != len(previous):
-            stack, previous = [{(0,) * (2 * len(m) + 1): 1}], ()
-        shared = 0
-        while shared < len(previous) and m[shared] == previous[shared]:
-            shared += 1
-        del stack[shared + 1:]
-        for x, y in m[shared:]:
-            top: dict[tuple[int, ...], int] = {}
-            for partner, coeff in stack[-1].items():
-                for state in _insert_arc(partner, x, y):
-                    top[state] = top.get(state, 0) + coeff
-            stack.append(top)
-        previous = m
-        yield m, {tuple([(p, q) for p, q in enumerate(partner) if p < q]): coeff
-                  for partner, coeff in stack[-1].items()}
+    # keyed by partner tuples while arcs are inserted
+    expansion: dict[tuple[int, ...], int] = {(0,) * (2 * len(m) + 1): 1}
+    for x, y in m:
+        top: dict[tuple[int, ...], int] = {}
+        for partner, coeff in expansion.items():
+            for state in _insert_arc(partner, x, y):
+                top[state] = top.get(state, 0) + coeff
+        expansion = top
+    return {tuple([(p, q) for p, q in enumerate(partner) if p < q]): coeff
+            for partner, coeff in expansion.items()}
 
 
 # ---------------------------------------------------------------------------

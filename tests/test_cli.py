@@ -111,13 +111,13 @@ def _break_resolution(monkeypatch):
 
 
 def _break_syzygy(monkeypatch):
-    real = oracle.syzygy_rows
+    real = oracle.syzygy_insert
 
-    def wrong(rows):
-        for m, coeffs in real(rows):
-            top = next(iter(coeffs))
-            yield m, {**coeffs, top: coeffs[top] + 1}
-    monkeypatch.setattr(oracle, "syzygy_rows", wrong)
+    def wrong(m):
+        coeffs = real(m)
+        top = next(iter(coeffs))
+        return {**coeffs, top: coeffs[top] + 1}
+    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
 
 
 def _break_numeric(monkeypatch):
@@ -167,7 +167,7 @@ def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
 
 
 def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
-    # a fault inside the arc insertion, not in the rows it yields
+    # a fault inside the arc insertion, not only in the expansion it returns
     real = oracle._insert_arc
 
     def dropping(partner, x, y):

@@ -20,7 +20,7 @@ from webperm.oracle import (
     minor,
     sample_z,
     syzygy_expand,
-    syzygy_rows,
+    syzygy_insert,
     syzygy_step,
     verify_expansion,
 )
@@ -83,7 +83,7 @@ def test_expansion_support_is_noncrossing():
 
 
 # ---------------------------------------------------------------------------
-# arc insertion over shared row prefixes
+# arc insertion
 # ---------------------------------------------------------------------------
 
 def partners(arcs, n):
@@ -96,50 +96,21 @@ def partners(arcs, n):
 
 
 @pytest.mark.parametrize("n", range(0, 6))
-def test_syzygy_rows_equals_rewriting_on_every_matching(n):
+def test_syzygy_insert_equals_rewriting_on_every_matching(n):
+    # the arcs are inserted sorted and in a shuffled order
+    rng = random.Random(11 + n)
     for m in matchings(n):
-        [(row, coeffs)] = syzygy_rows([m])
-        assert row == m
-        assert coeffs == syzygy_expand(m, "first") == syzygy_expand(m, "last")
+        shuffled = list(m)
+        rng.shuffle(shuffled)
+        expected = syzygy_expand(m, "first")
+        assert expected == syzygy_expand(m, "last")
+        assert syzygy_insert(m) == syzygy_insert(tuple(shuffled)) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_syzygy_rows_equals_rewriting_on_nn_rows_in_table_order(n):
-    rows = row_labels(n)
-    got = list(syzygy_rows(rows))
-    assert [m for m, _ in got] == rows
-    for m, coeffs in got:
-        assert coeffs == syzygy_expand(m, "first") == syzygy_expand(m, "last")
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_syzygy_rows_ignore_row_order(n):
-    # the prefix stack must pop back correctly whatever precedes a row
-    rows = row_labels(n)
-    expected = dict(syzygy_rows(rows))
-    shuffled = rows[:]
-    random.Random(n).shuffle(shuffled)
-    for order in (rows[::-1], shuffled):
-        got = list(syzygy_rows(order))
-        assert [m for m, _ in got] == order
-        assert all(coeffs == expected[m] for m, coeffs in got)
-
-
-def test_syzygy_rows_reset_between_sizes():
-    rows = [m for n in (3, 2, 4, 0, 3) for m in row_labels(n)[::2]]
-    for m, coeffs in syzygy_rows(rows):
-        assert coeffs == syzygy_expand(m)
-
-
-def test_syzygy_rows_ignore_arc_order():
-    rng = random.Random(11)
-    for n in range(2, 6):
-        for m in matchings(n):
-            shuffled = list(m)
-            rng.shuffle(shuffled)
-            [(row, coeffs)] = syzygy_rows([tuple(shuffled)])
-            assert row == tuple(shuffled)
-            assert coeffs == syzygy_expand(m)
+def test_syzygy_insert_equals_rewriting_on_nn_rows_of_size_6():
+    # sizes up to 5 are covered by every matching above
+    for m in row_labels(6):
+        assert syzygy_insert(m) == syzygy_expand(m, "first") == syzygy_expand(m, "last")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
