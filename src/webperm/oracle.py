@@ -129,11 +129,11 @@ def syzygy_insert(m: Matching) -> dict[Matching, int]:
     # keyed by partner tuples while arcs are inserted
     expansion: dict[tuple[int, ...], int] = {(0,) * (2 * len(m) + 1): 1}
     for x, y in m:
-        top: dict[tuple[int, ...], int] = {}
+        grown: dict[tuple[int, ...], int] = {}
         for partner, coeff in expansion.items():
             for state in _insert_arc(partner, x, y):
-                top[state] = top.get(state, 0) + coeff
-        expansion = top
+                grown[state] = grown.get(state, 0) + coeff
+        expansion = grown
     return {tuple([(p, q) for p, q in enumerate(partner) if p < q]): coeff
             for partner, coeff in expansion.items()}
 
