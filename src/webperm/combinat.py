@@ -317,6 +317,26 @@ def dyck_leq(p: str, q: str) -> bool:
     return all(a <= b for a, b in zip(dyck_heights(p), dyck_heights(q)))
 
 
+def ballot_count(heights: Sequence[int]) -> int:
+    """The number of Dyck paths whose column heights lie pointwise under
+    ``heights``: the size of the down-set of a path in :func:`dyck_leq`.
+
+    It counts the nondecreasing sequences p with i <= p_i <= heights[i-1],
+    one column at a time, in O(n^2).
+
+    >>> ballot_count(dyck_heights("NNNEEE")), ballot_count((1, 3, 3))
+    (5, 2)
+    """
+    # ways[v]: the prefixes through the current column that end at height v
+    ways = [1] + [0] * len(heights)
+    for i, top in enumerate(heights, start=1):
+        below = 0
+        for v, count in enumerate(ways):
+            below += count
+            ways[v] = below if i <= v <= top else 0
+    return sum(ways)
+
+
 def dyck_sort_key(path: str) -> str:
     """Table-order sort key: lexicographic with N < E.
 

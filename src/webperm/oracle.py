@@ -17,13 +17,22 @@ of rewriting reaches it.  Two constructions compute it:
   time, until none is left.  It is the reference that the tests hold the
   insertion to.
 
-The rewriting never touches polynomials; the numeric evaluator below
-checks the resulting identity on random integer specializations with
-exact arithmetic.  The samples depend only on (n, trials, seed, bound), so
-every row of one matrix is checked on the same ones.  They are drawn once
-and kept, with their arc minors and the minor products of the noncrossing
-matchings seen so far, in a one-entry cache; a call with other parameters
-replaces it.
+The rewriting never touches polynomials; two numeric checks evaluate the
+resulting identity Δ_M = sum of c(M') Δ_M' at random specializations:
+
+- :class:`BatchedIdentity` checks all the rows of a matrix at once
+  (Freivalds's technique): on each of its 4 trials, one random sample and
+  one random weight per row, with arithmetic modulo the prime 2^61 - 1.
+  A wrong expansion passes a trial with probability at most
+  (2n + 1)/(2^61 - 1).  ``matrix --verify`` runs it in its row loop.
+- :func:`verify_expansion` checks one row on integer samples with exact
+  arithmetic, and so names the row that fails.  It is the ``oracle``
+  suite's check, one per row, and ``matrix --verify`` reruns it on every
+  row when the batched check fails.  Its samples depend only on (n,
+  trials, seed, bound), so every row of one matrix is checked on the same
+  ones.  They are drawn once and kept, with their arc minors and the
+  minor products of the noncrossing matchings seen so far, in a one-entry
+  cache; a call with other parameters replaces it.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 
 from .combinat import (
     Matching,
@@ -45,6 +54,8 @@ from .combinat import (
 SYZYGY_POLICIES = ("first", "last")
 DEFAULT_SEED = 1729
 DEFAULT_ENTRY_BOUND = 1000
+# the Mersenne prime 2^61 - 1, the modulus of :class:`BatchedIdentity`
+MODULUS = (1 << 61) - 1
 
 
 def syzygy_step(m: Matching, pair: tuple) -> tuple[Matching, Matching]:
@@ -166,11 +177,15 @@ def delta_product(z: list[list[int]], m: Matching) -> int:
 class _Samples:
     """The seeded samples of one (n, trials, seed, bound): the minor of
     every arc on every sample, and a memo of the minor products of the
-    noncrossing support matchings checked so far (at most Catalan(n))."""
+    noncrossing support matchings checked so far (at most Catalan(n)).
+    With a ``modulus``, the products are reduced by it.  ``rng`` goes on
+    with the stream that drew the samples."""
 
-    def __init__(self, n: int, trials: int, seed: int, bound: int) -> None:
-        rng = random.Random(seed)
-        self.zs = [sample_z(n, rng, bound) for _ in range(trials)]
+    def __init__(self, n: int, trials: int, seed: int, bound: int,
+                 modulus: int | None = None) -> None:
+        self.rng = random.Random(seed)
+        self.zs = [sample_z(n, self.rng, bound) for _ in range(trials)]
+        self.modulus = modulus
         self.minors = {(i, j): tuple(minor(z, i, j) for z in self.zs)
                        for i, j in combinations(range(1, 2 * n + 1), 2)}
         self.support: dict[Matching, tuple[int, ...]] = {}
@@ -184,7 +199,16 @@ class _Samples:
                 # not an arc on [2n]: minor() raises the ValueError
                 column = tuple(minor(z, i, j) for z in self.zs)
             out = tuple(map(mul, out, column))
-        return out
+        if self.modulus is None:
+            return out
+        return tuple(x % self.modulus for x in out)
+
+
+def _check_support(m_prime: Matching, n: int) -> None:
+    if len(m_prime) != n:
+        raise ValueError(f"size mismatch in expansion support: {m_prime}")
+    if not is_noncrossing(m_prime):
+        raise ValueError(f"expansion support must be noncrossing: {m_prime}")
 
 
 @lru_cache(maxsize=1)
@@ -210,14 +234,72 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     samples = _samples(n, trials, seed, bound)
     support = samples.support
     for m_prime in coeffs:
-        if m_prime in support:
-            continue
-        if len(m_prime) != n:
-            raise ValueError(f"size mismatch in expansion support: {m_prime}")
-        if not is_noncrossing(m_prime):
-            raise ValueError(f"expansion support must be noncrossing: {m_prime}")
-        support[m_prime] = samples.products(m_prime)
+        if m_prime not in support:
+            _check_support(m_prime, n)
+            support[m_prime] = samples.products(m_prime)
     lhs = samples.products(m)
     terms = [(c, support[m_prime]) for m_prime, c in coeffs.items()]
     return all(value == sum(c * p[k] for c, p in terms)
                for k, value in enumerate(lhs))
+
+
+class BatchedIdentity:
+    """The numeric identity of many rows at once, by Freivalds's technique
+    modulo the prime p = 2^61 - 1.
+
+    Each of its :attr:`TRIALS` trials draws one sample z, uniform over the
+    residues mod p, and then one weight w_M per row M as the rows are
+    added.  The check holds iff on every trial
+
+        sum over M of w_M Δ_M(z) = sum over M, M' of w_M c_M(M') Δ_M'(z)
+
+    modulo p, where c_M is the expansion claimed for row M.  If any claimed
+    expansion is wrong, the difference of the two sides is a nonzero
+    polynomial in (w, z) of degree 2n + 1, whose integer coefficients are
+    far below p, so by Schwartz–Zippel a trial misses it with probability
+    at most (2n + 1)/p.  Four trials miss it with probability at most
+    ((2n + 1)/p)^4, below the (2n/2001)^20 of :func:`verify_expansion`'s 20
+    samples on [-1000, 1000] at every n.  A row is reduced to a pair of
+    sums per trial when it is added; what is kept is the arc minors and the
+    Δ_M'(z) of the noncrossing support seen so far, at most Catalan(n) of
+    them.  The samples and weights depend only on ``seed`` and the order in
+    which rows are added.
+    """
+
+    TRIALS = 4
+
+    def __init__(self, n: int, seed: int = DEFAULT_SEED) -> None:
+        self.n = n
+        # samples uniform over the residues mod p; the weights go on with
+        # the same random stream
+        self._samples = _Samples(n, self.TRIALS, seed, MODULUS // 2, MODULUS)
+        # per trial: [sum of w_M Δ_M(z), sum of w_M c_M(M') Δ_M'(z)]
+        self._sums = [[0, 0] for _ in range(self.TRIALS)]
+
+    def add(self, m: Matching, coeffs: dict[Matching, int]) -> None:
+        """Add row ``m`` with its claimed expansion ``coeffs``."""
+        if len(m) != self.n:
+            raise ValueError(f"row {m} is not a matching on [{2 * self.n}]")
+        samples = self._samples
+        support = samples.support
+        values = list(map(support.get, coeffs))
+        # every product first, so that a malformed arc changes no state
+        fresh = {}
+        if None in values:
+            for m_prime in coeffs:
+                if m_prime not in support:
+                    _check_support(m_prime, self.n)
+                    fresh[m_prime] = samples.products(m_prime)
+        row = samples.products(m)
+        if fresh:
+            support.update(fresh)
+            values = list(map(support.__getitem__, coeffs))
+        for t, sums in enumerate(self._sums):
+            expanded = sum(map(mul, coeffs.values(), map(itemgetter(t), values)))
+            weight = samples.rng.randrange(MODULUS)
+            sums[0] = (sums[0] + weight * row[t]) % MODULUS
+            sums[1] = (sums[1] + weight * expanded) % MODULUS
+
+    def holds(self) -> bool:
+        """True iff both sides agree on every trial."""
+        return all(lhs == rhs for lhs, rhs in self._sums)

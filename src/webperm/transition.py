@@ -21,10 +21,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .combinat import (
     Matching,
     Permutation,
+    ballot_count,
     dyck_heights,
     dyck_leq,
     dyck_of_matching,
@@ -150,16 +152,45 @@ def support_check(a: TransitionMatrix) -> list[dict]:
     Returns a list of violation records, each naming the entry by its
     1-based (row, col) and by the Dyck paths of the row and column
     matchings; empty means the matrix is clean.
+
+    When the rows and the columns both run over every Dyck path in table
+    order, a row r is clean if its first nonzero entry is its diagonal
+    entry, equal to 1, every nonzero entry is positive and its column's
+    heights lie pointwise under the row's, and the nonzeros number
+    :func:`~webperm.combinat.ballot_count` of the row: then the nonzero
+    columns are exactly the row's down-set.  Past finding the nonzeros,
+    that costs O(1) big-integer steps per nonzero and O(n^2) per row.  Only
+    a row that fails it is scanned entry by entry with
+    :func:`~webperm.combinat.dyck_leq`, which names every violation.
     """
     violations = []
     row_paths = [dyck_of_matching(m) for m in a.rows]
     col_paths = [dyck_of_matching(m) for m in a.cols]
+    heights = [dyck_heights(p) for p in col_paths]
+    by_heights = row_paths == col_paths == dyck_paths(a.n)
+    # Each height vector packed into one int, b bits per coordinate, all
+    # heights below 2^(b-1).  With the top bit of every field of q set,
+    # q - p borrows across no field and keeps the top bit of field k iff
+    # p_k <= q_k.
+    b = a.n.bit_length() + 1
+    guard = sum(1 << (b * k + b - 1) for k in range(a.n))
+    packed = [sum(h << (b * k) for k, h in enumerate(hs)) for hs in heights]
+
+    def clean(r: int, row: tuple[int, ...]) -> bool:
+        nonzero = list(compress(range(len(row)), row))
+        top = packed[r] | guard
+        return (row[r] == 1 and nonzero[0] == r
+                and len(nonzero) == ballot_count(heights[r])
+                and min(map(row.__getitem__, nonzero)) > 0
+                and all((top - packed[c]) & guard == guard for c in nonzero))
 
     def fail(r: int, c: int, value: int, reason: str) -> None:
         violations.append({"row": r + 1, "col": c + 1, "value": value,
                            "row_path": row_paths[r], "col_path": col_paths[c],
                            "reason": reason})
     for r, row in enumerate(a.entries):
+        if by_heights and clean(r, row):
+            continue
         for c, value in enumerate(row):
             expected_positive = dyck_leq(col_paths[c], row_paths[r])
             if (value > 0) != expected_positive:

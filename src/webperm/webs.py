@@ -16,11 +16,14 @@ median of three, peak RSS of the whole process:
     9    2.24 s, 22 MiB    0.78 s, 25 MiB
 
 Resolution is the cross-check: ``webperm web --source both`` and the test
-suite compare the two sets.
+suite compare the two sets.  ``webperm web --source resolve`` lists the
+resolved set through :func:`web_records`, the constructor behind
+:func:`web_table`, and never runs the filter.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,8 +67,14 @@ def web_table(n: int) -> tuple[WebRecord, ...]:
     table order, N < E (:func:`webperm.combinat.dyck_sort_key`), which
     puts the maximum path first.
     """
+    return web_records(web_set(n))
+
+
+def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
+    """The records of the given web permutations, in the order of
+    :func:`web_table`."""
     records = [WebRecord(s, dyck_of_permutation(s), matching_of_permutation(s))
-               for s in web_set(n)]
+               for s in perms]
     records.sort(key=lambda r: (r.dyck, r.sigma))
     return tuple(records)
 

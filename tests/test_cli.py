@@ -121,11 +121,13 @@ def _break_syzygy(monkeypatch):
 
 
 def _break_numeric(monkeypatch):
-    real = oracle.verify_expansion
-    monkeypatch.setattr(
-        oracle, "verify_expansion",
-        lambda m, coeffs, **kw: real(m, {c: v + 1 for c, v in coeffs.items()},
-                                     **kw))
+    # One wrong arc minor breaks the Plücker relation under both the batched
+    # check and the per-row check that names the rows.  The per-row samples
+    # are drawn afresh, so none cached before the break are reused.
+    real = oracle.minor
+    monkeypatch.setattr(oracle, "minor",
+                        lambda z, i, j: real(z, i, j) + ((i, j) == (1, 4)))
+    monkeypatch.setattr(oracle, "_samples", oracle._samples.__wrapped__)
 
 
 def _break_support(monkeypatch):
@@ -181,6 +183,74 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
     assert f"FAIL: numeric identity refuted on row {row}" in err.splitlines()
     assert "verify OK" not in err
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
+        capsys, monkeypatch, seed):
+    # the batched numeric check fails, and the per-row rerun names only the
+    # row whose expansion is off by one
+    real = oracle.syzygy_insert
+    rows = transition.matrix(6).rows
+    row = rows[len(rows) // 2]
+
+    def wrong(m):
+        coeffs = real(m)
+        if m == row:
+            last = next(reversed(coeffs))
+            coeffs[last] += 1
+        return coeffs
+    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    code, out, err = run(capsys, "matrix", "6", "--verify", "--seed", str(seed))
+    assert code == 1
+    assert [line for line in err.splitlines() if "numeric" in line] == [
+        f"FAIL: numeric identity refuted on row {row}"]
+    assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
+
+
+def test_matrix_verify_fails_when_only_the_batched_check_does(capsys,
+                                                             monkeypatch):
+    # no row is named by the rerun, but the command still fails
+    monkeypatch.setattr(oracle.BatchedIdentity, "holds", lambda self: False)
+    code, out, err = run(capsys, "matrix", "3", "--verify")
+    assert code == 1
+    assert err == "FAIL: numeric identity refuted by the batched check\n"
+
+
+def test_web_source_resolve_runs_no_filter(capsys, monkeypatch):
+    real = webs.web_set
+    sources = []
+
+    def counting(n, source="characterize", *rest):
+        sources.append(source)
+        return real(n, source, *rest)
+    monkeypatch.setattr(webs, "web_set", counting)
+    webs.web_table.cache_clear()
+    code, out, _ = run(capsys, "web", "5", "--source", "resolve",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["agreement"] is True
+    assert sources == ["resolve"]
+
+
+@pytest.mark.parametrize("change", ["drop", "swap"])
+def test_web_source_resolve_agreement_can_fail(capsys, monkeypatch, change):
+    # a resolved set one short of Web_5, or with a non-web permutation in
+    # place of a web one, is not the filter's set
+    real = webs.web_set
+    resolved = sorted(real(5, "resolve"))
+    if change == "drop":
+        wrong = frozenset(resolved[1:])
+    else:
+        wrong = frozenset(resolved[1:]) | {(3, 1, 2, 4, 5)}
+    monkeypatch.setattr(webs, "web_set", lambda n, source="characterize":
+                        wrong if source == "resolve" else real(n, source))
+    code, out, _ = run(capsys, "web", "5", "--source", "resolve",
+                       "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["agreement"] is False
+    assert len(data["rows"]) == len(wrong)
 
 
 def test_web_source_both_runs_the_filter_once(capsys, monkeypatch):

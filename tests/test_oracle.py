@@ -14,6 +14,8 @@ from webperm.combinat import (
 )
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
+    MODULUS,
+    BatchedIdentity,
     _insert_arc,
     _samples,
     delta_product,
@@ -271,3 +273,71 @@ def test_malformed_arc_raises_value_error():
             verify_expansion(bad, {good: 1})
         with pytest.raises(ValueError):
             verify_expansion(good, {bad: 1})
+
+
+# ---------------------------------------------------------------------------
+# the batched numeric check
+# ---------------------------------------------------------------------------
+
+def batch_of(rows, expand, seed):
+    batch = BatchedIdentity(len(rows[0]), seed=seed)
+    for m in rows:
+        batch.add(m, expand(m))
+    return batch
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_batched_identity_holds_on_every_matching(n):
+    assert batch_of(list(matchings(n)), syzygy_insert, seed=n).holds()
+
+
+def test_batched_identity_sums_are_the_definition():
+    # the samples and weights replayed from the seed, the sums taken with
+    # exact integers and reduced once at the end
+    rows = row_labels(4)
+    batch = batch_of(rows, syzygy_expand, seed=3)
+    rng = random.Random(3)
+    zs = [sample_z(4, rng, MODULUS // 2) for _ in range(BatchedIdentity.TRIALS)]
+    sums = [[0, 0] for _ in zs]
+    for m in rows:
+        for z, pair in zip(zs, sums):
+            w = rng.randrange(MODULUS)
+            pair[0] += w * delta_product(z, m)
+            pair[1] += w * sum(c * delta_product(z, mp)
+                               for mp, c in syzygy_expand(m).items())
+    assert batch._sums == [[lhs % MODULUS, rhs % MODULUS] for lhs, rhs in sums]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
+    # +1 on one row and -1 on another at the same column: with every weight
+    # 1 the two errors would cancel
+    rows = row_labels(5)
+    first, second = rows[0], rows[1]
+    shared = next(iter(syzygy_insert(first).keys() & syzygy_insert(second).keys()))
+
+    def wrong(m):
+        coeffs = syzygy_insert(m)
+        if m in (first, second):
+            coeffs[shared] += 1 if m == first else -1
+        return coeffs
+    assert not batch_of(rows, wrong, seed).holds()
+
+
+def test_batched_identity_validates_its_input():
+    batch = BatchedIdentity(2)
+    with pytest.raises(ValueError, match="noncrossing"):
+        batch.add(m0(2), {matching([(1, 3), (2, 4)]): 1})
+    with pytest.raises(ValueError, match="size mismatch"):
+        batch.add(m0(2), {m0(3): 1})
+    with pytest.raises(ValueError, match="not a matching on"):
+        batch.add(((1, 4),), {m0(2): 1})
+    for bad in (((1, 2), (3, 5)), ((1, 2), (4, 3)), ((0, 1), (2, 3))):
+        with pytest.raises(ValueError):
+            batch.add(bad, {m0(2): 1})
+        with pytest.raises(ValueError):
+            batch.add(m0(2), {bad: 1})
+    # a refused row leaves the batch as it was
+    m = matching([(1, 3), (2, 4)])
+    batch.add(m, syzygy_insert(m))
+    assert batch.holds()

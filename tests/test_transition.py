@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 
@@ -5,9 +6,13 @@ import pytest
 
 from webperm.andre import is_312_avoiding
 from webperm.combinat import (
+    ballot_count,
+    catalan,
+    dyck_heights,
     dyck_leq,
     dyck_of_matching,
     dyck_of_permutation,
+    dyck_paths,
     identity,
     matching,
     matching_from_dyck,
@@ -204,6 +209,137 @@ def test_support_check_reports_one_violation(r, c, value, paths, reason):
     violations = support_check(_with_entry(matrix(3), r, c, value))
     assert [(v["row"], v["col"], v["row_path"], v["col_path"], v["reason"])
             for v in violations] == [(r + 1, c + 1, *paths, reason)]
+
+
+def dense_support_check(a):
+    """The support check read literally: every entry against
+    :func:`dyck_leq`, the diagonal and the lower triangle."""
+    rows = [dyck_of_matching(m) for m in a.rows]
+    cols = [dyck_of_matching(m) for m in a.cols]
+    out = []
+    for r, row in enumerate(a.entries):
+        for c, value in enumerate(row):
+            reasons = []
+            if (value > 0) != dyck_leq(cols[c], rows[r]):
+                reasons.append("positivity must match path inclusion")
+            if rows[r] == cols[c] and value != 1:
+                reasons.append("diagonal entry must be 1")
+            if c < r and value != 0:
+                reasons.append("lower triangle must vanish")
+            out += [{"row": r + 1, "col": c + 1, "value": value,
+                     "row_path": rows[r], "col_path": cols[c],
+                     "reason": reason} for reason in reasons]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_support_check_equals_the_dense_scan_on_every_perturbation(n):
+    a = matrix(n)
+    size = len(a.rows)
+    for r in range(size):
+        for c in range(size):
+            v = a.entries[r][c]
+            for value in (v + 1, v - 1, 0, -v):
+                broken = _with_entry(a, r, c, value)
+                assert support_check(broken) == dense_support_check(broken)
+
+
+def test_support_check_equals_the_dense_scan_when_a_nonzero_moves():
+    # the row keeps its nonzero count, so only the height comparison sees
+    # a nonzero moved out of the down-set
+    a = matrix(4)
+    for r, row in enumerate(a.entries):
+        for here in range(len(row)):
+            for there in range(len(row)):
+                if here != r and row[here] and not row[there]:
+                    moved = _with_entry(_with_entry(a, r, here, 0),
+                                        r, there, row[here])
+                    assert support_check(moved) == dense_support_check(moved)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_support_check_scans_only_the_rows_it_cannot_clear(monkeypatch, n):
+    real = transition.dyck_leq
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+    monkeypatch.setattr(transition, "dyck_leq", counting)
+    a = matrix(n)
+    assert support_check(a) == [] and calls == []
+    last = len(a.rows) - 1
+    support_check(_with_entry(a, last, last, 2))
+    assert len(calls) == catalan(n)
+
+
+def test_support_check_scans_relabelled_matrices():
+    # rows that are not the columns' paths get the dense scan, not the
+    # down-set count
+    a = matrix(3)
+    swapped = TransitionMatrix(a.n, a.rows[::-1], a.cols, a.entries)
+    assert support_check(swapped) == dense_support_check(swapped) != []
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_ballot_counts_sum_to_the_stanley_intervals(n):
+    # OEIS A005700: 40,898 at n = 7 and 379,236 at n = 8
+    f = math.factorial
+    closed = (6 * f(2 * n) * f(2 * n + 2)
+              // (f(n) * f(n + 1) * f(n + 2) * f(n + 3)))
+    assert sum(ballot_count(dyck_heights(p)) for p in dyck_paths(n)) == closed
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_ballot_count_is_each_rows_nonzero_count(n):
+    a = matrix(n)
+    for m, row in zip(a.rows, a.entries):
+        below = ballot_count(dyck_heights(dyck_of_matching(m)))
+        assert below == sum(1 for v in row if v)
+
+
+def reflect(m, n):
+    """rho(M): each point i sent to 2n + 1 - i."""
+    return matching((2 * n + 1 - j, 2 * n + 1 - i) for i, j in m)
+
+
+def mirror_indices(a):
+    """rho on the row indices and on the column indices of ``a``."""
+    row_at = {m: r for r, m in enumerate(a.rows)}
+    col_at = {m: c for c, m in enumerate(a.cols)}
+    return ([row_at[reflect(m, a.n)] for m in a.rows],
+            [col_at[reflect(m, a.n)] for m in a.cols])
+
+
+def reflection_violations(a):
+    """Each orbit {(M, M'), (rho M, rho M')} whose two entries differ, as
+    its two 1-based (row, col) pairs."""
+    rho_row, rho_col = mirror_indices(a)
+    out = []
+    for r, row in enumerate(a.entries):
+        for c, value in enumerate(row):
+            s, d = rho_row[r], rho_col[c]
+            if (r, c) < (s, d) and a.entries[s][d] != value:
+                out.append(((r + 1, c + 1), (s + 1, d + 1)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_matrix_is_reflection_symmetric(n):
+    # a(rho M, rho M') = a(M, M'); rho fixes C(n, n // 2) rows
+    a = matrix(n)
+    assert reflection_violations(a) == []
+    rho_row, _ = mirror_indices(a)
+    assert sum(1 for r, s in enumerate(rho_row) if r == s) == math.comb(n, n // 2)
+
+
+def test_reflection_check_names_both_entries_of_a_broken_orbit():
+    a = matrix(4)
+    rho_row, rho_col = mirror_indices(a)
+    r = next(r for r, s in enumerate(rho_row) if r != s)
+    mirror = (rho_row[r] + 1, rho_col[r] + 1)
+    broken = _with_entry(a, r, r, a.entries[r][r] + 1)
+    assert reflection_violations(broken) == [tuple(sorted([(r + 1, r + 1), mirror]))]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
