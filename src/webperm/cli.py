@@ -31,7 +31,7 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # The largest n at which every command fits in 60 s and 2 GiB; the slowest
-# is ``matrix 8 --verify``, about 9.3 s and 63 MiB cold (Python 3.11.7 on a
+# is ``matrix 8 --verify``, about 10 s and 63 MiB cold (Python 3.11.7 on a
 # 2-vCPU KVM guest).  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -67,16 +67,16 @@ def cmd_web(args: argparse.Namespace) -> int:
     agreement = None
     if args.source == "characterize":
         table = webs.web_table(args.n)
-    elif args.source == "both":
+    else:
         resolved = webs.web_set(args.n, "resolve")
+    if args.source == "both":
         table = webs.web_table(args.n)
         agreement = resolved == frozenset(r.sigma for r in table)
         if not agreement:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
             return 1
-    else:
-        resolved = webs.web_set(args.n, "resolve")
+    elif args.source == "resolve":
         table = webs.web_records(resolved)
         # The filter's set without scanning S_n: every resolved sigma
         # passes the cycle-type test, and there are |Web_n| = zigzag(n + 1)

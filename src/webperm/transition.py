@@ -154,13 +154,13 @@ def support_check(a: TransitionMatrix) -> list[dict]:
     matchings; empty means the matrix is clean.
 
     When the rows and the columns both run over every Dyck path in table
-    order, a row r is clean if its first nonzero entry is its diagonal
-    entry, equal to 1, every nonzero entry is positive and its column's
-    heights lie pointwise under the row's, and the nonzeros number
-    :func:`~webperm.combinat.ballot_count` of the row: then the nonzero
-    columns are exactly the row's down-set.  Past finding the nonzeros,
-    that costs O(1) big-integer steps per nonzero and O(n^2) per row.  Only
-    a row that fails it is scanned entry by entry with
+    order, a row r is clean if its diagonal entry is 1, every nonzero
+    entry is positive and its column's heights lie pointwise under the
+    row's, and the nonzeros number :func:`~webperm.combinat.ballot_count`
+    of the row: then the nonzero columns are exactly the row's down-set,
+    which table order puts at and after the diagonal.  Past finding the
+    nonzeros, that costs O(1) big-integer steps per nonzero and O(n^2) per
+    row.  Only a row that fails it is scanned entry by entry with
     :func:`~webperm.combinat.dyck_leq`, which names every violation.
     """
     violations = []
@@ -179,8 +179,7 @@ def support_check(a: TransitionMatrix) -> list[dict]:
     def clean(r: int, row: tuple[int, ...]) -> bool:
         nonzero = list(compress(range(len(row)), row))
         top = packed[r] | guard
-        return (row[r] == 1 and nonzero[0] == r
-                and len(nonzero) == ballot_count(heights[r])
+        return (row[r] == 1 and len(nonzero) == ballot_count(heights[r])
                 and min(map(row.__getitem__, nonzero)) > 0
                 and all((top - packed[c]) & guard == guard for c in nonzero))
 
