@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Arc = tuple[int, int]
@@ -231,7 +230,6 @@ def dyck_paths(n: int) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=None)
 def dyck_heights(path: str) -> tuple[int, ...]:
     """Column heights: entry i-1 is the number of N steps before the i-th E.
 

@@ -1,5 +1,5 @@
 """Independent verification path: the expansion of a matching's minor
-product over the noncrossing basis, plus exact numeric evaluation.
+product over the noncrossing basis, plus its numeric check.
 
 The minors obey the Plücker relation Δ_ac·Δ_bd = Δ_ab·Δ_cd + Δ_ad·Δ_bc
 (a < b < c < d), which rewrites a crossing pair of arcs into its two
@@ -17,22 +17,17 @@ of rewriting reaches it.  Two constructions compute it:
   time, until none is left.  It is the reference that the tests hold the
   insertion to.
 
-The rewriting never touches polynomials; two numeric checks evaluate the
-resulting identity Δ_M = sum of c(M') Δ_M' at random specializations:
-
-- :class:`BatchedIdentity` checks all the rows of a matrix at once
-  (Freivalds's technique): on each of its 4 trials, one random sample and
-  one random weight per row, with arithmetic modulo the prime 2^61 - 1.
-  A wrong expansion passes a trial with probability at most
-  (2n + 1)/(2^61 - 1).  ``matrix --verify`` runs it in its row loop.
-- :func:`verify_expansion` checks one row on integer samples with exact
-  arithmetic, and so names the row that fails.  It is the ``oracle``
-  suite's check, one per row, and ``matrix --verify`` reruns it on every
-  row when the batched check fails.  Its samples depend only on (n,
-  trials, seed, bound), so every row of one matrix is checked on the same
-  ones.  They are drawn once and kept, with their arc minors and the
-  minor products of the noncrossing matchings seen so far, in a one-entry
-  cache; a call with other parameters replaces it.
+The rewriting never touches polynomials; :func:`verify_expansion`
+evaluates the resulting identity Δ_M = sum of c(M') Δ_M' at seeded random
+specializations, uniform over the residues modulo the prime 2^61 - 1, one
+row at a time, so a failure names its row.  A wrong expansion passes a
+sample with probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs
+it on every row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite
+with ``--trials``.  The samples depend only on (n, trials, seed), so every
+row of one matrix is checked on the same ones.  They are drawn once and
+kept, with their arc minors and the minor products of the noncrossing
+matchings seen so far, in a one-entry cache; a call with other parameters
+replaces it.
 """
 
 from __future__ import annotations
@@ -53,9 +48,12 @@ from .combinat import (
 
 SYZYGY_POLICIES = ("first", "last")
 DEFAULT_SEED = 1729
-DEFAULT_ENTRY_BOUND = 1000
-# the Mersenne prime 2^61 - 1, the modulus of :class:`BatchedIdentity`
+# the Mersenne prime 2^61 - 1, the modulus of the numeric check
 MODULUS = (1 << 61) - 1
+# Samples per row in ``matrix --verify``.  A wrong row passes each with
+# probability at most 2n/(2^61 - 1), so all 4 with at most (2n/(2^61 - 1))^4,
+# under 10^-68 for n <= 9.
+MATRIX_TRIALS = 4
 
 
 def syzygy_step(m: Matching, pair: tuple) -> tuple[Matching, Matching]:
@@ -150,13 +148,13 @@ def syzygy_insert(m: Matching) -> dict[Matching, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact numeric evaluation
+# numeric evaluation modulo 2^61 - 1
 # ---------------------------------------------------------------------------
 
-def sample_z(n: int, rng: random.Random,
-             bound: int = DEFAULT_ENTRY_BOUND) -> list[list[int]]:
-    """A random integer 2 x 2n specialization with entries in [-bound, bound]."""
-    return [[rng.randint(-bound, bound) for _ in range(2 * n)] for _ in range(2)]
+def sample_z(n: int, rng: random.Random) -> list[list[int]]:
+    """A random 2 x 2n specialization with entries uniform over the
+    residues modulo :data:`MODULUS`."""
+    return [[rng.randrange(MODULUS) for _ in range(2 * n)] for _ in range(2)]
 
 
 def minor(z: list[list[int]], i: int, j: int) -> int:
@@ -175,23 +173,20 @@ def delta_product(z: list[list[int]], m: Matching) -> int:
 
 
 class _Samples:
-    """The seeded samples of one (n, trials, seed, bound): the minor of
-    every arc on every sample, and a memo of the minor products of the
-    noncrossing support matchings checked so far (at most Catalan(n)).
-    With a ``modulus``, the products are reduced by it.  ``rng`` goes on
-    with the stream that drew the samples."""
+    """The seeded samples of one (n, trials, seed): the minor of every arc
+    on every sample, and a memo of the minor products of the noncrossing
+    support matchings checked so far (at most Catalan(n)), all modulo
+    :data:`MODULUS`."""
 
-    def __init__(self, n: int, trials: int, seed: int, bound: int,
-                 modulus: int | None = None) -> None:
-        self.rng = random.Random(seed)
-        self.zs = [sample_z(n, self.rng, bound) for _ in range(trials)]
-        self.modulus = modulus
-        self.minors = {(i, j): tuple(minor(z, i, j) for z in self.zs)
+    def __init__(self, n: int, trials: int, seed: int) -> None:
+        rng = random.Random(seed)
+        self.zs = [sample_z(n, rng) for _ in range(trials)]
+        self.minors = {(i, j): tuple(minor(z, i, j) % MODULUS for z in self.zs)
                        for i, j in combinations(range(1, 2 * n + 1), 2)}
         self.support: dict[Matching, tuple[int, ...]] = {}
 
     def products(self, m: Matching) -> tuple[int, ...]:
-        """:func:`delta_product` of ``m`` on each sample."""
+        """:func:`delta_product` of ``m`` on each sample, modulo p."""
         out = (1,) * len(self.zs)
         for i, j in m:
             column = self.minors.get((i, j))
@@ -199,9 +194,7 @@ class _Samples:
                 # not an arc on [2n]: minor() raises the ValueError
                 column = tuple(minor(z, i, j) for z in self.zs)
             out = tuple(map(mul, out, column))
-        if self.modulus is None:
-            return out
-        return tuple(x % self.modulus for x in out)
+        return tuple(x % MODULUS for x in out)
 
 
 def _check_support(m_prime: Matching, n: int) -> None:
@@ -212,94 +205,37 @@ def _check_support(m_prime: Matching, n: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _samples(n: int, trials: int, seed: int, bound: int) -> _Samples:
-    return _Samples(n, trials, seed, bound)
+def _samples(n: int, trials: int, seed: int) -> _Samples:
+    return _Samples(n, trials, seed)
 
 
 def verify_expansion(m: Matching, coeffs: dict[Matching, int],
-                     trials: int = 20, seed: int = DEFAULT_SEED,
-                     bound: int = DEFAULT_ENTRY_BOUND) -> bool:
-    """True iff the claimed expansion matches the minor product of ``m`` on
-    ``trials`` seeded random specializations, with exact equality.
+                     trials: int = 20, seed: int = DEFAULT_SEED) -> bool:
+    """True iff the claimed expansion matches the minor product of ``m``
+    modulo p = 2^61 - 1 on ``trials`` seeded random specializations.
 
-    A wrong coefficient vector is refuted by almost any sample.  ``trials``
+    The difference of the two sides is a polynomial of degree 2n in the
+    entries of z.  A wrong claim whose coefficients lie far below p leaves
+    it nonzero modulo p, so by Schwartz–Zippel each sample, uniform over
+    the residues, misses it with probability at most 2n/p.  ``trials``
     must be at least 1, so that a pass always rests on a sample.  The
     samples, their minors and the products of support matchings already
-    validated are shared with the previous call when (n, trials, seed,
-    bound) are the same; the result is what fresh samples would give.
+    validated are shared with the previous call when (n, trials, seed) are
+    the same; the result is what fresh samples would give.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = len(m)
-    samples = _samples(n, trials, seed, bound)
+    samples = _samples(n, trials, seed)
     support = samples.support
-    for m_prime in coeffs:
-        if m_prime not in support:
-            _check_support(m_prime, n)
-            support[m_prime] = samples.products(m_prime)
+    values = list(map(support.get, coeffs))
+    if None in values:
+        for m_prime in coeffs:
+            if m_prime not in support:
+                _check_support(m_prime, n)
+                support[m_prime] = samples.products(m_prime)
+        values = list(map(support.__getitem__, coeffs))
     lhs = samples.products(m)
-    terms = [(c, support[m_prime]) for m_prime, c in coeffs.items()]
-    return all(value == sum(c * p[k] for c, p in terms)
-               for k, value in enumerate(lhs))
-
-
-class BatchedIdentity:
-    """The numeric identity of many rows at once, by Freivalds's technique
-    modulo the prime p = 2^61 - 1.
-
-    Each of its :attr:`TRIALS` trials draws one sample z, uniform over the
-    residues mod p, and then one weight w_M per row M as the rows are
-    added.  The check holds iff on every trial
-
-        sum over M of w_M Δ_M(z) = sum over M, M' of w_M c_M(M') Δ_M'(z)
-
-    modulo p, where c_M is the expansion claimed for row M.  If any claimed
-    expansion is wrong, the difference of the two sides is a nonzero
-    polynomial in (w, z) of degree 2n + 1, whose integer coefficients are
-    far below p, so by Schwartz–Zippel a trial misses it with probability
-    at most (2n + 1)/p.  Four trials miss it with probability at most
-    ((2n + 1)/p)^4, below the (2n/2001)^20 of :func:`verify_expansion`'s 20
-    samples on [-1000, 1000] at every n.  A row is reduced to a pair of
-    sums per trial when it is added; what is kept is the arc minors and the
-    Δ_M'(z) of the noncrossing support seen so far, at most Catalan(n) of
-    them.  The samples and weights depend only on ``seed`` and the order in
-    which rows are added.
-    """
-
-    TRIALS = 4
-
-    def __init__(self, n: int, seed: int = DEFAULT_SEED) -> None:
-        self.n = n
-        # samples uniform over the residues mod p; the weights go on with
-        # the same random stream
-        self._samples = _Samples(n, self.TRIALS, seed, MODULUS // 2, MODULUS)
-        # per trial: [sum of w_M Δ_M(z), sum of w_M c_M(M') Δ_M'(z)]
-        self._sums = [[0, 0] for _ in range(self.TRIALS)]
-
-    def add(self, m: Matching, coeffs: dict[Matching, int]) -> None:
-        """Add row ``m`` with its claimed expansion ``coeffs``."""
-        if len(m) != self.n:
-            raise ValueError(f"row {m} is not a matching on [{2 * self.n}]")
-        samples = self._samples
-        support = samples.support
-        values = list(map(support.get, coeffs))
-        # every product first, so that a malformed arc changes no state
-        fresh = {}
-        if None in values:
-            for m_prime in coeffs:
-                if m_prime not in support:
-                    _check_support(m_prime, self.n)
-                    fresh[m_prime] = samples.products(m_prime)
-        row = samples.products(m)
-        if fresh:
-            support.update(fresh)
-            values = list(map(support.__getitem__, coeffs))
-        for t, sums in enumerate(self._sums):
-            expanded = sum(map(mul, coeffs.values(), map(itemgetter(t), values)))
-            weight = samples.rng.randrange(MODULUS)
-            sums[0] = (sums[0] + weight * row[t]) % MODULUS
-            sums[1] = (sums[1] + weight * expanded) % MODULUS
-
-    def holds(self) -> bool:
-        """True iff both sides agree on every trial."""
-        return all(lhs == rhs for lhs, rhs in self._sums)
+    return all(
+        sum(map(mul, coeffs.values(), map(itemgetter(t), values))) % MODULUS
+        == value for t, value in enumerate(lhs))

@@ -78,10 +78,15 @@ def matrix(n: int) -> TransitionMatrix:
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
-    heights = [dyck_heights(p) for p in dyck_paths(n)]
+    paths = dyck_paths(n)
+    heights = [dyck_heights(p) for p in paths]
     acc: dict[tuple[int, ...], Counter[int]] = {q: Counter() for q in heights}
+    by_path = dict(zip(paths, acc.values()))
     for rec in web_table(n):
-        acc[dyck_heights(rec.dyck)][col_index[rec.matched]] += 1
+        by_path[rec.dyck][col_index[rec.matched]] += 1
+    # acc then holds the only reference, so each row's Counter is freed
+    # as the row is built
+    del by_path
     # Reverse table order is a linear extension of the lattice order, so
     # q|k has finished its pass before q reads it.  k counts from 0 here;
     # the last coordinate is always n and never lowers.

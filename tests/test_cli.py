@@ -121,9 +121,9 @@ def _break_syzygy(monkeypatch):
 
 
 def _break_numeric(monkeypatch):
-    # One wrong arc minor breaks the Plücker relation under both the batched
-    # check and the per-row check that names the rows.  The per-row samples
-    # are drawn afresh, so none cached before the break are reused.
+    # One wrong arc minor breaks the Plücker relation under the numeric
+    # check.  The samples are drawn afresh, so none cached before the break
+    # are reused.
     real = oracle.minor
     monkeypatch.setattr(oracle, "minor",
                         lambda z, i, j: real(z, i, j) + ((i, j) == (1, 4)))
@@ -188,8 +188,7 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
         capsys, monkeypatch, seed):
-    # the batched numeric check fails, and the per-row rerun names only the
-    # row whose expansion is off by one
+    # the numeric check names only the row whose expansion is off by one
     real = oracle.syzygy_insert
     rows = transition.matrix(6).rows
     row = rows[len(rows) // 2]
@@ -208,13 +207,28 @@ def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
     assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
 
 
-def test_matrix_verify_fails_when_only_the_batched_check_does(capsys,
-                                                             monkeypatch):
-    # no row is named by the rerun, but the command still fails
-    monkeypatch.setattr(oracle.BatchedIdentity, "holds", lambda self: False)
-    code, out, err = run(capsys, "matrix", "3", "--verify")
+def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
+        capsys, monkeypatch):
+    # +1 on one row and -1 on another at a column they share: summed over
+    # the rows the errors would cancel, and each row is named on its own
+    real = oracle.syzygy_insert
+    rows = transition.matrix(5).rows
+    first, second = rows[3], rows[7]
+    shared = next(iter(real(first).keys() & real(second).keys()))
+
+    def wrong(m):
+        coeffs = real(m)
+        if m in (first, second):
+            coeffs[shared] += 1 if m == first else -1
+        return coeffs
+    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    code, out, err = run(capsys, "matrix", "5", "--verify")
     assert code == 1
-    assert err == "FAIL: numeric identity refuted by the batched check\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 5"]
+    # every syzygy line comes before every numeric line
+    assert err.splitlines() == [
+        *(f"FAIL: syzygy expansion disagrees on row {m}" for m in (first, second)),
+        *(f"FAIL: numeric identity refuted on row {m}" for m in (first, second))]
 
 
 def test_web_source_resolve_runs_no_filter(capsys, monkeypatch):

@@ -14,8 +14,8 @@ from webperm.combinat import (
 )
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
+    MATRIX_TRIALS,
     MODULUS,
-    BatchedIdentity,
     _insert_arc,
     _samples,
     delta_product,
@@ -159,7 +159,7 @@ def test_two_by_two_exchange_identity():
     rng = random.Random(97)
     for _ in range(1000):
         n = rng.randint(2, 4)
-        z = sample_z(n, rng, bound=1000)
+        z = sample_z(n, rng)
         for a, b, c, d in itertools.combinations(range(1, 2 * n + 1), 4):
             assert (minor(z, a, c) * minor(z, b, d)
                     == minor(z, a, b) * minor(z, c, d)
@@ -201,14 +201,15 @@ def test_verify_expansion_is_seed_deterministic():
     assert verify_expansion(m, coeffs, trials=5, seed=5) is True
 
 
-def fresh_verify(m, coeffs, trials=20, seed=1729, bound=1000):
-    """The numeric check with fresh samples on every call: the definition
-    that the shared samples of ``verify_expansion`` must reproduce."""
+def fresh_verify(m, coeffs, trials=20, seed=1729):
+    """The numeric check with fresh samples on every call, exact minor
+    products reduced once modulo p: the definition that the shared samples
+    of ``verify_expansion`` must reproduce."""
     rng = random.Random(seed)
     for _ in range(trials):
-        z = sample_z(len(m), rng, bound)
-        if delta_product(z, m) != sum(c * delta_product(z, mp)
-                                      for mp, c in coeffs.items()):
+        z = sample_z(len(m), rng)
+        if (delta_product(z, m) - sum(c * delta_product(z, mp)
+                                      for mp, c in coeffs.items())) % MODULUS:
             return False
     return True
 
@@ -225,7 +226,7 @@ def test_shared_samples_agree_with_fresh_on_every_row(n):
         assert verify_expansion(m, coeffs) is fresh_verify(m, coeffs) is True
         wrong = perturbed(coeffs)
         assert verify_expansion(m, wrong) is fresh_verify(m, wrong) is False
-    assert len(_samples(n, 20, 1729, 1000).support) <= catalan(n)
+    assert len(_samples(n, 20, 1729).support) <= catalan(n)
 
 
 def test_shared_samples_survive_hits_and_evictions():
@@ -239,17 +240,23 @@ def test_shared_samples_survive_hits_and_evictions():
                         is fresh_verify(m, coeffs, trials=trials, seed=seed))
 
 
-def test_shared_samples_follow_seed_trials_and_bound():
-    # with entries in {-1, 0, 1} a wrong expansion survives some samples,
-    # so the verdict shows which samples were used
+def test_shared_samples_follow_seed_and_trials():
+    # a wrong one-term expansion whose coefficient is tuned to the first
+    # sample of one seed passes on that sample alone, so the verdict shows
+    # which samples were used
     m = matching([(1, 3), (2, 4)])
-    wrong = {matching([(1, 2), (3, 4)]): 2}
+    target = matching([(1, 2), (3, 4)])
     verdicts = set()
-    for seed in range(12):
-        for trials, bound in ((1, 1), (2, 1), (1, 1000)):
-            got = verify_expansion(m, wrong, trials=trials, seed=seed, bound=bound)
-            assert got is fresh_verify(m, wrong, trials, seed, bound)
-            verdicts.add(got)
+    for tuned in range(4):
+        z = sample_z(2, random.Random(tuned))
+        c = (delta_product(z, m) * pow(delta_product(z, target), -1, MODULUS)
+             % MODULUS)
+        for seed in range(4):
+            for trials in (1, 2):
+                got = verify_expansion(m, {target: c}, trials=trials, seed=seed)
+                assert got is fresh_verify(m, {target: c}, trials, seed)
+                assert got is (seed == tuned and trials == 1)
+                verdicts.add(got)
     assert verdicts == {True, False}
 
 
@@ -276,42 +283,23 @@ def test_malformed_arc_raises_value_error():
 
 
 # ---------------------------------------------------------------------------
-# the batched numeric check
+# a batch of rows on shared samples, as ``matrix --verify`` checks them
 # ---------------------------------------------------------------------------
 
-def batch_of(rows, expand, seed):
-    batch = BatchedIdentity(len(rows[0]), seed=seed)
-    for m in rows:
-        batch.add(m, expand(m))
-    return batch
+def batch_verdicts(rows, expand, seed):
+    """``verify_expansion`` of each row in turn, on the same samples."""
+    return [verify_expansion(m, expand(m), MATRIX_TRIALS, seed) for m in rows]
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_batched_identity_holds_on_every_matching(n):
-    assert batch_of(list(matchings(n)), syzygy_insert, seed=n).holds()
-
-
-def test_batched_identity_sums_are_the_definition():
-    # the samples and weights replayed from the seed, the sums taken with
-    # exact integers and reduced once at the end
-    rows = row_labels(4)
-    batch = batch_of(rows, syzygy_expand, seed=3)
-    rng = random.Random(3)
-    zs = [sample_z(4, rng, MODULUS // 2) for _ in range(BatchedIdentity.TRIALS)]
-    sums = [[0, 0] for _ in zs]
-    for m in rows:
-        for z, pair in zip(zs, sums):
-            w = rng.randrange(MODULUS)
-            pair[0] += w * delta_product(z, m)
-            pair[1] += w * sum(c * delta_product(z, mp)
-                               for mp, c in syzygy_expand(m).items())
-    assert batch._sums == [[lhs % MODULUS, rhs % MODULUS] for lhs, rhs in sums]
+    assert all(batch_verdicts(list(matchings(n)), syzygy_insert, seed=n))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
-    # +1 on one row and -1 on another at the same column: with every weight
-    # 1 the two errors would cancel
+    # +1 on one row and -1 on another at the same column: summed over the
+    # rows the two errors would cancel, and each row is refuted on its own
     rows = row_labels(5)
     first, second = rows[0], rows[1]
     shared = next(iter(syzygy_insert(first).keys() & syzygy_insert(second).keys()))
@@ -321,23 +309,31 @@ def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
         if m in (first, second):
             coeffs[shared] += 1 if m == first else -1
         return coeffs
-    assert not batch_of(rows, wrong, seed).holds()
+    assert batch_verdicts(rows, wrong, seed) == [m not in (first, second)
+                                                 for m in rows]
 
 
 def test_batched_identity_validates_its_input():
-    batch = BatchedIdentity(2)
+    _samples.cache_clear()
+
+    def check(m, coeffs):
+        return verify_expansion(m, coeffs, MATRIX_TRIALS, seed=3)
     with pytest.raises(ValueError, match="noncrossing"):
-        batch.add(m0(2), {matching([(1, 3), (2, 4)]): 1})
+        check(m0(2), {matching([(1, 3), (2, 4)]): 1})
     with pytest.raises(ValueError, match="size mismatch"):
-        batch.add(m0(2), {m0(3): 1})
-    with pytest.raises(ValueError, match="not a matching on"):
-        batch.add(((1, 4),), {m0(2): 1})
+        check(m0(2), {m0(3): 1})
+    with pytest.raises(ValueError, match="need 1 <= i < j <= 2"):
+        check(((1, 4),), {m0(1): 1})
     for bad in (((1, 2), (3, 5)), ((1, 2), (4, 3)), ((0, 1), (2, 3))):
         with pytest.raises(ValueError):
-            batch.add(bad, {m0(2): 1})
+            check(bad, {m0(2): 1})
         with pytest.raises(ValueError):
-            batch.add(m0(2), {bad: 1})
-    # a refused row leaves the batch as it was
+            check(m0(2), {bad: 1})
+    # a refused row leaves the memo as fresh samples would build it
     m = matching([(1, 3), (2, 4)])
-    batch.add(m, syzygy_insert(m))
-    assert batch.holds()
+    assert check(m, syzygy_insert(m))
+    samples = _samples(2, MATRIX_TRIALS, 3)
+    assert set(samples.support) == set(syzygy_insert(m)) | {m0(2)}
+    for mp, values in samples.support.items():
+        assert values == tuple(delta_product(z, mp) % MODULUS
+                               for z in samples.zs)
