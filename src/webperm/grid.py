@@ -23,10 +23,10 @@ Only cells that are maximal in the upper-left partial order may be
 resolved; this keeps the elbow set valid in the switched configuration.
 :func:`_step` is the one resolution step and :func:`resolve` walks the
 tree it spans; :func:`children` is the same step on a configuration.
-Each state carries its crossing set: a smoothed child shares its parent's,
-and a switched child's is its parent's with the cells the switch moves
-recomputed, so only the root's set is built from scratch and none is
-kept after its state.  Fully resolving the identity configuration yields
+A state is sigma with its unresolved crossings, those not elbows: a
+smoothed child drops the resolved one, and a switched child recomputes
+the cells the switch moves, so only the root's set is built from
+scratch.  Fully resolving the identity configuration yields
 the web permutations; resolving :func:`row_configuration` of a nonnesting
 matching M yields the web permutations that make up row M of the
 transition matrix.
@@ -54,16 +54,16 @@ from .combinat import (
 
 DEFAULT_NODE_CAP = 10_000_000
 
-# A resolution state (sigma, elbows, crossings), where crossings is
-# crossings_of(sigma), carried along so that no step rebuilds it.
-State = tuple[Permutation, frozenset[Cell], frozenset[Cell]]
+# A resolution state (sigma, unresolved), where unresolved is
+# crossings_of(sigma) minus the elbows; it is terminal when that is empty.
+State = tuple[Permutation, frozenset[Cell]]
 
 
 def crossings_of(sigma: Permutation) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j and i < sigma^-1(j).
 
     Built from scratch for validation and for the roots of resolution;
-    :func:`resolve` updates it along the tree instead.
+    :func:`resolve` updates the unresolved part along the tree instead.
 
     >>> sorted(crossings_of((1, 2, 3)))
     [(1, 2), (1, 3), (2, 3)]
@@ -212,10 +212,10 @@ def pick_bottom(cells: frozenset[Cell]) -> Cell:
                key=lambda c: (c[1], c[0]))
 
 
-def _switch(sigma: Permutation, crossings: frozenset[Cell], c: Cell,
-            ) -> tuple[Permutation, frozenset[Cell]]:
-    """Switch the crossing c = (i, j) of sigma, whose crossing set is
-    ``crossings``; returns the switched word and its crossing set.
+def _switch(sigma: Permutation, unresolved: frozenset[Cell], c: Cell,
+            ) -> State:
+    """Switch the crossing c = (i, j) of sigma, whose unresolved crossings
+    are ``unresolved``; returns the switched state.
 
     The switch moves the marking of column i up from row a = sigma(i) to
     row j, and that of column k = sigma^-1(j) down from row j to row a.
@@ -223,7 +223,9 @@ def _switch(sigma: Permutation, crossings: frozenset[Cell], c: Cell,
     rectangle [i, k] x [a, j]: column i loses its vertical line on rows
     a < y <= j and column k gains it on rows a < y < j, row j loses its
     horizontal line on columns i < x < k and row a gains it there.  Every
-    other cell is kept.
+    other cell is kept.  No gained cell is a crossing of sigma, so the
+    elbows stay crossings iff every lost cell is unresolved; otherwise
+    :class:`RuntimeError` names the elbows the switch would move.
     """
     i, j = c
     inv = inverse(sigma)
@@ -232,9 +234,12 @@ def _switch(sigma: Permutation, crossings: frozenset[Cell], c: Cell,
     word[i - 1], word[k - 1] = j, a
     gone = {(i, y) for y in range(a + 1, j + 1) if i < inv[y - 1]}
     gone.update((x, j) for x in range(i + 1, k) if sigma[x - 1] < j)
+    if not gone <= unresolved:
+        raise RuntimeError(f"switching {c} in {sigma} invalidated elbows "
+                           f"{sorted(gone - unresolved)}")
     new = {(k, y) for y in range(a + 1, j) if k < inv[y - 1]}
     new.update((x, a) for x in range(i + 1, k) if sigma[x - 1] < a)
-    return tuple(word), (crossings - gone) | new
+    return tuple(word), (unresolved - gone) | new
 
 
 def _step(state: State, pick: Callable[[frozenset[Cell]], Cell],
@@ -242,26 +247,20 @@ def _step(state: State, pick: Callable[[frozenset[Cell]], Cell],
     """Resolve the crossing of ``state`` chosen by ``pick``.
 
     Returns the smoothed and the switched child, in that order, or None
-    when no crossing is left.  The smoothed child keeps the crossing set
-    of its parent; the switched child's set comes from :func:`_switch`.
-    ``pick`` must return a maximal cell of the unresolved crossings it is
-    given.
+    when no crossing is left.  The smoothed child drops the crossing from
+    its parent's unresolved set; the switched child comes from
+    :func:`_switch`.  ``pick`` must return a maximal cell of the
+    unresolved crossings it is given.
     """
-    sigma, elbows, crossings = state
-    rest = crossings - elbows
-    if not rest:
+    sigma, unresolved = state
+    if not unresolved:
         return None
-    c = pick(rest)
-    if c not in rest:
+    c = pick(unresolved)
+    if c not in unresolved:
         raise ValueError(f"{c} is not an unresolved crossing of {sigma}")
-    if _dominated(c, rest):
+    if _dominated(c, unresolved):
         raise ValueError(f"selection policy returned non-maximal cell {c}")
-    switched, switched_crossings = _switch(sigma, crossings, c)
-    if not elbows <= switched_crossings:
-        raise RuntimeError(
-            f"switching {c} in {sigma} invalidated elbows {sorted(elbows)}")
-    return ((sigma, elbows | {c}, crossings),
-            (switched, elbows, switched_crossings))
+    return (sigma, unresolved - {c}), _switch(sigma, unresolved, c)
 
 
 def children(g: GridConfiguration,
@@ -274,11 +273,13 @@ def children(g: GridConfiguration,
     >>> sorted(smoothed.elbows), switched.sigma
     ([(1, 3)], (3, 2, 1))
     """
-    step = _step((g.sigma, g.elbows, crossings_of(g.sigma)), pick)
+    crossings = crossings_of(g.sigma)
+    step = _step((g.sigma, crossings - g.elbows), pick)
     if step is None:
         return None
-    (sigma, elbows, _), (switched, kept, _) = step
-    return GridConfiguration(sigma, elbows), GridConfiguration(switched, kept)
+    (_, rest), (switched, _) = step
+    return (GridConfiguration(g.sigma, crossings - rest),
+            GridConfiguration(switched, g.elbows))
 
 
 def resolve(g: GridConfiguration,
@@ -289,15 +290,15 @@ def resolve(g: GridConfiguration,
 
     Branches depth-first on (smooth, switch) with :func:`_step` at the
     crossing chosen by ``pick``, which must always return a maximal cell
-    of its argument.  Each state on the stack carries its crossing set,
-    built once for ``g`` and updated by every switch, so a set lives only
-    as long as its state.  Terminal states are recognised by
-    elbow-set/crossing-set equality.
+    of its argument.  Each state on the stack carries its unresolved
+    crossings, built once for ``g`` and updated by every step; a state
+    is terminal when none is left.
     Raises :class:`CapExceeded` when more than ``node_cap`` states are
-    visited.
+    visited.  A ``g`` whose elbows a switch would move, such as
+    G(123, {(1, 2)}), is refused with :class:`RuntimeError`.
     """
     out: Counter[Permutation] = Counter()
-    stack: list[State] = [(g.sigma, g.elbows, crossings_of(g.sigma))]
+    stack: list[State] = [(g.sigma, crossings_of(g.sigma) - g.elbows)]
     nodes = 0
     while stack:
         state = stack.pop()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 from .combinat import (
@@ -56,7 +55,6 @@ def col_labels(n: int) -> list[Matching]:
     return enumerate_matchings(n, "NC")
 
 
-@lru_cache(maxsize=None)
 def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 

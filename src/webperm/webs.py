@@ -7,13 +7,13 @@ Two constructions give the web permutations of [n]:
 
 The filter is the default and the one behind :func:`web_table`; it keeps
 nothing but the set it returns.  Resolution keeps its depth-first stack,
-each state with its crossing set, and is the faster.  Each construction
+each state with its unresolved crossings, and is the faster.  Each construction
 alone, in a fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest),
 median of three, peak RSS of the whole process:
 
     n    filter            resolution
-    8    0.23 s, 16 MiB    0.13 s, 16 MiB
-    9    2.24 s, 22 MiB    0.78 s, 25 MiB
+    8    0.26 s, 16 MiB    0.10 s, 17 MiB
+    9    2.47 s, 22 MiB    0.68 s, 25 MiB
 
 Resolution is the cross-check: ``webperm web --source both`` and the test
 suite compare the two sets.  ``webperm web --source resolve`` lists the

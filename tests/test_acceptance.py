@@ -40,7 +40,6 @@ def _report(name: str, detail: str) -> None:
 
 
 def test_c01_transition_matrices(golden_matrices):
-    matrix.cache_clear()
     worst = 0.0
     for n in (2, 3, 4):
         started = time.monotonic()

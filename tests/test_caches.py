@@ -21,6 +21,5 @@ def test_the_package_keeps_exactly_these_caches():
     assert found == {
         "webs.web_table": None,
         "enumeration.f_row": None,
-        "transition.matrix": None,
         "oracle._samples": 1,
     }

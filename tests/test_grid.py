@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -130,19 +131,22 @@ def _roots(n):
 
 
 def _resolution_states(root, pick):
-    """Every state (sigma, elbows, carried crossings) that
-    ``resolve(root, pick=pick)`` visits."""
-    stack = [(root.sigma, root.elbows, crossings_of(root.sigma))]
+    """Every state (sigma, unresolved) that ``resolve(root, pick=pick)``
+    visits, as (sigma, elbows, unresolved).  The elbows are tracked here:
+    a smoothed child adds the crossing its parent resolved, and a switched
+    child keeps its parent's."""
+    stack = [(root.sigma, root.elbows, crossings_of(root.sigma) - root.elbows)]
     leaves = Counter()
     while stack:
-        state = stack.pop()
-        yield state
-        step = _step(state, pick)
+        sigma, elbows, unresolved = stack.pop()
+        yield sigma, elbows, unresolved
+        step = _step((sigma, unresolved), pick)
         if step is None:
-            leaves[state[0]] += 1
+            leaves[sigma] += 1
             continue
-        smoothed, switched = step
-        stack += switched, smoothed
+        (_, rest), (word, moved) = step
+        stack += ((word, elbows, moved),
+                  (sigma, elbows | (unresolved - rest), rest))
     assert leaves == resolve(root, pick=pick)
 
 
@@ -160,10 +164,11 @@ def test_trace_matches_reference_on_resolution_states(n, pick):
 
 def _first_stale_state(n, pick):
     """The first state of the identity tree or a row tree of size ``n``
-    whose carried crossing set is not ``crossings_of`` its word."""
+    whose unresolved set is not ``crossings_of`` its word minus its
+    elbows."""
     for root in _roots(n):
-        for sigma, elbows, carried in _resolution_states(root, pick):
-            if carried != crossings_of(sigma):
+        for sigma, elbows, unresolved in _resolution_states(root, pick):
+            if unresolved != crossings_of(sigma) - elbows:
                 return sigma, elbows
     return None
 
@@ -179,13 +184,13 @@ def _switch_skipping(line):
     was in the parent: column i or k = sigma^-1(j), row a = sigma(i) or j."""
     real = grid._switch
 
-    def switch(sigma, crossings, c):
+    def switch(sigma, unresolved, c):
         i, j = c
         axis, index = {"column i": (0, i), "column k": (0, sigma.index(j) + 1),
                        "row a": (1, sigma[i - 1]), "row j": (1, j)}[line]
-        word, fresh = real(sigma, crossings, c)
+        word, fresh = real(sigma, unresolved, c)
         return word, (frozenset(d for d in fresh if d[axis] != index)
-                      | {d for d in crossings if d[axis] == index})
+                      | {d for d in unresolved if d[axis] == index})
     return switch
 
 
@@ -273,10 +278,12 @@ def test_upper_left_maximal_is_antichain():
 
 
 def test_smooth_and_switch_worked_example():
-    state = (FIG_SIGMA, FIG_ELBOWS, crossings_of(FIG_SIGMA))
+    state = (FIG_SIGMA, crossings_of(FIG_SIGMA) - FIG_ELBOWS)
+    assert state[1] == {(1, 2), (2, 4), (3, 4)}
+    assert crossings_of((1, 4, 2, 3)) == {(1, 2), (1, 3), (1, 4), (3, 3)}
     assert _step(state, lambda cells: (2, 4)) == (
-        (FIG_SIGMA, FIG_ELBOWS | {(2, 4)}, crossings_of(FIG_SIGMA)),
-        ((1, 4, 2, 3), FIG_ELBOWS, frozenset({(1, 2), (1, 3), (1, 4), (3, 3)})))
+        (FIG_SIGMA, frozenset({(1, 2), (3, 4)})),
+        ((1, 4, 2, 3), frozenset({(1, 2), (3, 3)})))
     assert children(GridConfiguration(FIG_SIGMA, FIG_ELBOWS),
                     lambda cells: (2, 4)) == (
         GridConfiguration(FIG_SIGMA, FIG_ELBOWS | {(2, 4)}),
@@ -359,6 +366,18 @@ def test_resolve_rejects_bad_policy():
     with pytest.raises(ValueError, match="not an unresolved crossing"):
         resolve(GridConfiguration((3, 1, 2), frozenset()),
                 pick=lambda cells: (1, 1))
+
+
+@pytest.mark.parametrize("pick", [pick_top_left, pick_bottom])
+def test_resolve_refuses_elbows_a_switch_would_move(pick):
+    # the elbow (1, 2) lies below the maximal crossing (1, 3), so switching
+    # (1, 3) would take it off the crossings of the switched word
+    g = GridConfiguration((1, 2, 3), frozenset({(1, 2)}))
+    message = "switching (1, 3) in (1, 2, 3) invalidated elbows [(1, 2)]"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        resolve(g, pick=pick)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        children(g, pick)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
