@@ -66,23 +66,23 @@ def cmd_web(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     agreement = None
     if args.source == "characterize":
-        table = webs.web_table(args.n)
+        table = webs.web_records(webs.web_set(args.n))
     else:
-        resolved = webs.web_set(args.n, "resolve")
-    if args.source == "both":
         table = webs.web_table(args.n)
-        agreement = resolved == frozenset(r.sigma for r in table)
+    if args.source == "both":
+        agreement = frozenset(r.sigma for r in table) == webs.web_set(args.n)
         if not agreement:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
             return 1
-    elif args.source == "resolve":
-        table = webs.web_records(resolved)
+    elif args.source == "resolve" and args.format == "json":
         # The filter's set without scanning S_n: every resolved sigma
-        # passes the cycle-type test, and there are |Web_n| = zigzag(n + 1)
-        # of them, the count the euler suite checks.
-        agreement = (len(resolved) == enumeration.euler_numbers(args.n + 1)[-1]
-                     and all(map(andre.is_web, resolved)))
+        # passes the cycle-type test, and there are zigzag(n + 1) of them,
+        # which is |{sigma in S_n : every cycle Andre}| by the paper's
+        # characterization theorem; test_c04 (n <= 7) and --source both
+        # check that count.  Only JSON output reports it.
+        agreement = (len(table) == enumeration.euler_numbers(args.n + 1)[-1]
+                     and all(andre.is_web(r.sigma) for r in table))
     rows = [(perm_to_str(r.sigma), webs.cycle_notation(r.sigma), r.dyck,
              r.matched)
             for r in table]

@@ -97,6 +97,8 @@ class GridConfiguration:
 
 def empty_configuration(n: int) -> GridConfiguration:
     """G(id, {}): the starting point of every full resolution."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return GridConfiguration(identity(n), frozenset())
 
 

@@ -11,9 +11,9 @@ evaluates this by grouping the web table by (D, M) into counts
 C[p][M'] and summing them over the Dyck lattice with a zeta transform,
 F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  A second
 construction, :func:`resolution_matrix`, resolves the grid configuration
-of each row, reusing the row its smoothed root belongs to; both must
-agree, and both must agree with the syzygy-rewriting expansion of
-:mod:`webperm.oracle`.
+of each row, reusing the row its smoothed root belongs to.  The web table
+is resolved too, from the identity grid, so both must also agree with
+the expansion of :mod:`webperm.oracle`, which never touches the grid.
 """
 
 from __future__ import annotations

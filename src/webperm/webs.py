@@ -2,23 +2,21 @@
 
 Two constructions give the web permutations of [n]:
 
-- "characterize": filtering the symmetric group by the Andre-cycle test,
-- "resolve": full crossing resolution of the identity grid configuration.
+- "resolve": full crossing resolution of the identity grid configuration,
+- "characterize": filtering the symmetric group by the Andre-cycle test.
 
-The filter is the default and the one behind :func:`web_table`; it keeps
-nothing but the set it returns.  Resolution keeps its depth-first stack,
-each state with its unresolved crossings, and is the faster.  Each construction
-alone, in a fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest),
-median of three, peak RSS of the whole process:
+Resolution is behind :func:`web_table` and is the faster; its stack holds
+each state with its unresolved crossings.  The filter keeps nothing but
+the set it returns and is the cross-check: ``webperm web --source both``
+and the test suite compare the two sets, and the default ``webperm web``
+listing prints the filter's set through :func:`web_records`.  In a fresh
+interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of three, peak
+RSS of the whole process; the table's time is mostly D(sigma) and M(sigma)
+per record, and built from the filter it took 0.54 s and 4.51 s:
 
-    n    filter            resolution
-    8    0.26 s, 16 MiB    0.10 s, 17 MiB
-    9    2.47 s, 22 MiB    0.68 s, 25 MiB
-
-Resolution is the cross-check: ``webperm web --source both`` and the test
-suite compare the two sets.  ``webperm web --source resolve`` lists the
-resolved set through :func:`web_records`, the constructor behind
-:func:`web_table`, and never runs the filter.
+    n    filter            resolution        web_table
+    8    0.24 s, 16 MiB    0.09 s, 16 MiB    0.35 s, 23 MiB
+    9    1.98 s, 22 MiB    0.64 s, 25 MiB    3.23 s, 69 MiB
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ def web_set(n: int, source: str = "characterize") -> frozenset[Permutation]:
 def web_table(n: int) -> tuple[WebRecord, ...]:
     """All web records for [n], sorted by (Dyck path, word).
 
-    Uses the filter construction; the test suite certifies its agreement
-    with resolution.
+    Built from resolution; the filter, run only by ``webperm web
+    --source characterize|both`` and the tests, is its cross-check.
 
     Two Dyck orders are in use, both pinned by output bytes.  This one
     compares paths as strings, E < N, so the staircase comes first; the
@@ -67,7 +65,7 @@ def web_table(n: int) -> tuple[WebRecord, ...]:
     table order, N < E (:func:`webperm.combinat.dyck_sort_key`), which
     puts the maximum path first.
     """
-    return web_records(web_set(n))
+    return web_records(web_set(n, "resolve"))
 
 
 def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webperm import cli, oracle, transition, webs
+from webperm import andre, cli, oracle, transition, webs
 from webperm.enumeration import seidel_rows
 
 
@@ -231,7 +231,17 @@ def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
         *(f"FAIL: numeric identity refuted on row {m}" for m in (first, second))]
 
 
-def test_web_source_resolve_runs_no_filter(capsys, monkeypatch):
+@pytest.fixture
+def cold_web_table():
+    # web_table's cache hides a patched web_set: clear it before the patch
+    # so the table is built through it, and after so a wrong table never
+    # reaches a later test
+    webs.web_table.cache_clear()
+    yield
+    webs.web_table.cache_clear()
+
+
+def _count_sources(monkeypatch):
     real = webs.web_set
     sources = []
 
@@ -239,7 +249,12 @@ def test_web_source_resolve_runs_no_filter(capsys, monkeypatch):
         sources.append(source)
         return real(n, source, *rest)
     monkeypatch.setattr(webs, "web_set", counting)
-    webs.web_table.cache_clear()
+    return sources
+
+
+def test_web_source_resolve_runs_no_filter(capsys, monkeypatch,
+                                           cold_web_table):
+    sources = _count_sources(monkeypatch)
     code, out, _ = run(capsys, "web", "5", "--source", "resolve",
                        "--format", "json")
     assert code == 0
@@ -248,7 +263,8 @@ def test_web_source_resolve_runs_no_filter(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("change", ["drop", "swap"])
-def test_web_source_resolve_agreement_can_fail(capsys, monkeypatch, change):
+def test_web_source_resolve_agreement_can_fail(capsys, monkeypatch, change,
+                                               cold_web_table):
     # a resolved set one short of Web_5, or with a non-web permutation in
     # place of a web one, is not the filter's set
     real = webs.web_set
@@ -267,19 +283,51 @@ def test_web_source_resolve_agreement_can_fail(capsys, monkeypatch, change):
     assert len(data["rows"]) == len(wrong)
 
 
-def test_web_source_both_runs_the_filter_once(capsys, monkeypatch):
-    real = webs.web_set
-    sources = []
+def test_web_source_resolve_checks_agreement_only_for_json(capsys,
+                                                           monkeypatch):
+    # text output has no agreement field, so it runs no cycle-type test
+    real = andre.is_web
+    calls = []
 
-    def counting(n, source="characterize", *rest):
-        sources.append(source)
-        return real(n, source, *rest)
-    monkeypatch.setattr(webs, "web_set", counting)
-    webs.web_table.cache_clear()
+    def counting(sigma):
+        calls.append(sigma)
+        return real(sigma)
+    monkeypatch.setattr(andre, "is_web", counting)
+    code, out, _ = run(capsys, "web", "5", "--source", "resolve")
+    assert code == 0 and len(out.splitlines()) == 61
+    assert calls == []
+    code, out, _ = run(capsys, "web", "5", "--source", "resolve",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["agreement"] is True
+    assert len(calls) == 61
+
+
+def test_web_source_both_runs_the_filter_once(capsys, monkeypatch,
+                                              cold_web_table):
+    sources = _count_sources(monkeypatch)
     code, out, _ = run(capsys, "web", "5", "--source", "both")
     assert code == 0
     assert out.endswith("agreement OK (61 permutations)\n")
     assert sorted(sources) == ["characterize", "resolve"]
+
+
+@pytest.mark.parametrize("command", ["matrix 5 --verify",
+                                     "verify --suite all --max-n 5"])
+def test_only_web_listings_run_the_filter(capsys, monkeypatch, command,
+                                          cold_web_table):
+    # the web table is built by resolution, so the matrix and the identity
+    # suites never scan S_n
+    sources = _count_sources(monkeypatch)
+    code, _, _ = run(capsys, *command.split())
+    assert code == 0
+    assert "resolve" in sources
+    assert "characterize" not in sources
+
+
+@pytest.mark.parametrize("source", ["characterize", "resolve", "both"])
+def test_web_rejects_negative_n(capsys, source):
+    code, out, err = run(capsys, "web", "-1", "--source", source)
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
 
 
 def test_web_text(capsys, golden_web_tables):

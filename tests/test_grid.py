@@ -391,6 +391,14 @@ def test_resolution_order_independence(n):
         assert set(a.values()) <= {1}
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_sizes_are_refused(n):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        empty_configuration(n)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        web_permutations(n)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_web_permutation_counts(n):
     expected = [1, 2, 5, 16, 61, 272][n - 1]
