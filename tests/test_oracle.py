@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from webperm import oracle
 from webperm.combinat import (
     catalan,
     crossing_arc_pairs,
@@ -99,7 +100,7 @@ def partners(arcs, n):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_syzygy_insert_equals_rewriting_on_every_matching(n):
-    # the arcs are inserted sorted and in a shuffled order
+    # the arcs are given sorted and in a shuffled order
     rng = random.Random(11 + n)
     for m in matchings(n):
         shuffled = list(m)
@@ -113,6 +114,21 @@ def test_syzygy_insert_equals_rewriting_on_nn_rows_of_size_6():
     # sizes up to 5 are covered by every matching above
     for m in row_labels(6):
         assert syzygy_insert(m) == syzygy_expand(m, "first") == syzygy_expand(m, "last")
+
+
+def test_syzygy_insert_inserts_the_shortest_arc_first(monkeypatch):
+    # by length, ties by opener; each arc is inserted into every state of
+    # the expansion before it
+    real = oracle._insert_arc
+    order = []
+
+    def recording(partner, x, y):
+        order.append((x, y))
+        return real(partner, x, y)
+    monkeypatch.setattr(oracle, "_insert_arc", recording)
+    m = matching([(1, 3), (2, 5), (4, 7), (6, 8)])
+    assert syzygy_insert(m) == syzygy_expand(m)
+    assert list(dict.fromkeys(order)) == [(1, 3), (6, 8), (2, 5), (4, 7)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -1,5 +1,4 @@
 import math
-import re
 from collections import Counter
 
 import pytest
@@ -13,7 +12,6 @@ from webperm.combinat import (
     dyck_of_matching,
     dyck_of_permutation,
     dyck_paths,
-    identity,
     matching,
     matching_from_dyck,
 )
@@ -99,7 +97,7 @@ def test_matrix_matches_literal_characterization(n):
     assert matrix(n).entries == literal_entries(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_methods_agree(n):
     assert matrix(n).entries == resolution_matrix(n).entries
 
@@ -140,35 +138,46 @@ def test_recurrence_equals_per_row_resolution(n):
         assert tuple(counts) == row
 
 
-def test_recurrence_without_the_switch_subtree_disagrees(monkeypatch):
-    # Switching moves a marking off the diagonal, so only the terminal
-    # staircase root still resolves.
-    real = transition.resolve
-    monkeypatch.setattr(transition, "resolve", lambda g: real(g) if
-                        g.sigma == identity(len(g.sigma)) else Counter())
-    assert resolution_matrix(4).entries != matrix(4).entries
+def test_resolution_matrix_steps_each_distinct_state_once(monkeypatch):
+    real = transition._step
+    stepped = []
+
+    def counting(state, pick):
+        stepped.append(state)
+        return real(state, pick)
+    monkeypatch.setattr(transition, "_step", counting)
+    assert resolution_matrix(7).entries == matrix(7).entries
+    assert len(stepped) == len(set(stepped)) == 3994
+    # the memo is local to the call: a second call steps every state again
+    stepped.clear()
+    resolution_matrix(7)
+    assert len(stepped) == 3994
 
 
-def test_recurrence_from_the_wrong_row_disagrees(monkeypatch):
-    # Every smoothed root is sent to the staircase, the last row.
-    real = transition.children
-    staircase = row_configuration(row_labels(4)[-1])
-
-    def wrong(g):
-        split = real(g)
-        return split and (staircase, split[1])
-    monkeypatch.setattr(transition, "children", wrong)
-    assert resolution_matrix(4).entries != matrix(4).entries
+def test_dag_keyed_on_sigma_alone_raises(monkeypatch):
+    # a smoothed child keeps its parent's sigma, so every state becomes its
+    # own child and is read before its value is in
+    monkeypatch.setattr(transition, "_key", lambda state, bit: bytes(state[0]))
+    with pytest.raises(KeyError):
+        resolution_matrix(5)
 
 
-def test_recurrence_refuses_a_smoothed_root_that_is_no_later_row(monkeypatch):
-    real = transition.children
-    monkeypatch.setattr(transition, "children",
-                        lambda g: (split := real(g)) and (g, split[1]))
-    row = row_labels(4)[-2]
-    with pytest.raises(RuntimeError, match=re.escape(
-            f"smoothing the root of row {row} gives no later row's root")):
-        resolution_matrix(4)
+def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
+    def early(values, reads, s):
+        reads[s] -= 1
+        if reads[s] > 1:
+            return values[s], False
+        return values.pop(s), True
+    monkeypatch.setattr(transition, "_take", early)
+    with pytest.raises(KeyError):
+        resolution_matrix(5)
+
+
+def test_dag_without_the_switched_child_disagrees(monkeypatch):
+    real = transition._step
+    monkeypatch.setattr(transition, "_step",
+                        lambda state, pick: (step := real(state, pick)) and step[:1])
+    assert resolution_matrix(5).entries != matrix(5).entries
 
 
 @pytest.mark.parametrize("n", range(1, 6))
