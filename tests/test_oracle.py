@@ -98,9 +98,23 @@ def partners(arcs, n):
     return tuple(out)
 
 
+def insert_in_order(arcs, n):
+    """The expansion by inserting ``arcs`` with :func:`_insert_arc` in the
+    order given, as partner tuples."""
+    expansion = {partners((), n): 1}
+    for x, y in arcs:
+        grown = {}
+        for partner, coeff in expansion.items():
+            for state in _insert_arc(partner, x, y):
+                grown[state] = grown.get(state, 0) + coeff
+        expansion = grown
+    return expansion
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_syzygy_insert_equals_rewriting_on_every_matching(n):
-    # the arcs are given sorted and in a shuffled order
+    # syzygy_insert fixes its own order, so the shuffled order is also
+    # inserted as given: the expansion is unique, whatever the order
     rng = random.Random(11 + n)
     for m in matchings(n):
         shuffled = list(m)
@@ -108,6 +122,8 @@ def test_syzygy_insert_equals_rewriting_on_every_matching(n):
         expected = syzygy_expand(m, "first")
         assert expected == syzygy_expand(m, "last")
         assert syzygy_insert(m) == syzygy_insert(tuple(shuffled)) == expected
+        assert insert_in_order(shuffled, n) == {
+            partners(mp, n): c for mp, c in expected.items()}
 
 
 def test_syzygy_insert_equals_rewriting_on_nn_rows_of_size_6():
