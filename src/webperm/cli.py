@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from itertools import compress
+from operator import itemgetter
 
 from . import andre, enumeration, oracle, transition, webs
 from .combinat import (
@@ -129,15 +130,19 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     # compared and dropped at once, so it is not alive during the oracle loop
     if transition.resolution_matrix(args.n).entries != a.entries:
         failures.append("entry methods disagree")
-    refuted = []
-    for m, row in zip(a.rows, a.entries):
-        coeffs = oracle.syzygy_insert(m)
-        if coeffs != {a.cols[c]: row[c] for c in compress(range(len(row)), row)}:
-            failures.append(f"syzygy expansion disagrees on row {m}")
-        if not oracle.verify_expansion(m, coeffs, oracle.MATRIX_TRIALS,
-                                       args.seed):
-            refuted.append(f"numeric identity refuted on row {m}")
-    failures.extend(refuted)
+    disagree, refuted = [], []
+    for r, coeffs, sampled in oracle.check_rows(a.rows, a.cols,
+                                                oracle.MATRIX_TRIALS,
+                                                args.seed):
+        row = a.entries[r]
+        if coeffs != {c: row[c] for c in compress(range(len(row)), row)}:
+            disagree.append(r)
+        if not sampled:
+            refuted.append(r)
+    failures.extend(f"syzygy expansion disagrees on row {a.rows[r]}"
+                    for r in sorted(disagree))
+    failures.extend(f"numeric identity refuted on row {a.rows[r]}"
+                    for r in sorted(refuted))
     failures.extend(f"{v['reason']} at ({v['row']},{v['col']}): "
                     f"row {v['row_path']}, col {v['col_path']}"
                     for v in transition.support_check(a))
@@ -215,17 +220,19 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
     checks = []
     for n in range(1, min(max_n, 5) + 1):
         a = transition.matrix(n)
-        for m, row in zip(a.rows, a.entries):
-            coeffs = oracle.syzygy_insert(m)
+        verdicts = sorted(oracle.check_rows(a.rows, a.cols, trials, seed),
+                          key=itemgetter(0))
+        for (_, coeffs, sampled), m, row in zip(verdicts, a.rows, a.entries):
             checks.append(_check(
                 f"syzygy expansion of {dyck_of_matching(m)} matches matrix row",
-                n, None, [coeffs.get(c, 0) for c in a.cols], list(row)))
+                n, None,
+                None if coeffs is None
+                else [coeffs.get(c, 0) for c in range(len(row))],
+                list(row)))
             checks.append(_check(
                 f"numeric identity for {dyck_of_matching(m)} "
                 f"({trials} samples, seed {seed})",
-                n, None,
-                oracle.verify_expansion(m, coeffs, trials=trials, seed=seed),
-                True))
+                n, None, sampled, True))
     return checks
 
 

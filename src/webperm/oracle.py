@@ -12,23 +12,40 @@ of rewriting reaches it.  Two constructions compute it:
   before it.
   Inserting an arc into a noncrossing partial matching walks along the
   new chord and smooths each arc it crosses, in order, into 2^k
-  noncrossing states of coefficient 1.  Every row starts from the empty
+  noncrossing states of coefficient 1.  The states are partner tuples
+  (entry p is the other end of the arc at p, 0 at a free point), and the
+  expansion is returned keyed by them.  Every row starts from the empty
   matching and nothing is kept across rows.
 - :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
   time, until none is left.  It is the reference that the tests hold the
   insertion to.
 
-The rewriting never touches polynomials; :func:`verify_expansion`
-evaluates the resulting identity Δ_M = sum of c(M') Δ_M' at seeded random
-specializations, uniform over the residues modulo the prime 2^61 - 1, one
-row at a time, so a failure names its row.  A wrong expansion passes a
-sample with probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs
-it on every row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite
-with ``--trials``.  The samples depend only on (n, trials, seed), so every
-row of one matrix is checked on the same ones.  They are drawn once and
-kept, with their arc minors and the minor products of the noncrossing
-matchings seen so far, in a one-entry cache; a call with other parameters
-replaces it.
+:func:`check_rows` runs the oracle on the rows of a transition matrix
+for ``matrix --verify`` and the ``oracle`` suite.  It maps each
+expansion to column indices through the columns' partner tuples; a key
+that is not a column fails the row.  The reflection ρ: i ↦ 2n+1−i maps
+crossings to crossings and smoothings to smoothings, so the expansion of
+ρM is ρ of the expansion of M, and one insertion serves the orbit
+{M, ρM}: ρM reads the coefficients at the columns ρ permutes them to.
+That is 232 insertions for the 429 rows of n = 7 and 2,494 for the
+4,862 of n = 9.  Each row is still compared with its own matrix row and
+sampled on its own expansion, so a wrong expansion names every row it
+reaches, and a fault in the pairing or in the column map is caught too.
+
+The rewriting never touches polynomials; the numeric check evaluates the
+identity Δ_M = sum of c(M') Δ_M' at seeded random specializations,
+uniform over the residues modulo the prime 2^61 - 1, one row at a time,
+so a failure names its row.  A wrong expansion passes a sample with
+probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs it on every
+row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite with
+``--trials``; :func:`verify_expansion` is the same check on one
+``Matching``-keyed expansion.  The samples depend only on (n, trials,
+seed), so every row of one matrix is checked on the same ones.  They are
+drawn once and kept, with their arc minors and the minor products of the
+noncrossing matchings that :func:`verify_expansion` has seen, in a
+one-entry cache; a call with other parameters replaces it.
+:func:`check_rows` reads the minor product of every column from them
+once per call.
 """
 
 from __future__ import annotations
@@ -125,22 +142,30 @@ def _insert_arc(partner: tuple[int, ...], x: int,
         yield tuple(state)
 
 
-def syzygy_insert(m: Matching) -> dict[Matching, int]:
+def syzygy_insert(m: Matching) -> dict[tuple[int, ...], int]:
     """Expand a matching over noncrossing matchings by arc insertion.
 
     Starting from the empty matching, the arcs of ``m`` are inserted one
     at a time by :func:`_insert_arc`, shortest first and ties by opener.
-    The expansion over the noncrossing basis is unique (Rumer–Teller–Weyl),
-    so the arc order does not change the result, which equals
-    ``syzygy_expand(m)`` up to the order of its keys.  It changes the work:
-    an arc (x, y) of a nonnesting matching crosses y - x - 1 others, so the
-    expansions stay small for longer, and the rows of n = 7 and 8 take
-    72,267 and 735,307 walks, against 85,552 and 814,697 in opener order.
+    The expansion is keyed by partner tuples (see :func:`partners`), as
+    the states are while arcs are inserted.  It is unique
+    (Rumer–Teller–Weyl), so the arc order does not change the result,
+    which is ``syzygy_expand(m)`` with each key in its partner tuple.  It
+    changes the work: an arc (x, y) of a nonnesting matching crosses
+    y - x - 1 others, so the expansions stay small for longer, and the rows
+    of n = 7 and 8 take 72,267 and 735,307 walks, against 85,552 and
+    814,697 in opener order.
+
+    Memory is bounded by two expansions, the one being grown and the one
+    it grows from.  The result has at most Catalan(n) keys; on the 2,494
+    rows that ``matrix 9 --verify`` inserts, at most 6,292 states are
+    alive at once, and the largest result has all 4,862.  The whole oracle
+    of n = 9 (:func:`check_rows`, without the matrix) peaks at 26 MiB RSS
+    in 16.5 s (Python 3.11.7 on a 2-vCPU KVM guest).
 
     >>> sorted(syzygy_insert(matching([(1, 3), (2, 4)])).items())
-    [(((1, 2), (3, 4)), 1), (((1, 4), (2, 3)), 1)]
+    [((0, 2, 1, 4, 3), 1), ((0, 4, 3, 2, 1), 1)]
     """
-    # keyed by partner tuples while arcs are inserted
     expansion: dict[tuple[int, ...], int] = {(0,) * (2 * len(m) + 1): 1}
     for x, y in sorted(m, key=lambda arc: (arc[1] - arc[0], arc[0])):
         grown: dict[tuple[int, ...], int] = {}
@@ -148,8 +173,38 @@ def syzygy_insert(m: Matching) -> dict[Matching, int]:
             for state in _insert_arc(partner, x, y):
                 grown[state] = grown.get(state, 0) + coeff
         expansion = grown
-    return {tuple([(p, q) for p, q in enumerate(partner) if p < q]): coeff
-            for partner, coeff in expansion.items()}
+    return expansion
+
+
+def partners(m: Matching) -> tuple[int, ...]:
+    """The partner tuple of a matching on [2n]: entry p is the other end of
+    the arc at p, and entry 0 is 0.
+
+    >>> partners(matching([(1, 4), (2, 3)]))
+    (0, 4, 3, 2, 1)
+    """
+    out = [0] * (2 * len(m) + 1)
+    for p, q in m:
+        out[p] = q
+        out[q] = p
+    return tuple(out)
+
+
+def reflect(partner: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a perfect matching's partner tuple under ρ: i ↦ 2n+1−i.
+
+    >>> reflect(partners(matching([(1, 2), (3, 5), (4, 6)])))
+    (0, 3, 4, 1, 2, 6, 5)
+    """
+    end = len(partner)
+    return (0, *[end - q for q in reversed(partner[1:])])
+
+
+def reflection(keys: list[tuple[int, ...]]) -> list[int]:
+    """The permutation of indices that ρ induces on a list of partner
+    tuples closed under ρ: entry k is the index of ``reflect(keys[k])``."""
+    index = {key: k for k, key in enumerate(keys)}
+    return [index[reflect(key)] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +299,53 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     return all(
         sum(map(mul, coeffs.values(), map(itemgetter(t), values))) % MODULUS
         == value for t, value in enumerate(lhs))
+
+
+def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
+               trials: int, seed: int
+               ) -> Iterator[tuple[int, dict[int, int] | None, bool]]:
+    """The oracle's verdicts on the rows of a transition matrix, one ρ-orbit
+    of rows at a time (see the module docstring); ``rows`` and ``cols``
+    must each be closed under ρ.
+
+    Yields (r, expansion, sampled) once for each row index r.  The
+    expansion is that of ``rows[r]`` over column indices, or None if a key
+    is not a column (no noncrossing perfect matching on [2n]).  ``sampled``
+    is the numeric check of Δ_M = sum of c(M') Δ_M' on the ``trials``
+    samples of (n, trials, seed), and an expansion of None fails it.  The
+    row of each orbit first in ``rows`` is inserted; its mirror reads the
+    same coefficients at the columns ρ permutes them to.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    samples = _samples(len(cols[0]), trials, seed)
+    column_of = {partners(c): k for k, c in enumerate(cols)}
+    mirror_col = reflection(list(column_of))
+    mirror_row = reflection(list(map(partners, rows)))
+    # per sample, the minor product of each column
+    by_sample = list(zip(*map(samples.products, cols)))
+
+    def sampled(r: int, coeffs: dict[int, int] | None) -> bool:
+        return coeffs is not None and all(
+            sum(map(mul, coeffs.values(), map(products.__getitem__, coeffs)))
+            % MODULUS == value
+            for products, value in zip(by_sample, samples.products(rows[r])))
+
+    # each row is yielded once, whatever the pairing
+    seen = bytearray(len(rows))
+    for r, mirror in enumerate(mirror_row):
+        if seen[r]:
+            continue
+        seen[r] = 1
+        try:
+            coeffs = {column_of[p]: c
+                      for p, c in syzygy_insert(rows[r]).items()}
+        except KeyError:
+            coeffs = None
+        yield r, coeffs, sampled(r, coeffs)
+        if not seen[mirror]:
+            seen[mirror] = 1
+            if coeffs is not None:
+                coeffs = dict(zip(map(mirror_col.__getitem__, coeffs),
+                                  coeffs.values()))
+            yield mirror, coeffs, sampled(mirror, coeffs)

@@ -185,13 +185,20 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     assert "verify OK" not in err
 
 
+def _mirror(m):
+    """The image of a matching under rho: i -> 2n + 1 - i."""
+    end = 2 * len(m) + 1
+    return tuple(sorted((end - q, end - p) for p, q in m))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
         capsys, monkeypatch, seed):
-    # the numeric check names only the row whose expansion is off by one
+    # the numeric check names only the row whose expansion is off by one;
+    # the row is fixed by rho (i -> 2n + 1 - i), so it is its own orbit
     real = oracle.syzygy_insert
     rows = transition.matrix(6).rows
-    row = rows[len(rows) // 2]
+    row = next(m for m in rows[len(rows) // 2:] if _mirror(m) == m)
 
     def wrong(m):
         coeffs = real(m)
@@ -211,9 +218,11 @@ def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
         capsys, monkeypatch):
     # +1 on one row and -1 on another at a column they share: summed over
     # the rows the errors would cancel, and each row is named on its own
+    # (both rows are fixed by rho, so each is its own orbit)
     real = oracle.syzygy_insert
     rows = transition.matrix(5).rows
-    first, second = rows[3], rows[7]
+    first, second = rows[6], rows[9]
+    assert (_mirror(first), _mirror(second)) == (first, second)
     shared = next(iter(real(first).keys() & real(second).keys()))
 
     def wrong(m):
@@ -229,6 +238,31 @@ def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
     assert err.splitlines() == [
         *(f"FAIL: syzygy expansion disagrees on row {m}" for m in (first, second)),
         *(f"FAIL: numeric identity refuted on row {m}" for m in (first, second))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_matrix_verify_names_both_rows_of_an_orbit_with_a_wrong_coefficient(
+        capsys, monkeypatch, seed):
+    # a wrong expansion of the row inserted for an orbit {M, rho M} is read
+    # by both rows, and the two are named, each on its own samples
+    real = oracle.syzygy_insert
+    rows = transition.matrix(6).rows
+    row = rows[len(rows) // 2]
+    orbit = sorted((row, _mirror(row)), key=rows.index)
+    assert orbit[0] != orbit[1]
+
+    def wrong(m):
+        coeffs = real(m)
+        if m in orbit:
+            last = next(reversed(coeffs))
+            coeffs[last] += 1
+        return coeffs
+    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    code, out, err = run(capsys, "matrix", "6", "--verify", "--seed", str(seed))
+    assert code == 1
+    assert err.splitlines() == [
+        *(f"FAIL: syzygy expansion disagrees on row {m}" for m in orbit),
+        *(f"FAIL: numeric identity refuted on row {m}" for m in orbit)]
 
 
 @pytest.fixture
@@ -595,3 +629,26 @@ def test_output_determinism(capsys):
     _, b, _ = run(capsys, "verify", "--suite", "bijections", "--max-n", "4")
     scrub = lambda text: {**json.loads(text), "wall_time_s": None}
     assert scrub(a) == scrub(b)
+
+
+def test_verify_oracle_suite_fails_a_key_off_the_columns(capsys, monkeypatch):
+    # a crossing term in one row's expansion fails that row's two checks,
+    # and its expansion is reported as null
+    real = oracle.syzygy_insert
+    row = transition.matrix(3).rows[0]
+    crossing = oracle.partners(((1, 3), (2, 4), (5, 6)))
+
+    def off_basis(m):
+        coeffs = real(m)
+        if m == row:
+            coeffs[crossing] = 1
+        return coeffs
+    monkeypatch.setattr(oracle, "syzygy_insert", off_basis)
+    monkeypatch.delenv("WEBPERM_SEED", raising=False)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
+    report = json.loads(out)
+    assert code == 1
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [(c["n"], c["lhs"], c["claim"]) for c in failed] == [
+        (3, None, "syzygy expansion of NNNEEE matches matrix row"),
+        (3, False, "numeric identity for NNNEEE (20 samples, seed 1729)")]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from webperm import oracle
+from webperm import cli, oracle
 from webperm.combinat import (
     catalan,
     crossing_arc_pairs,
@@ -19,15 +19,17 @@ from webperm.oracle import (
     MODULUS,
     _insert_arc,
     _samples,
+    check_rows,
     delta_product,
     minor,
+    reflect,
     sample_z,
     syzygy_expand,
     syzygy_insert,
     syzygy_step,
     verify_expansion,
 )
-from webperm.transition import row_labels
+from webperm.transition import col_labels, matrix, row_labels
 
 
 def test_syzygy_expand_noncrossing_is_itself():
@@ -98,6 +100,17 @@ def partners(arcs, n):
     return tuple(out)
 
 
+def by_partners(expansion, n):
+    """A ``Matching``-keyed expansion keyed by partner tuples instead."""
+    return {partners(m, n): c for m, c in expansion.items()}
+
+
+def by_matchings(expansion):
+    """A partner-keyed expansion keyed by ``Matching`` instead."""
+    return {tuple((p, q) for p, q in enumerate(key) if p < q): c
+            for key, c in expansion.items()}
+
+
 def insert_in_order(arcs, n):
     """The expansion by inserting ``arcs`` with :func:`_insert_arc` in the
     order given, as partner tuples."""
@@ -121,15 +134,16 @@ def test_syzygy_insert_equals_rewriting_on_every_matching(n):
         rng.shuffle(shuffled)
         expected = syzygy_expand(m, "first")
         assert expected == syzygy_expand(m, "last")
+        expected = by_partners(expected, n)
         assert syzygy_insert(m) == syzygy_insert(tuple(shuffled)) == expected
-        assert insert_in_order(shuffled, n) == {
-            partners(mp, n): c for mp, c in expected.items()}
+        assert insert_in_order(shuffled, n) == expected
 
 
 def test_syzygy_insert_equals_rewriting_on_nn_rows_of_size_6():
     # sizes up to 5 are covered by every matching above
     for m in row_labels(6):
-        assert syzygy_insert(m) == syzygy_expand(m, "first") == syzygy_expand(m, "last")
+        assert syzygy_expand(m, "first") == syzygy_expand(m, "last")
+        assert syzygy_insert(m) == by_partners(syzygy_expand(m, "first"), 6)
 
 
 def test_syzygy_insert_inserts_the_shortest_arc_first(monkeypatch):
@@ -143,7 +157,7 @@ def test_syzygy_insert_inserts_the_shortest_arc_first(monkeypatch):
         return real(partner, x, y)
     monkeypatch.setattr(oracle, "_insert_arc", recording)
     m = matching([(1, 3), (2, 5), (4, 7), (6, 8)])
-    assert syzygy_insert(m) == syzygy_expand(m)
+    assert syzygy_insert(m) == by_partners(syzygy_expand(m), 4)
     assert list(dict.fromkeys(order)) == [(1, 3), (6, 8), (2, 5), (4, 7)]
 
 
@@ -318,22 +332,42 @@ def test_malformed_arc_raises_value_error():
 # a batch of rows on shared samples, as ``matrix --verify`` checks them
 # ---------------------------------------------------------------------------
 
-def batch_verdicts(rows, expand, seed):
-    """``verify_expansion`` of each row in turn, on the same samples."""
-    return [verify_expansion(m, expand(m), MATRIX_TRIALS, seed) for m in rows]
+def verdicts_in_row_order(rows, trials, seed):
+    """:func:`check_rows` on ``rows`` against the noncrossing columns, as
+    (expansion, sampled) in row order."""
+    verdicts = sorted(check_rows(rows, col_labels(len(rows[0])), trials, seed),
+                      key=lambda verdict: verdict[0])
+    assert [r for r, _, _ in verdicts] == list(range(len(rows)))
+    return [(coeffs, sampled) for _, coeffs, sampled in verdicts]
+
+
+def batch_verdicts(rows, seed):
+    """The numeric verdict of each row, on the same samples."""
+    return [sampled for _, sampled in
+            verdicts_in_row_order(rows, MATRIX_TRIALS, seed)]
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_batched_identity_holds_on_every_matching(n):
-    assert all(batch_verdicts(list(matchings(n)), syzygy_insert, seed=n))
+    # every matching, crossing ones too, is a row here: the set is
+    # closed under rho, so each is checked against its own expansion
+    rows = list(matchings(n))
+    assert all(batch_verdicts(rows, seed=n))
+    column = {m: k for k, m in enumerate(col_labels(n))}
+    for m, (coeffs, _) in zip(rows, verdicts_in_row_order(rows, 1, n)):
+        assert coeffs == {column[mp]: c for mp, c in syzygy_expand(m).items()}
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
+def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(
+        seed, monkeypatch):
     # +1 on one row and -1 on another at the same column: summed over the
-    # rows the two errors would cancel, and each row is refuted on its own
+    # rows the two errors would cancel, and each row is refuted on its own;
+    # both rows are fixed by rho, so each is its own orbit
     rows = row_labels(5)
     first, second = rows[0], rows[1]
+    assert [partners(m, 5) == reflect(partners(m, 5))
+            for m in (first, second)] == [True, True]
     shared = next(iter(syzygy_insert(first).keys() & syzygy_insert(second).keys()))
 
     def wrong(m):
@@ -341,8 +375,9 @@ def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
         if m in (first, second):
             coeffs[shared] += 1 if m == first else -1
         return coeffs
-    assert batch_verdicts(rows, wrong, seed) == [m not in (first, second)
-                                                 for m in rows]
+    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    assert batch_verdicts(rows, seed) == [m not in (first, second)
+                                          for m in rows]
 
 
 def test_batched_identity_validates_its_input():
@@ -363,9 +398,138 @@ def test_batched_identity_validates_its_input():
             check(m0(2), {bad: 1})
     # a refused row leaves the memo as fresh samples would build it
     m = matching([(1, 3), (2, 4)])
-    assert check(m, syzygy_insert(m))
+    coeffs = by_matchings(syzygy_insert(m))
+    assert check(m, coeffs)
     samples = _samples(2, MATRIX_TRIALS, 3)
-    assert set(samples.support) == set(syzygy_insert(m)) | {m0(2)}
+    assert set(samples.support) == set(coeffs) | {m0(2)}
     for mp, values in samples.support.items():
         assert values == tuple(delta_product(z, mp) % MODULUS
                                for z in samples.zs)
+
+
+# ---------------------------------------------------------------------------
+# one insertion per rho-orbit of rows, rho being i -> 2n + 1 - i
+# ---------------------------------------------------------------------------
+
+def mirror(m):
+    """rho(m) as a ``Matching``."""
+    end = 2 * len(m) + 1
+    return matching([(end - q, end - p) for p, q in m])
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_syzygy_insert_commutes_with_rho(n):
+    # the theorem the orbits rest on: syzygy_insert(rho M) = rho(syzygy_insert(M))
+    for m in matchings(n):
+        assert reflect(partners(m, n)) == partners(mirror(m), n)
+        assert syzygy_insert(mirror(m)) == {
+            reflect(key): c for key, c in syzygy_insert(m).items()}
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_every_row_inserted_on_its_own_equals_its_matrix_row(n):
+    # the full per-row reference, no orbit shared
+    a = matrix(n)
+    for m, row in zip(a.rows, a.entries):
+        assert syzygy_insert(m) == {partners(a.cols[c], n): v
+                                    for c, v in enumerate(row) if v}
+
+
+def test_matrix_verify_inserts_once_per_orbit(capsys, monkeypatch):
+    real = oracle.syzygy_insert
+    inserted = []
+
+    def counting(m):
+        inserted.append(m)
+        return real(m)
+    monkeypatch.setattr(oracle, "syzygy_insert", counting)
+    assert cli.main(["matrix", "7", "--verify", "--seed", "7"]) == 0
+    assert "verify OK" in capsys.readouterr().err
+    rows = row_labels(7)
+    assert len(inserted) == len(set(inserted)) == 232
+    assert sum(mirror(m) == m for m in inserted) == 35
+    assert set(inserted) | {mirror(m) for m in inserted} == set(rows)
+    # the first row of each orbit in table order is the one inserted
+    assert all(rows.index(m) <= rows.index(mirror(m)) for m in inserted)
+
+
+def matrix_6_verify_failures(capsys):
+    code = cli.main(["matrix", "6", "--verify"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "verify OK" not in err
+    return err.splitlines()
+
+
+def expected_lines(rows):
+    return [*(f"FAIL: syzygy expansion disagrees on row {m}" for m in rows),
+            *(f"FAIL: numeric identity refuted on row {m}" for m in rows)]
+
+
+def test_columns_left_unmapped_fail_the_mirrored_rows(capsys, monkeypatch):
+    # rows paired by rho, columns by the identity: each second row of an
+    # orbit is checked against its mirror's row, and fails where they
+    # differ, which is in all (132 - 20) / 2 orbits of two rows
+    real = oracle.reflection
+    columns = [oracle.partners(c) for c in col_labels(6)]
+    monkeypatch.setattr(oracle, "reflection", lambda keys: (
+        list(range(len(keys))) if keys == columns else real(keys)))
+    a = matrix(6)
+    pair = real([oracle.partners(m) for m in a.rows])
+    failing = [m for r, (m, row) in enumerate(zip(a.rows, a.entries))
+               if pair[r] < r and row != a.entries[pair[r]]]
+    assert len(failing) == 56
+    assert matrix_6_verify_failures(capsys) == expected_lines(failing)
+
+
+def test_rows_paired_by_a_wrong_involution_fail(capsys, monkeypatch):
+    # rows k and k ^ 1 paired, columns by rho: row k ^ 1 is checked against
+    # rho of the expansion of row k, which is not its own
+    real = oracle.reflection
+    rows = [oracle.partners(m) for m in row_labels(6)]
+    monkeypatch.setattr(oracle, "reflection", lambda keys: (
+        [k ^ 1 for k in range(len(keys))] if keys == rows else real(keys)))
+    a = matrix(6)
+    failing = [a.rows[k] for k in range(1, len(rows), 2)
+               if mirror(a.rows[k]) != a.rows[k - 1]]
+    assert len(failing) == len(rows) // 2
+    assert matrix_6_verify_failures(capsys) == expected_lines(failing)
+
+
+def test_check_rows_yields_every_row_once_under_any_pairing(monkeypatch):
+    # a pairing that is no involution still checks every row, once
+    real = oracle.reflection
+    rows = row_labels(5)
+    keys = [oracle.partners(m) for m in rows]
+    shifted = [(k + 1) % len(rows) for k in range(len(rows))]
+    for pairing in ([0] * len(rows), shifted):
+        monkeypatch.setattr(oracle, "reflection", lambda ks: (
+            pairing if ks == keys else real(ks)))
+        assert sorted(r for r, _, _ in check_rows(rows, col_labels(5), 1, 3)
+                      ) == list(range(len(rows)))
+
+
+def test_a_key_off_the_columns_fails_both_checks(capsys, monkeypatch):
+    # an expansion with a crossing term names its row on both lines
+    real = oracle.syzygy_insert
+    row = row_labels(6)[7]
+    assert mirror(row) == row
+    crossing = partners(matching([(1, 3), (2, 4), (5, 7), (6, 8), (9, 11),
+                                  (10, 12)]), 6)
+
+    def off_basis(m):
+        coeffs = real(m)
+        if m == row:
+            coeffs[crossing] = 1
+        return coeffs
+    monkeypatch.setattr(oracle, "syzygy_insert", off_basis)
+    assert matrix_6_verify_failures(capsys) == expected_lines([row])
+    verdicts = verdicts_in_row_order(row_labels(6), MATRIX_TRIALS, 1)
+    assert [r for r, (coeffs, _) in enumerate(verdicts) if coeffs is None] == [7]
+    assert [r for r, (_, sampled) in enumerate(verdicts) if not sampled] == [7]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_rows_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials"):
+        next(check_rows(row_labels(2), col_labels(2), trials, 1))
