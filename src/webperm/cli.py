@@ -31,9 +31,10 @@ from .combinat import (
 )
 from .oracle import DEFAULT_SEED
 
-# The largest n at which every command fits in 60 s and 2 GiB; the slowest
-# is ``matrix 8 --verify``, about 10 s and 63 MiB cold (Python 3.11.7 on a
-# 2-vCPU KVM guest).  ``--cap`` raises it.
+# Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
+# --verify``, 3.4-4.0 s and 65 MiB cold (Python 3.11.7 on a 2-vCPU KVM
+# guest).  At n = 9 it took 30-34 s and 504 MiB there, but 9 becomes the
+# default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
 # The most rows ``seidel`` prints; it has no --cap.  The rows are printed as
