@@ -39,21 +39,16 @@ so a failure names its row.  A wrong expansion passes a sample with
 probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs it on every
 row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite with
 ``--trials``; :func:`verify_expansion` is the same check on one
-``Matching``-keyed expansion.  The samples depend only on (n, trials,
-seed), so every row of one matrix is checked on the same ones.  They are
-drawn once and kept, with their arc minors and the minor products of the
-noncrossing matchings that :func:`verify_expansion` has seen, in a
-one-entry cache; a call with other parameters replaces it.
-:func:`check_rows` reads the minor product of every column from them
-once per call.
+``Matching``-keyed expansion.  Each call draws its samples once, from
+(n, trials, seed) alone, and evaluates every row on them through
+:meth:`_Samples.holds`; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterator
-from functools import lru_cache
+from collections.abc import Iterable, Iterator
 from itertools import combinations
 from operator import itemgetter, mul
 
@@ -233,17 +228,17 @@ def delta_product(z: list[list[int]], m: Matching) -> int:
 
 
 class _Samples:
-    """The seeded samples of one (n, trials, seed): the minor of every arc
-    on every sample, and a memo of the minor products of the noncrossing
-    support matchings checked so far (at most Catalan(n)), all modulo
-    :data:`MODULUS`."""
+    """The seeded samples of one (n, trials, seed) and the minor of every
+    arc on each, modulo :data:`MODULUS`.  ``trials`` must be at least 1, so
+    that a pass always rests on a sample."""
 
     def __init__(self, n: int, trials: int, seed: int) -> None:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
         self.zs = [sample_z(n, rng) for _ in range(trials)]
         self.minors = {(i, j): tuple(minor(z, i, j) % MODULUS for z in self.zs)
                        for i, j in combinations(range(1, 2 * n + 1), 2)}
-        self.support: dict[Matching, tuple[int, ...]] = {}
 
     def products(self, m: Matching) -> tuple[int, ...]:
         """:func:`delta_product` of ``m`` on each sample, modulo p."""
@@ -256,17 +251,28 @@ class _Samples:
             out = tuple(map(mul, out, column))
         return tuple(x % MODULUS for x in out)
 
+    def by_sample(self, support: Iterable[Matching]
+                  ) -> list[tuple[int, ...]]:
+        """Per sample, the :meth:`products` of each matching of ``support``
+        in order."""
+        columns = list(map(self.products, support))
+        return [tuple(map(itemgetter(t), columns)) for t in range(len(self.zs))]
+
+    def holds(self, m: Matching, coeffs: dict[int, int],
+              by_sample: list[tuple[int, ...]]) -> bool:
+        """True iff Δ_m = sum of c·Δ_k over (k, c) in ``coeffs`` modulo p on
+        every sample, where ``by_sample[t][k]`` is Δ_k on sample t."""
+        return all(
+            sum(map(mul, coeffs.values(), map(products.__getitem__, coeffs)))
+            % MODULUS == value
+            for products, value in zip(by_sample, self.products(m)))
+
 
 def _check_support(m_prime: Matching, n: int) -> None:
     if len(m_prime) != n:
         raise ValueError(f"size mismatch in expansion support: {m_prime}")
     if not is_noncrossing(m_prime):
         raise ValueError(f"expansion support must be noncrossing: {m_prime}")
-
-
-@lru_cache(maxsize=1)
-def _samples(n: int, trials: int, seed: int) -> _Samples:
-    return _Samples(n, trials, seed)
 
 
 def verify_expansion(m: Matching, coeffs: dict[Matching, int],
@@ -278,27 +284,14 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     entries of z.  A wrong claim whose coefficients lie far below p leaves
     it nonzero modulo p, so by Schwartz–Zippel each sample, uniform over
     the residues, misses it with probability at most 2n/p.  ``trials``
-    must be at least 1, so that a pass always rests on a sample.  The
-    samples, their minors and the products of support matchings already
-    validated are shared with the previous call when (n, trials, seed) are
-    the same; the result is what fresh samples would give.
+    must be at least 1, so that a pass always rests on a sample.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n = len(m)
-    samples = _samples(n, trials, seed)
-    support = samples.support
-    values = list(map(support.get, coeffs))
-    if None in values:
-        for m_prime in coeffs:
-            if m_prime not in support:
-                _check_support(m_prime, n)
-                support[m_prime] = samples.products(m_prime)
-        values = list(map(support.__getitem__, coeffs))
-    lhs = samples.products(m)
-    return all(
-        sum(map(mul, coeffs.values(), map(itemgetter(t), values))) % MODULUS
-        == value for t, value in enumerate(lhs))
+    samples = _Samples(n, trials, seed)
+    for m_prime in coeffs:
+        _check_support(m_prime, n)
+    return samples.holds(m, dict(enumerate(coeffs.values())),
+                         samples.by_sample(coeffs))
 
 
 def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
@@ -312,24 +305,19 @@ def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
     expansion is that of ``rows[r]`` over column indices, or None if a key
     is not a column (no noncrossing perfect matching on [2n]).  ``sampled``
     is the numeric check of Δ_M = sum of c(M') Δ_M' on the ``trials``
-    samples of (n, trials, seed), and an expansion of None fails it.  The
-    row of each orbit first in ``rows`` is inserted; its mirror reads the
-    same coefficients at the columns ρ permutes them to.
+    samples of (n, trials, seed), drawn once per call, and an expansion of
+    None fails it.  The row of each orbit first in ``rows`` is inserted;
+    its mirror reads the same coefficients at the columns ρ permutes them
+    to.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    samples = _samples(len(cols[0]), trials, seed)
+    samples = _Samples(len(cols[0]), trials, seed)
     column_of = {partners(c): k for k, c in enumerate(cols)}
     mirror_col = reflection(list(column_of))
     mirror_row = reflection(list(map(partners, rows)))
-    # per sample, the minor product of each column
-    by_sample = list(zip(*map(samples.products, cols)))
+    by_sample = samples.by_sample(cols)
 
     def sampled(r: int, coeffs: dict[int, int] | None) -> bool:
-        return coeffs is not None and all(
-            sum(map(mul, coeffs.values(), map(products.__getitem__, coeffs)))
-            % MODULUS == value
-            for products, value in zip(by_sample, samples.products(rows[r])))
+        return coeffs is not None and samples.holds(rows[r], coeffs, by_sample)
 
     # each row is yielded once, whatever the pairing
     seen = bytearray(len(rows))

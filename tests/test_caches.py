@@ -21,5 +21,4 @@ def test_the_package_keeps_exactly_these_caches():
     assert found == {
         "webs.web_table": None,
         "enumeration.f_row": None,
-        "oracle._samples": 1,
     }

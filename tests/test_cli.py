@@ -122,12 +122,10 @@ def _break_syzygy(monkeypatch):
 
 def _break_numeric(monkeypatch):
     # One wrong arc minor breaks the Plücker relation under the numeric
-    # check.  The samples are drawn afresh, so none cached before the break
-    # are reused.
+    # check.
     real = oracle.minor
     monkeypatch.setattr(oracle, "minor",
                         lambda z, i, j: real(z, i, j) + ((i, j) == (1, 4)))
-    monkeypatch.setattr(oracle, "_samples", oracle._samples.__wrapped__)
 
 
 def _break_support(monkeypatch):
@@ -553,9 +551,10 @@ def test_verify_out_unwritable_is_a_usage_error(tmp_path, capsys, target, reason
 
 @st.composite
 def cli_arguments(draw):
-    """Bounded argument lists for every subcommand: n at most 5 and at
-    most 30 seidel rows, or sizes above the cap or the row limit, where
-    every command is refused before any work."""
+    """Bounded argument lists for every subcommand: n at most 5, at most 30
+    seidel rows and at most 30 oracle samples, or sizes above the cap, the
+    row limit or the sample limit, where every command is refused before
+    any work."""
     command = draw(st.sampled_from(["web", "matrix", "verify", "seidel"]))
     if command == "seidel":
         rows = st.integers(-2, 30) | st.just(cli.MAX_SEIDEL_ROWS + 1)
@@ -572,6 +571,9 @@ def cli_arguments(draw):
     else:
         argv = ["verify", "--max-n", str(n),
                 "--suite", draw(st.sampled_from(cli.SUITES))]
+        if draw(st.booleans()):
+            trials = st.integers(-2, 30) | st.just(cli.MAX_TRIALS + 1)
+            argv += ["--trials", str(draw(trials))]
     if draw(st.booleans()):
         argv += ["--cap", str(n - draw(st.integers(1, 3)))]
     return argv
@@ -612,6 +614,15 @@ def test_verify_rejects_trials_below_one(capsys, trials):
                          "--trials", trials)
     assert (code, out) == (2, "")
     assert err == f"error: --trials must be >= 1, got {trials}\n"
+
+
+def test_verify_refuses_too_many_trials(capsys):
+    trials = cli.MAX_TRIALS + 1
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "2",
+                         "--trials", str(trials))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --trials = {trials} exceeds the limit "
+                   f"{cli.MAX_TRIALS}\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "-2"])

@@ -5,7 +5,6 @@ import pytest
 
 from webperm import cli, oracle
 from webperm.combinat import (
-    catalan,
     crossing_arc_pairs,
     enumerate_matchings,
     is_noncrossing,
@@ -18,7 +17,6 @@ from webperm.oracle import (
     MATRIX_TRIALS,
     MODULUS,
     _insert_arc,
-    _samples,
     check_rows,
     delta_product,
     minor,
@@ -272,26 +270,18 @@ def test_shared_samples_agree_with_fresh_on_every_row(n):
         assert verify_expansion(m, coeffs) is fresh_verify(m, coeffs) is True
         wrong = perturbed(coeffs)
         assert verify_expansion(m, wrong) is fresh_verify(m, wrong) is False
-    assert len(_samples(n, 20, 1729).support) <= catalan(n)
 
 
-def test_shared_samples_survive_hits_and_evictions():
-    rows = {n: row_labels(n) for n in (3, 4, 5)}
-    calls = [(n, seed, trials) for seed in (1, 2) for trials in (1, 3)
-             for n in (3, 4, 5)]
-    for n, seed, trials in calls + calls[::-1]:
-        for m in rows[n][::5]:
-            for coeffs in (syzygy_expand(m), perturbed(syzygy_expand(m))):
-                assert (verify_expansion(m, coeffs, trials=trials, seed=seed)
-                        is fresh_verify(m, coeffs, trials=trials, seed=seed))
+# a crossing row, fixed by rho, and a wrong one-term expansion of it
+TUNED_ROW = matching([(1, 3), (2, 4)])
+TUNED_TARGET = matching([(1, 2), (3, 4)])
 
 
-def test_shared_samples_follow_seed_and_trials():
-    # a wrong one-term expansion whose coefficient is tuned to the first
-    # sample of one seed passes on that sample alone, so the verdict shows
-    # which samples were used
-    m = matching([(1, 3), (2, 4)])
-    target = matching([(1, 2), (3, 4)])
+def assert_verdicts_follow_seed_and_trials(verdict):
+    """``verdict(claim, trials, seed)`` on one-term claims whose coefficient
+    is tuned to the first sample of one seed: each passes on that sample
+    alone, so the verdicts show which samples were used."""
+    m, target = TUNED_ROW, TUNED_TARGET
     verdicts = set()
     for tuned in range(4):
         z = sample_z(2, random.Random(tuned))
@@ -299,14 +289,34 @@ def test_shared_samples_follow_seed_and_trials():
              % MODULUS)
         for seed in range(4):
             for trials in (1, 2):
-                got = verify_expansion(m, {target: c}, trials=trials, seed=seed)
+                got = verdict({target: c}, trials, seed)
                 assert got is fresh_verify(m, {target: c}, trials, seed)
                 assert got is (seed == tuned and trials == 1)
                 verdicts.add(got)
     assert verdicts == {True, False}
 
 
-def test_perturbed_coefficient_is_refuted_on_a_warm_cache():
+def test_shared_samples_follow_seed_and_trials():
+    assert_verdicts_follow_seed_and_trials(
+        lambda claim, trials, seed:
+        verify_expansion(TUNED_ROW, claim, trials=trials, seed=seed))
+
+
+def test_check_rows_samples_follow_seed_and_trials(monkeypatch):
+    # the tuned claim stands in for the row's expansion, so ``sampled``
+    # shows which samples check_rows evaluates it on
+    cols = col_labels(2)
+
+    def verdict(claim, trials, seed):
+        monkeypatch.setattr(oracle, "syzygy_insert",
+                            lambda m: by_partners(claim, 2))
+        [(_, coeffs, sampled)] = check_rows((TUNED_ROW,), cols, trials, seed)
+        assert coeffs == {cols.index(mp): c for mp, c in claim.items()}
+        return sampled
+    assert_verdicts_follow_seed_and_trials(verdict)
+
+
+def test_perturbed_coefficient_is_refuted_between_two_passes():
     m = matching([(1, 4), (2, 6), (3, 5), (7, 8)])
     coeffs = syzygy_expand(m)
     assert verify_expansion(m, coeffs, seed=5)
@@ -381,8 +391,6 @@ def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(
 
 
 def test_batched_identity_validates_its_input():
-    _samples.cache_clear()
-
     def check(m, coeffs):
         return verify_expansion(m, coeffs, MATRIX_TRIALS, seed=3)
     with pytest.raises(ValueError, match="noncrossing"):
@@ -396,15 +404,11 @@ def test_batched_identity_validates_its_input():
             check(bad, {m0(2): 1})
         with pytest.raises(ValueError):
             check(m0(2), {bad: 1})
-    # a refused row leaves the memo as fresh samples would build it
+    # a refused row leaves nothing behind: the next one agrees with fresh
+    # samples
     m = matching([(1, 3), (2, 4)])
     coeffs = by_matchings(syzygy_insert(m))
-    assert check(m, coeffs)
-    samples = _samples(2, MATRIX_TRIALS, 3)
-    assert set(samples.support) == set(coeffs) | {m0(2)}
-    for mp, values in samples.support.items():
-        assert values == tuple(delta_product(z, mp) % MODULUS
-                               for z in samples.zs)
+    assert check(m, coeffs) is fresh_verify(m, coeffs, MATRIX_TRIALS, 3) is True
 
 
 # ---------------------------------------------------------------------------
