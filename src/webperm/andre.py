@@ -128,6 +128,43 @@ def is_web(sigma: Permutation) -> bool:
     return all(_andre(c[1:]) for c in _cycles(sigma))
 
 
+def andre_cycle_permutations(n: int) -> Iterator[Permutation]:
+    """The permutations of [n] all of whose cycles are Andre cycles, in no
+    particular order: {sigma in S_n : is_web(sigma)}.
+
+    Builds sigma one cycle at a time.  The smallest element not yet placed
+    opens the next cycle, and every word over the other unplaced elements
+    is a candidate for the rest of it, tested by the same Andre-word test
+    as :func:`is_web`.  A rejected cycle rules out every permutation that
+    contains it at once, so each sigma of S_n gets its verdict without
+    being decomposed on its own.
+
+    >>> sorted(andre_cycle_permutations(3))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1)]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    sigma = [0] * n
+
+    def extend(unplaced: Word) -> Iterator[Permutation]:
+        if not unplaced:
+            yield tuple(sigma)
+            return
+        first, others = unplaced[0], unplaced[1:]
+        for length in range(len(others) + 1):
+            for word in itertools.permutations(others, length):
+                if not _andre(word):
+                    continue
+                a = first
+                for b in word:
+                    sigma[a - 1] = b
+                    a = b
+                sigma[a - 1] = first
+                yield from extend(tuple(x for x in others if x not in word))
+
+    return extend(tuple(range(1, n + 1)))
+
+
 def is_312_avoiding(sigma: Permutation) -> bool:
     """True iff no indices i < j < k have sigma(j) < sigma(k) < sigma(i)."""
     n = len(sigma)

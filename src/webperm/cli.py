@@ -84,7 +84,7 @@ def cmd_web(args: argparse.Namespace) -> int:
                   "produce different sets", file=sys.stderr)
             return 1
     elif args.source == "resolve" and args.format == "json":
-        # The filter's set without scanning S_n: every resolved sigma
+        # The filter's set without running the filter: every resolved sigma
         # passes the cycle-type test, and there are zigzag(n + 1) of them,
         # which is |{sigma in S_n : every cycle Andre}| by the paper's
         # characterization theorem; test_c04 (n <= 7) and --source both

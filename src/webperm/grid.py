@@ -9,8 +9,11 @@ upper-right corner.
 
 Boundary intervals are labelled 1..n up the left side and n+1..2n along
 the top, so tracing the strands of a configuration reads off a matching
-on [2n].  One walker on the integer arrays sigma and sigma^-1 does all
-tracing: :func:`trace_matching` for any configuration, and
+on [2n].  Each strand runs through one marking, so the walker follows
+the two legs of every marking, left along its row and up along its
+column, turning only at elbows, to the two labels they reach.  It works
+on the integer arrays sigma and sigma^-1 and does all tracing:
+:func:`trace_matching` for any configuration, and
 :func:`matching_of_permutation`, M(sigma), for the fully smoothed one,
 where every crossing is an elbow and no crossing set is built.
 
@@ -49,7 +52,6 @@ from .combinat import (
     inverse,
     is_nonnesting,
     is_permutation,
-    matching,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -122,57 +124,44 @@ def row_configuration(m: Matching) -> GridConfiguration:
 def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
     """Trace every strand of G(sigma, elbows); ``None`` smooths every crossing.
 
-    Column i carries a vertical line above its marking, and row j a
-    horizontal line left of its marking, so cell (i, j) holds a vertical
-    line iff col[i] < j and a horizontal one iff i < row[j].  A strand
-    moves by (di, dj).  A marking joins the left edge to the top edge, an
-    elbow turns left-bottom and top-right, and anything else passes
-    straight along a line that must be there.
+    Every strand passes through exactly one marking, and its two halves,
+    the legs, leave the marking going left along its row and up along its
+    column.  An elbow turns a leftward leg up and an upward leg left; every
+    other cell a leg meets lets it pass straight on.  So a leftward leg on
+    row j turns at the next column i to its left with sigma(i) < j and
+    (i, j) an elbow, and an upward leg on column i turns at the next row j
+    above it with i < sigma^-1(j) and (i, j) an elbow.  A leg only moves
+    left or up, so it never meets a marking and leaves the grid on the
+    left side (label j) or the top (label n + i).  The two labels of each
+    marking make one arc, and reading the arcs off in label order gives the
+    matching in canonical form.
     """
     n = len(sigma)
     col = (0,) + tuple(sigma)
     row = [0] * (n + 1)
     for i, j in enumerate(sigma, 1):
         row[j] = i
-    arcs = []
-    used = [False] * (2 * n + 1)
-    for label in range(1, 2 * n + 1):
-        if used[label]:
-            continue
-        if label <= n:
-            i, j, di, dj = 1, label, 1, 0
-        else:
-            i, j, di, dj = label - n, n, 0, -1
-        for _ in range(4 * n * n + 1):
-            c = col[i]
-            if c == j and di - dj == 1:         # marking, entered left or top
-                di, dj = dj, di
-            elif c < j and i < row[j]:          # crossing
-                if elbows is None or (i, j) in elbows:
-                    di, dj = -dj, -di
-            elif c == j or not (i < row[j] if dj == 0 else c < j):  # no line
-                edge = ("L" if di == 1 else "R" if di == -1
-                        else "B" if dj == 1 else "T")
-                raise RuntimeError(
-                    f"strand entered cell ({i}, {j}) of {sigma} through an "
-                    f"unconnected edge {edge}")
-            i += di
-            j += dj
-            if i == 0:
-                end = j
-                break
-            if j == n + 1:
-                end = n + i
-                break
-            if i == n + 1 or j == 0:
-                raise RuntimeError(
-                    f"strand left the grid through an unlabelled side at "
-                    f"({i}, {j})")
-        else:
-            raise RuntimeError(f"strand from {label} did not terminate")
-        arcs.append((label, end))
-        used[label] = used[end] = True
-    return matching(arcs)
+
+    def leg(i: int, j: int, up: bool) -> int:
+        while True:
+            if up:
+                j += 1
+                if j > n:
+                    return n + i
+                if i < row[j] and (elbows is None or (i, j) in elbows):
+                    up = False
+            else:
+                i -= 1
+                if not i:
+                    return j
+                if col[i] < j and (elbows is None or (i, j) in elbows):
+                    up = True
+
+    partner = [0] * (2 * n + 1)
+    for i, j in enumerate(sigma, 1):
+        a, b = leg(i, j, False), leg(i, j, True)
+        partner[a], partner[b] = b, a
+    return tuple((a, b) for a, b in enumerate(partner) if a < b)
 
 
 def trace_matching(g: GridConfiguration) -> Matching:

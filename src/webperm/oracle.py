@@ -237,8 +237,11 @@ class _Samples:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
         self.zs = [sample_z(n, rng) for _ in range(trials)]
-        self.minors = {(i, j): tuple(minor(z, i, j) % MODULUS for z in self.zs)
-                       for i, j in combinations(range(1, 2 * n + 1), 2)}
+        # :func:`minor` of every arc, read straight off the sample rows
+        self.minors = {(i + 1, j + 1): tuple((top[i] * bottom[j]
+                                              - top[j] * bottom[i]) % MODULUS
+                                             for top, bottom in self.zs)
+                       for i, j in combinations(range(2 * n), 2)}
 
     def products(self, m: Matching) -> tuple[int, ...]:
         """:func:`delta_product` of ``m`` on each sample, modulo p."""

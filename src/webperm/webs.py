@@ -3,20 +3,24 @@
 Two constructions give the web permutations of [n]:
 
 - "resolve": full crossing resolution of the identity grid configuration,
-- "characterize": filtering the symmetric group by the Andre-cycle test.
+- "characterize": the Andre-cycle filter of the symmetric group, which
+  builds sigma one cycle at a time and drops every completion of a cycle
+  that is not Andre (:func:`webperm.andre.andre_cycle_permutations`).
 
-Resolution is behind :func:`web_table` and is the faster; its stack holds
-each state with its unresolved crossings.  The filter keeps nothing but
-the set it returns and is the cross-check: ``webperm web --source both``
-and the test suite compare the two sets, and the default ``webperm web``
-listing prints the filter's set through :func:`web_records`.  In a fresh
-interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of three, peak
-RSS of the whole process; the table's time is mostly D(sigma) and M(sigma)
-per record, and built from the filter it took 0.54 s and 4.51 s:
+Resolution is behind :func:`web_table`; its stack holds each state with
+its unresolved crossings.  The filter keeps nothing but the set it
+returns and is the cross-check: ``webperm web --source both`` and the
+test suite compare the two sets, and the default ``webperm web`` listing
+prints the filter's set through :func:`web_records`.  The filter tests
+34,316 cycle words at n = 8 and 257,821 at n = 9, where S_n has 40,320
+and 362,880 permutations.  In a fresh interpreter (Python 3.11.7 on a
+2-vCPU KVM guest), median of three, peak RSS of the whole process; the
+table's time is mostly D(sigma) and M(sigma) per record, and built from
+the filter it took 0.28 s and 2.16 s:
 
     n    filter            resolution        web_table
-    8    0.24 s, 16 MiB    0.09 s, 16 MiB    0.35 s, 23 MiB
-    9    1.98 s, 22 MiB    0.64 s, 25 MiB    3.23 s, 69 MiB
+    8    0.06 s, 16 MiB    0.10 s, 16 MiB    0.29 s, 23 MiB
+    9    0.47 s, 23 MiB    0.62 s, 25 MiB    1.95 s, 70 MiB
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .andre import cycles, cycles_to_str, is_web
-from .combinat import Matching, Permutation, all_permutations
-from .combinat import dyck_of_permutation
+from .andre import andre_cycle_permutations, cycles, cycles_to_str
+from .combinat import Matching, Permutation, dyck_of_permutation
 from .grid import matching_of_permutation, web_permutations
 
 
@@ -46,7 +49,7 @@ def web_set(n: int, source: str = "characterize") -> frozenset[Permutation]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if source == "characterize":
-        return frozenset(s for s in all_permutations(n) if is_web(s))
+        return frozenset(andre_cycle_permutations(n))
     if source == "resolve":
         return web_permutations(n)
     raise ValueError(f"unknown source {source!r}")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import webperm
+from webperm import andre, webs
 from webperm.andre import (
     andre_full_cycles,
     canonical_cycle,
@@ -183,6 +184,23 @@ def test_is_web_tests_every_cycle(n):
 def test_cycle_type_filter_equals_resolution(n):
     filtered = {s for s in itertools.permutations(range(1, n + 1)) if is_web(s)}
     assert filtered == web_permutations(n)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_web_set_by_cycles_is_the_filter_of_s_n(n):
+    filtered = {s for s in itertools.permutations(range(1, n + 1)) if is_web(s)}
+    assert webs.web_set(n, "characterize") == filtered
+
+
+@pytest.mark.parametrize("n, words", [(7, 5132), (8, 34316)])
+def test_web_set_tests_cycle_words_not_permutations(n, words, monkeypatch):
+    # n! = 5040 and 40320: a rejected cycle rules out all its completions
+    tested = []
+    real = andre._andre
+    monkeypatch.setattr(andre, "_andre",
+                        lambda w: tested.append(w) or real(w))
+    assert len(webs.web_set(n, "characterize")) == euler_numbers(n + 1)[-1]
+    assert len(tested) == words
 
 
 # ---------------------------------------------------------------------------

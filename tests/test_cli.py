@@ -123,9 +123,12 @@ def _break_syzygy(monkeypatch):
 def _break_numeric(monkeypatch):
     # One wrong arc minor breaks the Plücker relation under the numeric
     # check.
-    real = oracle.minor
-    monkeypatch.setattr(oracle, "minor",
-                        lambda z, i, j: real(z, i, j) + ((i, j) == (1, 4)))
+    real = oracle._Samples.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        self.minors[1, 4] = tuple(x + 1 for x in self.minors[1, 4])
+    monkeypatch.setattr(oracle._Samples, "__init__", init)
 
 
 def _break_support(monkeypatch):
@@ -343,12 +346,24 @@ def test_web_source_both_runs_the_filter_once(capsys, monkeypatch,
     assert sorted(sources) == ["characterize", "resolve"]
 
 
+def test_web_source_both_disagreement_fails(capsys, monkeypatch):
+    # an Andre test that rejects the cycle (1, 2) drops every web
+    # permutation containing it, such as 21345, from the filter's set
+    real = andre._andre
+    monkeypatch.setattr(andre, "_andre", lambda w: w != (2,) and real(w))
+    code, out, err = run(capsys, "web", "5", "--source", "both")
+    assert code == 1
+    assert out == ""
+    assert err == ("source disagreement: resolution and cycle-type filter "
+                   "produce different sets\n")
+
+
 @pytest.mark.parametrize("command", ["matrix 5 --verify",
                                      "verify --suite all --max-n 5"])
 def test_only_web_listings_run_the_filter(capsys, monkeypatch, command,
                                           cold_web_table):
     # the web table is built by resolution, so the matrix and the identity
-    # suites never scan S_n
+    # suites never run the filter
     sources = _count_sources(monkeypatch)
     code, _, _ = run(capsys, *command.split())
     assert code == 0

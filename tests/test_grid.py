@@ -162,6 +162,25 @@ def test_trace_matches_reference_on_resolution_states(n, pick):
     assert partial > 0
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+def test_trace_matches_reference_on_every_elbow_subset(n):
+    for sigma in itertools.permutations(range(1, n + 1)):
+        cells = sorted(crossings_of(sigma))
+        for k in range(len(cells) + 1):
+            for elbows in itertools.combinations(cells, k):
+                g = GridConfiguration(sigma, frozenset(elbows))
+                assert trace_matching(g) == _reference_trace(g)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_walked_arcs_are_canonical(n):
+    # the legs' labels are paired without the re-sort of matching()
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for m in (matching_of_permutation(sigma),
+                  trace_matching(GridConfiguration(sigma, frozenset()))):
+            assert matching(m) == m
+
+
 def _first_stale_state(n, pick):
     """The first state of the identity tree or a row tree of size ``n``
     whose unresolved set is not ``crossings_of`` its word minus its
