@@ -51,6 +51,6 @@ from .enumeration import (
     verify_conjecture,
 )
 from .oracle import delta_product, minor, syzygy_expand, verify_expansion
-from .webs import web_set, web_table
+from .webs import web_table
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
+from .andre import cycle_count
 from .combinat import m0
 from .webs import web_table
 
@@ -141,7 +142,6 @@ def cc_distribution(n: int) -> dict[int, int]:
     >>> cc_distribution(3)
     {1: 1, 2: 3, 3: 1}
     """
-    from .andre import cycle_count
     counts = Counter(cycle_count(rec.sigma) for rec in web_table(n))
     return dict(sorted(counts.items()))
 

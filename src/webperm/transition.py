@@ -16,9 +16,9 @@ keyed by sigma as bytes and its unresolved cells as a bitmask, stepped
 once however many rows reach it, and its column counts are freed on
 their last read.  Its memo is local to one call and bounded by the
 distinct states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  The web
-table is resolved too, from the identity grid, so both must also agree
-with the expansion of :mod:`webperm.oracle`, which never touches the
-grid.
+table comes from the Andre-cycle filter, not from the grid, and both
+must also agree with the expansion of :mod:`webperm.oracle`, which never
+touches the grid.
 """
 
 from __future__ import annotations

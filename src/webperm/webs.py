@@ -2,25 +2,23 @@
 
 Two constructions give the web permutations of [n]:
 
-- "resolve": full crossing resolution of the identity grid configuration,
-- "characterize": the Andre-cycle filter of the symmetric group, which
-  builds sigma one cycle at a time and drops every completion of a cycle
-  that is not Andre (:func:`webperm.andre.andre_cycle_permutations`).
+- the Andre-cycle filter of the symmetric group, which builds sigma one
+  cycle at a time and drops every completion of a cycle that is not
+  Andre (:func:`webperm.andre.andre_cycle_permutations`),
+- full crossing resolution of the identity grid configuration
+  (:func:`webperm.grid.web_permutations`).
 
-Resolution is behind :func:`web_table`; its stack holds each state with
-its unresolved crossings.  The filter keeps nothing but the set it
-returns and is the cross-check: ``webperm web --source both`` and the
-test suite compare the two sets, and the default ``webperm web`` listing
-prints the filter's set through :func:`web_records`.  The filter tests
-34,316 cycle words at n = 8 and 257,821 at n = 9, where S_n has 40,320
-and 362,880 permutations.  In a fresh interpreter (Python 3.11.7 on a
-2-vCPU KVM guest), median of three, peak RSS of the whole process; the
-table's time is mostly D(sigma) and M(sigma) per record, and built from
-the filter it took 0.28 s and 2.16 s:
+The filter is behind :func:`web_table` and keeps nothing but what it
+yields; it tests 34,316 cycle words at n = 8 and 257,821 at n = 9, where
+S_n has 40,320 and 362,880 permutations.  Resolution is the cross-check:
+``webperm web --source resolve|both`` and the test suite run it, and
+nothing else does.  In a fresh interpreter (Python 3.11.7 on a 2-vCPU
+KVM guest), median of three, peak RSS of the whole process; the table's
+time is mostly D(sigma) and M(sigma) per record:
 
     n    filter            resolution        web_table
-    8    0.06 s, 16 MiB    0.10 s, 16 MiB    0.29 s, 23 MiB
-    9    0.47 s, 23 MiB    0.62 s, 25 MiB    1.95 s, 70 MiB
+    8    0.05 s, 16 MiB    0.09 s, 16 MiB    0.22 s, 22 MiB
+    9    0.36 s, 22 MiB    0.50 s, 25 MiB    1.82 s, 66 MiB
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import lru_cache
 
 from .andre import andre_cycle_permutations, cycles, cycles_to_str
 from .combinat import Matching, Permutation, dyck_of_permutation
-from .grid import matching_of_permutation, web_permutations
+from .grid import matching_of_permutation
 
 
 @dataclass(frozen=True)
@@ -43,24 +41,12 @@ class WebRecord:
     matched: Matching
 
 
-def web_set(n: int, source: str = "characterize") -> frozenset[Permutation]:
-    """The web permutations of [n], by the construction named by
-    ``source``: "characterize" (the filter) or "resolve"."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if source == "characterize":
-        return frozenset(andre_cycle_permutations(n))
-    if source == "resolve":
-        return web_permutations(n)
-    raise ValueError(f"unknown source {source!r}")
-
-
 @lru_cache(maxsize=None)
 def web_table(n: int) -> tuple[WebRecord, ...]:
     """All web records for [n], sorted by (Dyck path, word).
 
-    Built from resolution; the filter, run only by ``webperm web
-    --source characterize|both`` and the tests, is its cross-check.
+    Built from the Andre-cycle filter; resolution, run only by ``webperm
+    web --source resolve|both`` and the tests, is its cross-check.
 
     Two Dyck orders are in use, both pinned by output bytes.  This one
     compares paths as strings, E < N, so the staircase comes first; the
@@ -68,7 +54,7 @@ def web_table(n: int) -> tuple[WebRecord, ...]:
     table order, N < E (:func:`webperm.combinat.dyck_sort_key`), which
     puts the maximum path first.
     """
-    return web_records(web_set(n, "resolve"))
+    return web_records(andre_cycle_permutations(n))
 
 
 def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:

@@ -268,7 +268,7 @@ def test_matrix_verify_names_both_rows_of_an_orbit_with_a_wrong_coefficient(
 
 @pytest.fixture
 def cold_web_table():
-    # web_table's cache hides a patched web_set: clear it before the patch
+    # web_table's cache hides a patched filter: clear it before the patch
     # so the table is built through it, and after so a wrong table never
     # reaches a later test
     webs.web_table.cache_clear()
@@ -277,13 +277,18 @@ def cold_web_table():
 
 
 def _count_sources(monkeypatch):
-    real = webs.web_set
+    # the filter as the web table calls it, resolution as the CLI calls it
     sources = []
 
-    def counting(n, source="characterize", *rest):
-        sources.append(source)
-        return real(n, source, *rest)
-    monkeypatch.setattr(webs, "web_set", counting)
+    def counting(source, real):
+        def call(n):
+            sources.append(source)
+            return real(n)
+        return call
+    monkeypatch.setattr(webs, "andre_cycle_permutations",
+                        counting("characterize", webs.andre_cycle_permutations))
+    monkeypatch.setattr(cli.grid, "web_permutations",
+                        counting("resolve", cli.grid.web_permutations))
     return sources
 
 
@@ -302,14 +307,12 @@ def test_web_source_resolve_agreement_can_fail(capsys, monkeypatch, change,
                                                cold_web_table):
     # a resolved set one short of Web_5, or with a non-web permutation in
     # place of a web one, is not the filter's set
-    real = webs.web_set
-    resolved = sorted(real(5, "resolve"))
+    resolved = sorted(cli.grid.web_permutations(5))
     if change == "drop":
         wrong = frozenset(resolved[1:])
     else:
         wrong = frozenset(resolved[1:]) | {(3, 1, 2, 4, 5)}
-    monkeypatch.setattr(webs, "web_set", lambda n, source="characterize":
-                        wrong if source == "resolve" else real(n, source))
+    monkeypatch.setattr(cli.grid, "web_permutations", lambda n: wrong)
     code, out, _ = run(capsys, "web", "5", "--source", "resolve",
                        "--format", "json")
     data = json.loads(out)
@@ -346,7 +349,8 @@ def test_web_source_both_runs_the_filter_once(capsys, monkeypatch,
     assert sorted(sources) == ["characterize", "resolve"]
 
 
-def test_web_source_both_disagreement_fails(capsys, monkeypatch):
+def test_web_source_both_disagreement_fails(capsys, monkeypatch,
+                                           cold_web_table):
     # an Andre test that rejects the cycle (1, 2) drops every web
     # permutation containing it, such as 21345, from the filter's set
     real = andre._andre
@@ -358,17 +362,43 @@ def test_web_source_both_disagreement_fails(capsys, monkeypatch):
                    "produce different sets\n")
 
 
-@pytest.mark.parametrize("command", ["matrix 5 --verify",
+def test_web_source_both_fails_on_a_repeated_permutation(capsys, monkeypatch,
+                                                          cold_web_table):
+    # the same set as resolution's, but with one sigma emitted twice
+    real = webs.andre_cycle_permutations
+    monkeypatch.setattr(webs, "andre_cycle_permutations",
+                        lambda n: [*real(n), tuple(range(1, n + 1))])
+    code, out, err = run(capsys, "web", "5", "--source", "both")
+    assert (code, out) == (1, "")
+    assert err.startswith("source disagreement:")
+
+
+@pytest.mark.parametrize("command", ["matrix 5", "matrix 5 --verify",
                                      "verify --suite all --max-n 5"])
-def test_only_web_listings_run_the_filter(capsys, monkeypatch, command,
-                                          cold_web_table):
-    # the web table is built by resolution, so the matrix and the identity
-    # suites never run the filter
-    sources = _count_sources(monkeypatch)
+def test_only_web_listings_call_grid_resolve(capsys, monkeypatch, command,
+                                             cold_web_table):
+    # the web table is built by the filter, so the matrix and the identity
+    # suites never resolve the identity grid; resolution_matrix steps its
+    # own DAG
+    real = cli.grid.resolve
+    calls = []
+    monkeypatch.setattr(cli.grid, "resolve",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     code, _, _ = run(capsys, *command.split())
     assert code == 0
-    assert "resolve" in sources
-    assert "characterize" not in sources
+    assert calls == []
+    code, _, _ = run(capsys, "web", "5", "--source", "resolve")
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_web_source_resolve_prints_the_default_listing(capsys, n):
+    # the default listing is the filter's table, this one resolution's
+    code, by_filter, _ = run(capsys, "web", str(n))
+    assert code == 0
+    code, by_resolution, _ = run(capsys, "web", str(n), "--source", "resolve")
+    assert code == 0
+    assert by_resolution == by_filter
 
 
 @pytest.mark.parametrize("source", ["characterize", "resolve", "both"])
