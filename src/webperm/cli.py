@@ -78,10 +78,12 @@ def cmd_web(args: argparse.Namespace) -> int:
     else:
         table = webs.web_table(args.n)
     if args.source == "both":
-        # a sigma the filter repeats would hide in the set: count them too
-        resolved = grid.web_permutations(args.n)
-        agreement = (len(table) == len(resolved)
-                     and frozenset(r.sigma for r in table) == resolved)
+        # a sigma the filter repeats would hide in the set, so count them
+        # too; the set is dropped before the rows are formatted
+        sigmas = frozenset(r.sigma for r in table)
+        agreement = (len(sigmas) == len(table)
+                     and sigmas == grid.web_permutations(args.n))
+        del sigmas
         if not agreement:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
