@@ -78,8 +78,8 @@ def cmd_web(args: argparse.Namespace) -> int:
     else:
         table = webs.web_table(args.n)
     if args.source == "both":
-        # a sigma the filter repeats would hide in the set, so count them
-        # too; the set is dropped before the rows are formatted
+        # a sigma the filter repeated would hide in the set, so its size is
+        # compared with the table's; it is dropped before the rows are built
         sigmas = frozenset(r.sigma for r in table)
         agreement = (len(sigmas) == len(table)
                      and sigmas == grid.web_permutations(args.n))
