@@ -255,8 +255,10 @@ def dyck_of_matching(m: Matching) -> str:
     >>> dyck_of_matching(matching([(1, 2), (3, 5), (4, 7), (6, 8)]))
     'NENNENEE'
     """
-    openers = {a for a, _ in m}
-    return "".join("N" if v in openers else "E" for v in range(1, 2 * len(m) + 1))
+    path = ["E"] * (2 * len(m))
+    for a, _ in m:
+        path[a - 1] = "N"
+    return "".join(path)
 
 
 def matching_from_dyck(path: str, klass: str) -> Matching:
