@@ -32,8 +32,8 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 3.4-4.0 s and 65 MiB cold (Python 3.11.7 on a 2-vCPU KVM
-# guest).  At n = 9 it took 30-34 s and 504 MiB there, but 9 becomes the
+# --verify``, 1.7-2.8 s and 35 MiB cold (Python 3.11.7 on a 2-vCPU KVM
+# guest).  At n = 9 it took 15-20 s and 174 MiB there, but 9 becomes the
 # default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -70,6 +70,18 @@ def _check_cap(name: str, n: int, cap: int) -> None:
 # web
 # ---------------------------------------------------------------------------
 
+def _web_widths(n: int) -> tuple[int, int]:
+    """The widths of the word and cycle columns of the ``web`` listing.
+
+    Every word of S_n has the same length.  A cycle of length L prints
+    L + 1 characters besides its entries, at most the 2L of L fixed
+    points, so the identity, a web permutation, has the widest cycle
+    notation.  Every Dyck path of the listing has length 2n.
+    """
+    identity = tuple(range(1, n + 1))
+    return len(perm_to_str(identity)), len(webs.cycle_notation(identity))
+
+
 def cmd_web(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     agreement = None
@@ -96,29 +108,28 @@ def cmd_web(args: argparse.Namespace) -> int:
         # check that count.  Only JSON output reports it.
         agreement = (len(table) == enumeration.euler_numbers(args.n + 1)[-1]
                      and all(andre.is_web(r.sigma) for r in table))
-    rows = [(perm_to_str(r.sigma), webs.cycle_notation(r.sigma), r.dyck,
-             r.matched)
-            for r in table]
     if args.format == "json":
         payload = {
             "n": args.n,
             "source": args.source,
-            "rows": [{"sigma": word, "cycles": cyc, "dyck": d,
-                      "matching_dyck": dyck_of_matching(m),
-                      "matching": matching_to_json(m)}
-                     for word, cyc, d, m in rows],
+            "rows": [{"sigma": perm_to_str(r.sigma),
+                      "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
+                      "matching_dyck": dyck_of_matching(r.matched),
+                      "matching": matching_to_json(r.matched)}
+                     for r in table],
         }
         if agreement is not None:
             payload["agreement"] = agreement
         print(json.dumps(payload, indent=1))
     else:
-        widths = [max(len(r[k]) for r in rows) for k in range(3)]
+        word, cyc = _web_widths(args.n)
         # Web_0 is the empty word, whose row is all padding: print it empty.
-        for word, cyc, d, m in rows:
-            print(f"{word:<{widths[0]}}  {cyc:<{widths[1]}}  "
-                  f"{d:<{widths[2]}}  {dyck_of_matching(m)}".rstrip())
+        for r in table:
+            print(f"{perm_to_str(r.sigma):<{word}}  "
+                  f"{webs.cycle_notation(r.sigma):<{cyc}}  "
+                  f"{r.dyck}  {dyck_of_matching(r.matched)}".rstrip())
         if args.source == "both":
-            print(f"agreement OK ({len(rows)} permutations)")
+            print(f"agreement OK ({len(table)} permutations)")
     return 0
 
 
@@ -130,7 +141,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     a = transition.matrix(args.n)
     if args.format == "csv":
-        print(transition.to_csv(a))
+        for line in transition.csv_lines(a):
+            print(line)
     elif args.format == "json":
         print(json.dumps(transition.to_json(a), indent=1))
     else:

@@ -9,21 +9,29 @@ The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
 evaluates this by grouping the web table by (D, M) into counts
 C[p][M'] and summing them over the Dyck lattice with a zeta transform,
-F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  A second
-construction, :func:`resolution_matrix`, resolves the grid configuration
-of every row at once, as a DAG: a state (sigma, unresolved crossings) is
-keyed by sigma as bytes and its unresolved cells as a bitmask, stepped
-once however many rows reach it, and its column counts are freed on
-their last read.  Its memo is local to one call and bounded by the
-distinct states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  The web
-table comes from the Andre-cycle filter, not from the grid, and both
-must also agree with the expansion of :mod:`webperm.oracle`, which never
-touches the grid.
+F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  No entry
+exceeds |Web_n|, so each row is an unsigned ``array.array`` of the
+narrowest typecode that holds |Web_n| (:func:`row_typecode`): ``B`` up
+to n = 5, ``H`` for n = 6..9, 2 bytes an entry, so the 4,862 rows of
+n = 9 take 47 MB.  The transform adds whole rows packed into one integer
+each, a field of that width per column.  A second construction,
+:func:`resolution_matrix`, resolves the grid configuration of every row
+at once, as a DAG: a state (sigma, unresolved crossings) is keyed by
+sigma as bytes and its unresolved cells as a bitmask, stepped once
+however many rows reach it, and its column counts are freed on their
+last read.  Its memo is local to one call and bounded by the distinct
+states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  It fills rows of
+the same typecode, so the two compare in C.  The web table comes from
+the Andre-cycle filter, not from the grid, and both must also agree
+with the expansion of :mod:`webperm.oracle`, which never touches the
+grid.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -54,7 +62,9 @@ class TransitionMatrix:
     n: int
     rows: tuple[Matching, ...]
     cols: tuple[Matching, ...]
-    entries: tuple[tuple[int, ...], ...]
+    # array.array rows from matrix and resolution_matrix; the checks and
+    # exporters take any sequences of ints
+    entries: tuple[Sequence[int], ...]
 
 
 def row_labels(n: int) -> list[Matching]:
@@ -67,11 +77,23 @@ def col_labels(n: int) -> list[Matching]:
     return enumerate_matchings(n, "NC")
 
 
+def row_typecode(bound: int) -> str:
+    """The narrowest unsigned ``array`` typecode whose items hold 0..bound.
+
+    >>> row_typecode(255), row_typecode(256), row_typecode(50521)
+    ('B', 'H', 'H')
+    """
+    for code in "BHIQ":
+        if bound < 1 << 8 * array(code).itemsize:
+            return code
+    raise OverflowError(f"no array typecode holds {bound}")
+
+
 def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 
-    One pass over the web table groups it by (D, M) into sparse counts
-    C[p][M'], one per Dyck path p.  A zeta transform over the Dyck lattice
+    One pass over the web table groups it by (D, M) into counts C[p][M'],
+    one row per Dyck path p.  A zeta transform over the Dyck lattice
     (paths as column-height vectors, ordered pointwise) then sums them
     into F(q) = sum of C[p] over p <= q, and row M is F(D(M)).
 
@@ -84,19 +106,32 @@ def matrix(n: int) -> TransitionMatrix:
     and F_k(q) = F_{k-1}(q) otherwise.  Here q|k is q with coordinate k
     lowered by 1 and each earlier coordinate clamped to min(q_j, q_k - 1):
     heights never decrease, so every p with p_k < q_k lies under q|k.
+
+    Each C[p] is an array of :func:`row_typecode` of |Web_n|, w bits an
+    item, and is packed into one integer through the native byte order,
+    column c in the c-th field of w bits, so each step of the transform is
+    one big-integer add.  No add carries out of a field: every field of
+    every F_k(q) sums nonnegative C[p] over a subset of {p <= q}, so it is
+    at most F(q)'s entry, which counts distinct web permutations and is at
+    most |Web_n| < 2^w.  The rows are
+    unpacked the same way into arrays of that typecode: ``H`` for
+    n = 6..9, 47 MB of rows at n = 9, where the transform's packed
+    integers peak at 56 MiB beyond the table.
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
+    table = web_table(n)
+    typecode = row_typecode(len(table))
+    zeros = array(typecode, [0]) * len(cols)
+    nbytes = len(zeros) * zeros.itemsize
     paths = dyck_paths(n)
     heights = [dyck_heights(p) for p in paths]
-    acc: dict[tuple[int, ...], Counter[int]] = {q: Counter() for q in heights}
-    by_path = dict(zip(paths, acc.values()))
-    for rec in web_table(n):
-        by_path[rec.dyck][col_index[rec.matched]] += 1
-    # acc then holds the only reference, so each row's Counter is freed
-    # as the row is built
-    del by_path
+    counts = {p: zeros[:] for p in paths}
+    for rec in table:
+        counts[rec.dyck][col_index[rec.matched]] += 1
+    acc = {q: int.from_bytes(counts.pop(p), sys.byteorder)
+           for p, q in zip(paths, heights)}
     # Reverse table order is a linear extension of the lattice order, so
     # q|k has finished its pass before q reads it.  k counts from 0 here;
     # the last coordinate is always n and never lowers.
@@ -105,14 +140,13 @@ def matrix(n: int) -> TransitionMatrix:
             top = q[k] - 1
             if top > k:
                 lower = tuple(min(h, top) for h in q[:k]) + (top,) + q[k + 1:]
-                acc[q].update(acc[lower])
-    grid_rows = []
+                acc[q] += acc[lower]
+    entries = []
     for q in heights:
-        counts = [0] * len(cols)
-        for c, v in acc.pop(q).items():
-            counts[c] = v
-        grid_rows.append(tuple(counts))
-    return TransitionMatrix(n, rows, cols, tuple(grid_rows))
+        row = array(typecode)
+        row.frombytes(acc.pop(q).to_bytes(nbytes, sys.byteorder))
+        entries.append(row)
+    return TransitionMatrix(n, rows, cols, tuple(entries))
 
 
 def _key(state: State, bit: dict[Cell, int]) -> tuple[bytes, int]:
@@ -159,7 +193,8 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     3,994, 22,333 and 137,073 at n = 7, 8 and 9: the first pass keeps a
     key, children and read count per state, and the keys go when it ends.
     The values alive at once are far fewer, at most 47,000 column entries
-    in 1,435 values at n = 9.
+    in 1,435 values at n = 9.  Each row is filled into an array of the
+    typecode of :func:`matrix`.
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
@@ -197,7 +232,8 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     del ids
 
     values: dict[int, dict[int, int]] = {}
-    grid_rows: list[tuple[int, ...]] = [()] * len(rows)
+    zeros = array(row_typecode(len(web_table(n))), [0]) * len(cols)
+    grid_rows: list[array] = [zeros] * len(rows)
     for r in reversed(range(len(rows))):
         # (s, None) asks for the value of s, (s, children) sums it once
         # the children's values are in
@@ -222,10 +258,10 @@ def resolution_matrix(n: int) -> TransitionMatrix:
                 for c, v in part.items():
                     total[c] = total.get(c, 0) + v
             values[s] = total
-        counts = [0] * len(cols)
+        row = zeros[:]
         for c, v in _take(values, reads, roots[r])[0].items():
-            counts[c] = v
-        grid_rows[r] = tuple(counts)
+            row[c] = v
+        grid_rows[r] = row
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 
 
@@ -288,8 +324,25 @@ def support_check(a: TransitionMatrix) -> list[dict]:
 # export formats
 # ---------------------------------------------------------------------------
 
+def csv_lines(a: TransitionMatrix) -> Iterator[str]:
+    """The CSV text of ``a``, one line per row, without newlines.
+
+    Each entry's string is looked up, not formatted: the strings of 0 up
+    to the largest entry of row 0 are made once.  Row 0 is F of the
+    maximum path, which dominates every row entrywise, so that covers
+    every entry of a :func:`matrix`; a row with any other value is
+    formatted entry by entry.
+    """
+    strs = {v: str(v) for v in range(max(a.entries[0], default=0) + 1)}
+    for row in a.entries:
+        try:
+            yield ",".join(map(strs.get, row))
+        except TypeError:
+            yield ",".join(map(str, row))
+
+
 def to_csv(a: TransitionMatrix) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in a.entries)
+    return "\n".join(csv_lines(a))
 
 
 def to_json(a: TransitionMatrix) -> dict:

@@ -98,10 +98,13 @@ def test_matrix_verify(capsys):
 
 
 def _bump(a, r, c, by=1):
-    """``a`` with entry (r, c) raised by ``by``."""
-    rows = [list(row) for row in a.entries]
+    """``a`` with entry (r, c) raised by ``by``; every row keeps the
+    producer's type, so a comparison with the unbumped rows fails only at
+    the bumped entry."""
+    rows = list(a.entries)
+    rows[r] = rows[r][:]
     rows[r][c] += by
-    return dataclasses.replace(a, entries=tuple(map(tuple, rows)))
+    return dataclasses.replace(a, entries=tuple(rows))
 
 
 def _break_resolution(monkeypatch):
@@ -147,6 +150,16 @@ def _break_positivity(monkeypatch):
     real = transition.support_check
     monkeypatch.setattr(transition, "support_check",
                         lambda a: real(_bump(a, 0, 1, by=-1)))
+
+
+def test_matrix_verify_passes_a_zero_bump(capsys, monkeypatch):
+    # _bump keeps the rows' type, so only a changed value can fail
+    real = transition.resolution_matrix
+    monkeypatch.setattr(transition, "resolution_matrix",
+                        lambda n: _bump(real(n), 0, 1, by=0))
+    code, _, err = run(capsys, "matrix", "3", "--verify")
+    assert code == 0
+    assert "verify OK" in err
 
 
 @pytest.mark.parametrize("breaker, line", [
@@ -418,6 +431,15 @@ def test_web_text(capsys, golden_web_tables):
     assert out.split() == ["1", "(1)", "NE", "NE"]
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_web_widths_are_the_widest_entries_of_the_table(n):
+    table = webs.web_table(n)
+    assert cli._web_widths(n) == (
+        max(len(cli.perm_to_str(r.sigma)) for r in table),
+        max(len(webs.cycle_notation(r.sigma)) for r in table))
+    assert {len(r.dyck) for r in table} == {2 * n}
+
+
 def test_web_source_both(capsys):
     code, out, _ = run(capsys, "web", "5", "--source", "both")
     lines = out.strip().splitlines()
@@ -542,7 +564,7 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     assert [c["lhs"] for c in report["checks"] if not c["pass"]] == [99, 99, 99]
 
 
-def _web_json_into_closed_pipe(stderr_too):
+def _into_closed_pipe(argv, stderr_too):
     # The pipe's read end is closed before the command starts, so its first
     # write fails; it must exit 2 without a traceback, also at the
     # interpreter's final flush.
@@ -552,12 +574,16 @@ def _web_json_into_closed_pipe(stderr_too):
     os.close(read_end)
     try:
         return subprocess.run(
-            [sys.executable, "-m", "webperm.cli", "web", "6", "--format", "json"],
+            [sys.executable, "-m", "webperm.cli", *argv],
             stdout=write_end,
             stderr=write_end if stderr_too else subprocess.PIPE,
             env=env, timeout=60)
     finally:
         os.close(write_end)
+
+
+def _web_json_into_closed_pipe(stderr_too):
+    return _into_closed_pipe(["web", "6", "--format", "json"], stderr_too)
 
 
 def test_stdout_closed_early_is_a_usage_error():
@@ -569,6 +595,13 @@ def test_stdout_closed_early_is_a_usage_error():
 def test_stdout_and_stderr_closed_early_is_a_usage_error():
     # The error line is lost with stderr, but the exit code is still 2.
     assert _web_json_into_closed_pipe(stderr_too=True).returncode == 2
+
+
+def test_streamed_csv_into_a_closed_pipe_is_a_usage_error():
+    # the CSV is printed row by row, so the write fails inside the loop
+    done = _into_closed_pipe(["matrix", "6"], stderr_too=False)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "error: cannot write the output: Broken pipe\n"
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -26,9 +28,11 @@ from webperm.oracle import syzygy_expand
 from webperm.transition import (
     TransitionMatrix,
     col_labels,
+    csv_lines,
     matrix,
     resolution_matrix,
     row_labels,
+    row_typecode,
     support_check,
     to_csv,
     to_json,
@@ -76,7 +80,7 @@ def test_matrix_matches_reference(n, golden_matrices):
     if n in golden_matrices:
         assert [list(row) for row in a.entries] == golden_matrices[n]
     else:
-        assert a.entries == ((1,),)
+        assert [list(row) for row in a.entries] == [[1]]
 
 
 def literal_entries(n):
@@ -88,13 +92,13 @@ def literal_entries(n):
     for m in row_labels(n):
         path = dyck_of_matching(m)
         below = Counter(rec.matched for rec in table if dyck_leq(rec.dyck, path))
-        out.append(tuple(below[c] for c in cols))
-    return tuple(out)
+        out.append([below[c] for c in cols])
+    return out
 
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_matrix_matches_literal_characterization(n):
-    assert matrix(n).entries == literal_entries(n)
+    assert [list(row) for row in matrix(n).entries] == literal_entries(n)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -135,7 +139,7 @@ def test_recurrence_equals_per_row_resolution(n):
         counts = [0] * len(a.cols)
         for sigma, mult in resolve(row_configuration(m)).items():
             counts[col[matching_of_permutation(sigma)]] += mult
-        assert tuple(counts) == row
+        assert counts == list(row)
 
 
 def test_resolution_matrix_steps_each_distinct_state_once(monkeypatch):
@@ -357,6 +361,46 @@ def test_top_row_sums_to_web_count(n):
     assert sum(a.entries[0]) == len(web_table(n))
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_row_zero_dominates_every_row_and_the_web_count_bounds_it(n):
+    # the facts the packed rows rest on: the CSV's strings run up to the
+    # largest entry of row 0, and the field width holds len(web_table(n))
+    a = matrix(n)
+    top = a.entries[0]
+    assert all(map(int.__ge__, top, row) for row in a.entries)
+    assert max(top) <= len(web_table(n))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_both_methods_fill_rows_of_the_web_count_typecode(n):
+    code = row_typecode(len(web_table(n)))
+    for a in (matrix(n), resolution_matrix(n)):
+        assert {(type(row), row.typecode) for row in a.entries} == {(array, code)}
+
+
+@pytest.mark.parametrize("bound, itemsize", [
+    (0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4),
+    (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8),
+])
+def test_row_typecode_is_the_narrowest_that_holds_the_bound(bound, itemsize):
+    code = row_typecode(bound)
+    assert array(code).itemsize == itemsize
+    row = array(code, [bound, 0, bound])
+    assert list(row) == [bound, 0, bound]
+    # fields at the bound, packed and added to zero fields, keep their
+    # values and spill into no neighbour
+    packed = int.from_bytes(row, sys.byteorder)
+    packed += int.from_bytes(array(code, [0, bound, 0]), sys.byteorder)
+    total = array(code)
+    total.frombytes(packed.to_bytes(3 * itemsize, sys.byteorder))
+    assert list(total) == [bound] * 3
+
+
+def test_row_typecode_refuses_a_bound_past_every_typecode():
+    with pytest.raises(OverflowError):
+        row_typecode(2**64)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_diagonal_witnesses_avoid_312(n):
     a = matrix(n)
@@ -373,6 +417,7 @@ def test_diagonal_witnesses_avoid_312(n):
 def test_exports():
     a = matrix(2)
     assert to_csv(a) == "1,1\n0,1"
+    assert list(csv_lines(a)) == ["1,1", "0,1"]
     latex = to_latex(a)
     assert latex.splitlines()[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
     data = to_json(a)
@@ -380,3 +425,10 @@ def test_exports():
     assert data["entries"] == [[1, 1], [0, 1]]
     assert data["rows"][0] == [[1, 3], [2, 4]]
     assert data["cols"][0] == [[1, 4], [2, 3]]
+
+
+def test_csv_formats_entries_outside_row_zero():
+    # rows of any ints: a value row 0 does not reach, or a negative one,
+    # is formatted rather than looked up
+    a = TransitionMatrix(2, (), (), ((2, 1), (0, 3), (-1, 1), (-2, 0)))
+    assert to_csv(a) == "2,1\n0,3\n-1,1\n-2,0"
