@@ -333,7 +333,7 @@ def csv_lines(a: TransitionMatrix) -> Iterator[str]:
     every entry of a :func:`matrix`; a row with any other value is
     formatted entry by entry.
     """
-    strs = {v: str(v) for v in range(max(a.entries[0], default=0) + 1)}
+    strs = {v: str(v) for v in range(max(a.entries[0]) + 1)}
     for row in a.entries:
         try:
             yield ",".join(map(strs.get, row))

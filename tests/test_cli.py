@@ -582,19 +582,16 @@ def _into_closed_pipe(argv, stderr_too):
         os.close(write_end)
 
 
-def _web_json_into_closed_pipe(stderr_too):
-    return _into_closed_pipe(["web", "6", "--format", "json"], stderr_too)
-
-
 def test_stdout_closed_early_is_a_usage_error():
-    done = _web_json_into_closed_pipe(stderr_too=False)
+    done = _into_closed_pipe(["web", "6", "--format", "json"], stderr_too=False)
     assert done.returncode == 2
     assert done.stderr.decode() == "error: cannot write the output: Broken pipe\n"
 
 
 def test_stdout_and_stderr_closed_early_is_a_usage_error():
     # The error line is lost with stderr, but the exit code is still 2.
-    assert _web_json_into_closed_pipe(stderr_too=True).returncode == 2
+    done = _into_closed_pipe(["web", "6", "--format", "json"], stderr_too=True)
+    assert done.returncode == 2
 
 
 def test_streamed_csv_into_a_closed_pipe_is_a_usage_error():
