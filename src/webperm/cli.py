@@ -32,9 +32,9 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 1.4-2.8 s and 35 MiB cold (Python 3.11.7 on a 2-vCPU KVM
-# guest).  At n = 9 it took 12-20 s and 174 MiB there, but 9 becomes the
-# default only once the benchmark records that run.  ``--cap`` raises it.
+# --verify``, 1.0 s and 35 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
+# At n = 9 it took 8.0-8.1 s and 173 MiB there, but 9 becomes the default
+# only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
 # The most rows ``seidel`` prints; it has no --cap.  The rows are printed as

@@ -25,14 +25,17 @@ Resolving a crossing ``c`` replaces a configuration by two others:
 Only cells that are maximal in the upper-left partial order may be
 resolved; this keeps the elbow set valid in the switched configuration.
 :func:`_step` is the one resolution step and :func:`resolve` walks the
-tree it spans; :func:`children` is the same step on a configuration.
-A state is sigma with its unresolved crossings, those not elbows: a
-smoothed child drops the resolved one, and a switched child recomputes
-the cells the switch moves, so only the root's set is built from
-scratch.  Fully resolving the identity configuration yields
-the web permutations; resolving :func:`row_configuration` of a nonnesting
-matching M yields the web permutations that make up row M of the
-transition matrix.
+tree it spans.  A state is sigma with a bitmask of its unresolved
+crossings, those not elbows, cell (i, j) at bit (j - 1) n + (n - i): a
+higher row is a higher block of n bits, and a column further left a
+higher bit within its block.  So the highest set bit is the top-left
+cell, and a cell is maximal iff its upper-left cone (:func:`_cone`)
+meets the mask in that cell alone.  A smoothed child clears the resolved
+bit, and a switched child recomputes the cells the switch moves, so only
+the root's mask is built from a crossing set (:func:`_root`).  Fully
+resolving the identity configuration yields the web permutations;
+resolving :func:`row_configuration` of a nonnesting matching M yields
+the web permutations that make up row M of the transition matrix.
 """
 
 from __future__ import annotations
@@ -56,16 +59,17 @@ from .combinat import (
 
 DEFAULT_NODE_CAP = 10_000_000
 
-# A resolution state (sigma, unresolved), where unresolved is
-# crossings_of(sigma) minus the elbows; it is terminal when that is empty.
-State = tuple[Permutation, frozenset[Cell]]
+# A resolution state (sigma, unresolved): unresolved is the mask of
+# crossings_of(sigma) minus the elbows, cell (i, j) at bit (j - 1) n + n - i
+# (see :func:`_mask`); the state is terminal when the mask is 0.
+State = tuple[Permutation, int]
 
 
 def crossings_of(sigma: Permutation) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j and i < sigma^-1(j).
 
     Built from scratch for validation and for the roots of resolution;
-    :func:`resolve` updates the unresolved part along the tree instead.
+    :func:`resolve` updates the unresolved mask along the tree instead.
 
     >>> sorted(crossings_of((1, 2, 3)))
     [(1, 2), (1, 3), (2, 3)]
@@ -199,35 +203,74 @@ def trace_matching(g: GridConfiguration) -> Matching:
 # resolution
 # ---------------------------------------------------------------------------
 
-def _dominated(c: Cell, cells: Iterable[Cell]) -> bool:
-    """True iff another cell of ``cells`` lies weakly above and left of
-    ``c``, that is, iff ``c`` is not upper-left maximal."""
-    return any(d != c and d[0] <= c[0] and d[1] >= c[1] for d in cells)
+def _mask(cells: Iterable[Cell], n: int) -> int:
+    """The bitmask of a set of cells of the n x n grid, cell (i, j) at bit
+    (j - 1) n + n - i.
+
+    >>> bin(_mask({(1, 3), (2, 3), (1, 2)}, 3))
+    '0b110100000'
+    """
+    return sum(1 << (j - 1) * n + n - i for i, j in cells)
 
 
-def pick_top_left(cells: frozenset[Cell]) -> Cell:
+def _cells(mask: int, n: int) -> list[Cell]:
+    """The cells of a bitmask of the n x n grid, sorted."""
+    return sorted((n - b % n, b // n + 1) for b in range(mask.bit_length())
+                  if mask >> b & 1)
+
+
+def _cone(c: Cell, n: int) -> int:
+    """The mask of the upper-left cone of ``c`` = (i, j): the cells (x, y)
+    with x <= i and y >= j, ``c`` itself included.
+
+    Columns 1..i are the top i bits of each row's block, and the rows
+    j..n are the blocks from j - 1 up, so the cone is that run of bits
+    repeated once per block.
+    """
+    i, j = c
+    run = ((1 << i) - 1) << n - i
+    blocks = ((1 << (n - j + 1) * n) - 1) // ((1 << n) - 1)
+    return run * blocks << (j - 1) * n
+
+
+def _root(g: GridConfiguration) -> State:
+    """The resolution state of ``g``: sigma and the mask of its crossings
+    that are not elbows."""
+    return g.sigma, _mask(crossings_of(g.sigma) - g.elbows, len(g.sigma))
+
+
+def pick_top_left(unresolved: int, n: int) -> Cell:
     """Canonical selection: highest row, then leftmost column.
 
     This is the maximum in the total order refining the upper-left partial
-    order, so the choice is always a maximal cell.
+    order, so the choice is always a maximal cell.  It is the highest set
+    bit of the mask.
     """
-    return max(cells, key=lambda c: (c[1], -c[0]))
+    row, col = divmod(unresolved.bit_length() - 1, n)
+    return n - col, row + 1
 
 
-def pick_bottom(cells: frozenset[Cell]) -> Cell:
+def pick_bottom(unresolved: int, n: int) -> Cell:
     """Antagonistic selection: the maximal cell in the lowest row.
 
-    This certifies criterion c11: resolving with it and with
+    Only the leftmost cell of a row, the highest bit of its block, can be
+    maximal.  This certifies criterion c11: resolving with it and with
     :func:`pick_top_left` gives the same outcome from every root.
     """
-    return min((c for c in cells if not _dominated(c, cells)),
-               key=lambda c: (c[1], c[0]))
+    full = (1 << n) - 1
+    for row in range(n):
+        block = unresolved >> row * n & full
+        if block:
+            col = block.bit_length() - 1
+            c = (n - col, row + 1)
+            if unresolved & _cone(c, n) == 1 << row * n + col:
+                return c
+    raise ValueError("no unresolved crossing to pick")
 
 
-def _switch(sigma: Permutation, unresolved: frozenset[Cell], c: Cell,
-            ) -> State:
+def _switch(sigma: Permutation, unresolved: int, c: Cell) -> State:
     """Switch the crossing c = (i, j) of sigma, whose unresolved crossings
-    are ``unresolved``; returns the switched state.
+    are the mask ``unresolved``; returns the switched state.
 
     The switch moves the marking of column i up from row a = sigma(i) to
     row j, and that of column k = sigma^-1(j) down from row j to row a.
@@ -240,77 +283,72 @@ def _switch(sigma: Permutation, unresolved: frozenset[Cell], c: Cell,
     :class:`RuntimeError` names the elbows the switch would move.
     """
     i, j = c
+    n = len(sigma)
     inv = inverse(sigma)
     k, a = inv[j - 1], sigma[i - 1]
     word = list(sigma)
     word[i - 1], word[k - 1] = j, a
-    gone = {(i, y) for y in range(a + 1, j + 1) if i < inv[y - 1]}
-    gone.update((x, j) for x in range(i + 1, k) if sigma[x - 1] < j)
-    if not gone <= unresolved:
+    # cell (x, y) is bit (y - 1) n + n - x; column k gains no cell on row
+    # j, where inv[j - 1] = k
+    gone = new = 0
+    for y in range(a + 1, j + 1):
+        if i < inv[y - 1]:
+            gone |= 1 << (y - 1) * n + n - i
+        if k < inv[y - 1]:
+            new |= 1 << (y - 1) * n + n - k
+    for x in range(i + 1, k):
+        if sigma[x - 1] < j:
+            gone |= 1 << (j - 1) * n + n - x
+            if sigma[x - 1] < a:
+                new |= 1 << (a - 1) * n + n - x
+    moved = gone & ~unresolved
+    if moved:
         raise RuntimeError(f"switching {c} in {sigma} invalidated elbows "
-                           f"{sorted(gone - unresolved)}")
-    new = {(k, y) for y in range(a + 1, j) if k < inv[y - 1]}
-    new.update((x, a) for x in range(i + 1, k) if sigma[x - 1] < a)
-    return tuple(word), (unresolved - gone) | new
+                           f"{_cells(moved, n)}")
+    return tuple(word), (unresolved ^ gone) | new
 
 
-def _step(state: State, pick: Callable[[frozenset[Cell]], Cell],
+def _step(state: State, pick: Callable[[int, int], Cell],
           ) -> Optional[tuple[State, State]]:
     """Resolve the crossing of ``state`` chosen by ``pick``.
 
     Returns the smoothed and the switched child, in that order, or None
-    when no crossing is left.  The smoothed child drops the crossing from
-    its parent's unresolved set; the switched child comes from
-    :func:`_switch`.  ``pick`` must return a maximal cell of the
-    unresolved crossings it is given.
+    when no crossing is left.  The smoothed child clears the crossing's
+    bit in its parent's mask; the switched child comes from
+    :func:`_switch`.  ``pick`` is called with the mask and n and must
+    return a maximal cell of the unresolved crossings.
     """
     sigma, unresolved = state
     if not unresolved:
         return None
-    c = pick(unresolved)
-    if c not in unresolved:
+    n = len(sigma)
+    c = pick(unresolved, n)
+    i, j = c
+    bit = 1 << (j - 1) * n + n - i if 0 < i <= n and 0 < j <= n else 0
+    if not unresolved & bit:
         raise ValueError(f"{c} is not an unresolved crossing of {sigma}")
-    if _dominated(c, unresolved):
+    if unresolved & _cone(c, n) != bit:
         raise ValueError(f"selection policy returned non-maximal cell {c}")
-    return (sigma, unresolved - {c}), _switch(sigma, unresolved, c)
-
-
-def children(g: GridConfiguration,
-             pick: Callable[[frozenset[Cell]], Cell] = pick_top_left,
-             ) -> Optional[tuple[GridConfiguration, GridConfiguration]]:
-    """The smoothed and the switched child of ``g`` at the crossing chosen
-    by ``pick``, or None when ``g`` is terminal.
-
-    >>> smoothed, switched = children(empty_configuration(3))
-    >>> sorted(smoothed.elbows), switched.sigma
-    ([(1, 3)], (3, 2, 1))
-    """
-    crossings = crossings_of(g.sigma)
-    step = _step((g.sigma, crossings - g.elbows), pick)
-    if step is None:
-        return None
-    (_, rest), (switched, _) = step
-    return (GridConfiguration(g.sigma, crossings - rest),
-            GridConfiguration(switched, g.elbows))
+    return (sigma, unresolved ^ bit), _switch(sigma, unresolved, c)
 
 
 def resolve(g: GridConfiguration,
             node_cap: int = DEFAULT_NODE_CAP,
-            pick: Callable[[frozenset[Cell]], Cell] = pick_top_left,
+            pick: Callable[[int, int], Cell] = pick_top_left,
             ) -> Counter[Permutation]:
     """Fully resolve ``g`` and return the terminal permutations as a multiset.
 
     Branches depth-first on (smooth, switch) with :func:`_step` at the
     crossing chosen by ``pick``, which must always return a maximal cell
-    of its argument.  Each state on the stack carries its unresolved
-    crossings, built once for ``g`` and updated by every step; a state
-    is terminal when none is left.
+    of the mask it is given.  Each state on the stack carries the mask of
+    its unresolved crossings, built once for ``g`` and updated by every
+    step; a state is terminal when none is left.
     Raises :class:`CapExceeded` when more than ``node_cap`` states are
     visited.  A ``g`` whose elbows a switch would move, such as
     G(123, {(1, 2)}), is refused with :class:`RuntimeError`.
     """
     out: Counter[Permutation] = Counter()
-    stack: list[State] = [(g.sigma, crossings_of(g.sigma) - g.elbows)]
+    stack: list[State] = [_root(g)]
     nodes = 0
     while stack:
         state = stack.pop()

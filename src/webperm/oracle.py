@@ -12,18 +12,20 @@ of rewriting reaches it.  Two constructions compute it:
   before it.
   Inserting an arc into a noncrossing partial matching walks along the
   new chord and smooths each arc it crosses, in order, into 2^k
-  noncrossing states of coefficient 1.  The states are partner tuples
-  (entry p is the other end of the arc at p, 0 at a free point), and the
-  expansion is returned keyed by them.  Every row starts from the empty
-  matching and nothing is kept across rows.
+  noncrossing states of coefficient 1.  Each state is one packed partner
+  int (:func:`partners`): field p, of w = (2n).bit_length() bits, holds
+  the other end of the arc at p, 0 at a free point, so arcs are joined
+  and unjoined by exact field adds and subtracts.  The expansion is
+  returned keyed by these ints.  Every row starts from the empty matching
+  and nothing is kept across rows.
 - :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
   time, until none is left.  It is the reference that the tests hold the
   insertion to.
 
 :func:`check_rows` runs the oracle on the rows of a transition matrix
 for ``matrix --verify`` and the ``oracle`` suite.  It maps each
-expansion to column indices through the columns' partner tuples; a key
-that is not a column fails the row.  The reflection ρ: i ↦ 2n+1−i maps
+expansion to column indices through the columns' packed partner ints; a
+key that is not a column fails the row.  The reflection ρ: i ↦ 2n+1−i maps
 crossings to crossings and smoothings to smoothings, so the expansion of
 ρM is ρ of the expansion of M, and one insertion serves the orbit
 {M, ρM}: ρM reads the coefficients at the columns ρ permutes them to.
@@ -40,8 +42,11 @@ probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs it on every
 row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite with
 ``--trials``; :func:`verify_expansion` is the same check on one
 ``Matching``-keyed expansion.  Each call draws its samples once, from
-(n, trials, seed) alone, and evaluates every row on them through
-:meth:`_Samples.holds`; nothing is kept between calls.
+(n, trials, seed) alone, packs each column's products on all of them
+into one int, a field per sample wide enough that no sum of a row's
+terms carries (:func:`_field_bytes`), and evaluates every row on them
+through :meth:`_Samples.holds`, one sum of products a row; nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import combinations
-from operator import itemgetter, mul
+from operator import mul
 
 from .combinat import (
     Matching,
@@ -105,101 +110,126 @@ def syzygy_expand(m: Matching, policy: str = "first") -> dict[Matching, int]:
     return dict(sorted(out.items()))
 
 
-def _insert_arc(partner: tuple[int, ...], x: int,
-                y: int) -> Iterator[tuple[int, ...]]:
+def _insert_arc(partner: int, x: int, y: int, w: int) -> list[int]:
     """Expand N·Δ_xy over noncrossing partial matchings, for a noncrossing
     partial matching N and x < y free points of N.
 
-    N is given as its ``partner`` tuple (``partner[p]`` is the other end of
-    the arc at p, 0 at a free point), and so is each state yielded; every
-    state has coefficient 1.  The k arcs of N that cross (x, y) are walked
-    in the order of their endpoint inside (x, y), and each of them crosses
-    the chord from the current loose end, x at first, to y.  At each one
-    the loose end is joined to one of its endpoints and the other endpoint
-    becomes the loose end: the two smoothings of the Plücker relation.  The
-    last loose end is joined to y.  The joins form one path from x to y,
-    never a closed loop, so the 2^k walks give 2^k noncrossing states.
+    N is given as its packed partner int (:func:`partners`, ``w`` bits a
+    point), and so is each state returned; every state has coefficient 1.
+    The k arcs of N that cross (x, y) are walked in the order of their
+    endpoint inside (x, y), and each of them crosses the chord from the
+    current loose end, x at first, to y.  At each one the loose end is
+    joined to one of its endpoints and the other endpoint becomes the
+    loose end: the two smoothings of the Plücker relation.  The last loose
+    end is joined to y.  The joins form one path from x to y, never a
+    closed loop, so the 2^k walks give 2^k noncrossing states.
+
+    The crossed arcs are unjoined once for all walks, by subtracting their
+    fields.  After each crossed arc the walks fall into two groups by
+    their loose end, one of its two endpoints, so each next join adds one
+    int, (e << w l) + (l << w e) for loose end l and endpoint e, the same
+    for its whole group.  Every add and subtract hits fields that hold
+    exactly the value removed or 0, so no field borrows or carries.
     """
-    crossed = [(p, q) for p, q in enumerate(partner[x + 1:y], x + 1)
-               if q and not x < q < y]
-    walks: list[tuple[tuple[int, ...], int]] = [((), x)]
+    fields = (1 << w) - 1
+    base = partner
+    crossed = []
+    for p in range(x + 1, y):
+        q = partner >> w * p & fields
+        if q and not x < q < y:
+            crossed.append((p, q))
+            base -= (q << w * p) + (p << w * q)
+    # the walks whose loose end is a, and those whose loose end is b
+    a, at_a, b, at_b = x, [base], 0, []
     for inner, outer in crossed:
-        walks = [(ends + (loose, end), other)
-                 for ends, loose in walks
-                 for end, other in ((inner, outer), (outer, inner))]
-    for ends, loose in walks:
-        state = list(partner)
-        ends += (loose, y)
-        for k in range(0, len(ends), 2):
-            p, q = ends[k], ends[k + 1]
-            state[p] = q
-            state[q] = p
-        yield tuple(state)
+        join = (inner << w * a) + (a << w * inner)
+        to_inner = [state + join for state in at_a]
+        join = (outer << w * a) + (a << w * outer)
+        to_outer = [state + join for state in at_a]
+        if at_b:
+            join = (inner << w * b) + (b << w * inner)
+            to_inner += [state + join for state in at_b]
+            join = (outer << w * b) + (b << w * outer)
+            to_outer += [state + join for state in at_b]
+        a, at_a, b, at_b = outer, to_inner, inner, to_outer
+    join = (y << w * a) + (a << w * y)
+    out = [state + join for state in at_a]
+    if at_b:
+        join = (y << w * b) + (b << w * y)
+        out += [state + join for state in at_b]
+    return out
 
 
-def syzygy_insert(m: Matching) -> dict[tuple[int, ...], int]:
+def syzygy_insert(m: Matching) -> dict[int, int]:
     """Expand a matching over noncrossing matchings by arc insertion.
 
     Starting from the empty matching, the arcs of ``m`` are inserted one
     at a time by :func:`_insert_arc`, shortest first and ties by opener.
-    The expansion is keyed by partner tuples (see :func:`partners`), as
-    the states are while arcs are inserted.  It is unique
+    The expansion is keyed by packed partner ints (see :func:`partners`),
+    as the states are while arcs are inserted.  It is unique
     (Rumer–Teller–Weyl), so the arc order does not change the result,
-    which is ``syzygy_expand(m)`` with each key in its partner tuple.  It
-    changes the work: an arc (x, y) of a nonnesting matching crosses
-    y - x - 1 others, so the expansions stay small for longer, and the rows
-    of n = 7 and 8 take 72,267 and 735,307 walks, against 85,552 and
-    814,697 in opener order.
+    which is ``syzygy_expand(m)`` with each key packed.  It changes the
+    work: an arc (x, y) of a nonnesting matching crosses y - x - 1 others,
+    so the expansions stay small for longer, and the rows of n = 7 and 8
+    take 72,267 and 735,307 walks, against 85,552 and 814,697 in opener
+    order.
 
     Memory is bounded by two expansions, the one being grown and the one
     it grows from.  The result has at most Catalan(n) keys; on the 2,494
     rows that ``matrix 9 --verify`` inserts, at most 6,292 states are
-    alive at once, and the largest result has all 4,862.  The whole oracle
-    of n = 9 (:func:`check_rows`, without the matrix) peaks at 26 MiB RSS
-    in 16.5 s (Python 3.11.7 on a 2-vCPU KVM guest).
+    alive at once, and the largest result has all 4,862.  Each state is
+    one int of 2n + 1 fields of (2n).bit_length() bits: 4-bit fields up to
+    n = 7, 5-bit fields for n = 8..15, so at n = 9 a state is 95 bits.
+    The whole oracle of n = 9 (:func:`check_rows`, without the matrix)
+    peaks at 24 MiB RSS in 3.7 s (Python 3.11.7 on a 2-vCPU KVM guest).
 
-    >>> sorted(syzygy_insert(matching([(1, 3), (2, 4)])).items())
-    [((0, 2, 1, 4, 3), 1), ((0, 4, 3, 2, 1), 1)]
+    >>> sorted(map(oct, syzygy_insert(matching([(1, 3), (2, 4)]))))
+    ['0o12340', '0o34120']
     """
-    expansion: dict[tuple[int, ...], int] = {(0,) * (2 * len(m) + 1): 1}
+    w = (2 * len(m)).bit_length()
+    expansion: dict[int, int] = {0: 1}
     for x, y in sorted(m, key=lambda arc: (arc[1] - arc[0], arc[0])):
-        grown: dict[tuple[int, ...], int] = {}
+        grown: dict[int, int] = {}
         for partner, coeff in expansion.items():
-            for state in _insert_arc(partner, x, y):
+            for state in _insert_arc(partner, x, y, w):
                 grown[state] = grown.get(state, 0) + coeff
         expansion = grown
     return expansion
 
 
-def partners(m: Matching) -> tuple[int, ...]:
-    """The partner tuple of a matching on [2n]: entry p is the other end of
-    the arc at p, and entry 0 is 0.
+def partners(m: Matching) -> int:
+    """The packed partner int of a matching on [2n]: field p, the bits
+    w p up to w (p + 1) for w = (2n).bit_length(), holds the other end of
+    the arc at p, and field 0 is 0.  For n = 2 and 3, w = 3 and the fields
+    are the octal digits.
 
-    >>> partners(matching([(1, 4), (2, 3)]))
-    (0, 4, 3, 2, 1)
+    >>> oct(partners(matching([(1, 4), (2, 3)])))
+    '0o12340'
     """
-    out = [0] * (2 * len(m) + 1)
-    for p, q in m:
-        out[p] = q
-        out[q] = p
-    return tuple(out)
+    w = (2 * len(m)).bit_length()
+    return sum((q << w * p) + (p << w * q) for p, q in m)
 
 
-def reflect(partner: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of a perfect matching's partner tuple under ρ: i ↦ 2n+1−i.
+def reflect(partner: int, n: int) -> int:
+    """The image of the packed partner int of a perfect matching on [2n]
+    under ρ: i ↦ 2n+1−i.
 
-    >>> reflect(partners(matching([(1, 2), (3, 5), (4, 6)])))
-    (0, 3, 4, 1, 2, 6, 5)
+    >>> oct(reflect(partners(matching([(1, 2), (3, 5), (4, 6)])), 3))
+    '0o5621430'
     """
-    end = len(partner)
-    return (0, *[end - q for q in reversed(partner[1:])])
+    w = (2 * n).bit_length()
+    fields = (1 << w) - 1
+    end = 2 * n + 1
+    return sum(end - (partner >> w * p & fields) << w * (end - p)
+               for p in range(1, end))
 
 
-def reflection(keys: list[tuple[int, ...]]) -> list[int]:
-    """The permutation of indices that ρ induces on a list of partner
-    tuples closed under ρ: entry k is the index of ``reflect(keys[k])``."""
+def reflection(keys: list[int], n: int) -> list[int]:
+    """The permutation of indices that ρ induces on a list of packed
+    partner ints of size n closed under ρ: entry k is the index of
+    ``reflect(keys[k], n)``."""
     index = {key: k for k, key in enumerate(keys)}
-    return [index[reflect(key)] for key in keys]
+    return [index[reflect(key, n)] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +255,17 @@ def delta_product(z: list[list[int]], m: Matching) -> int:
     for i, j in m:
         result *= minor(z, i, j)
     return result
+
+
+def _field_bytes(terms: int) -> int:
+    """Bytes per sample field of a packed sum of ``terms`` products c·Δ.
+
+    Every c and Δ is reduced below p < 2^61, so each product is below
+    2^122 and the sum below terms · 2^122 < 2^(122 + terms.bit_length()):
+    a field of that many bits, rounded up to whole bytes, never carries
+    into the next.
+    """
+    return (122 + terms.bit_length() + 7) // 8
 
 
 class _Samples:
@@ -254,21 +295,38 @@ class _Samples:
             out = tuple(map(mul, out, column))
         return tuple(x % MODULUS for x in out)
 
-    def by_sample(self, support: Iterable[Matching]
-                  ) -> list[tuple[int, ...]]:
-        """Per sample, the :meth:`products` of each matching of ``support``
-        in order."""
-        columns = list(map(self.products, support))
-        return [tuple(map(itemgetter(t), columns)) for t in range(len(self.zs))]
+    def pack(self, support: Iterable[Matching]) -> list[int]:
+        """The :meth:`products` of each matching of ``support``, in order,
+        packed into one int each: sample t in field t, little-endian, of
+        :func:`_field_bytes` of the support's size.  Each column is
+        encoded in one pass, one ``to_bytes`` a sample and one
+        ``from_bytes`` in all."""
+        support = list(support)
+        size = _field_bytes(len(support))
+        return [int.from_bytes(b"".join(v.to_bytes(size, "little")
+                                        for v in self.products(m)), "little")
+                for m in support]
 
     def holds(self, m: Matching, coeffs: dict[int, int],
-              by_sample: list[tuple[int, ...]]) -> bool:
+              packed: list[int]) -> bool:
         """True iff Δ_m = sum of c·Δ_k over (k, c) in ``coeffs`` modulo p on
-        every sample, where ``by_sample[t][k]`` is Δ_k on sample t."""
-        return all(
-            sum(map(mul, coeffs.values(), map(products.__getitem__, coeffs)))
-            % MODULUS == value
-            for products, value in zip(by_sample, self.products(m)))
+        every sample, where ``packed[k]`` is Δ_k on every sample as
+        :meth:`pack` packs it.
+
+        Each c is reduced modulo p, and the keys are distinct indices into
+        ``packed``, so one sum of products adds the claim on every sample
+        at once with no carry between fields (:func:`_field_bytes`).  Its
+        fields are read back in one pass, one ``to_bytes`` and one
+        ``from_bytes`` a field, never by repeated shifts, which would cost
+        time quadratic in the samples.
+        """
+        size = _field_bytes(len(packed))
+        total = sum(map(mul, map(MODULUS.__rmod__, coeffs.values()),
+                        map(packed.__getitem__, coeffs)))
+        raw = total.to_bytes(size * len(self.zs), "little")
+        return all(int.from_bytes(raw[k:k + size], "little") % MODULUS
+                   == value for k, value in zip(range(0, len(raw), size),
+                                                self.products(m)))
 
 
 def _check_support(m_prime: Matching, n: int) -> None:
@@ -294,7 +352,7 @@ def verify_expansion(m: Matching, coeffs: dict[Matching, int],
     for m_prime in coeffs:
         _check_support(m_prime, n)
     return samples.holds(m, dict(enumerate(coeffs.values())),
-                         samples.by_sample(coeffs))
+                         samples.pack(coeffs))
 
 
 def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
@@ -313,14 +371,15 @@ def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
     its mirror reads the same coefficients at the columns ρ permutes them
     to.
     """
-    samples = _Samples(len(cols[0]), trials, seed)
+    n = len(cols[0])
+    samples = _Samples(n, trials, seed)
     column_of = {partners(c): k for k, c in enumerate(cols)}
-    mirror_col = reflection(list(column_of))
-    mirror_row = reflection(list(map(partners, rows)))
-    by_sample = samples.by_sample(cols)
+    mirror_col = reflection(list(column_of), n)
+    mirror_row = reflection(list(map(partners, rows)), n)
+    packed = samples.pack(cols)
 
     def sampled(r: int, coeffs: dict[int, int] | None) -> bool:
-        return coeffs is not None and samples.holds(rows[r], coeffs, by_sample)
+        return coeffs is not None and samples.holds(rows[r], coeffs, packed)
 
     # each row is yielded once, whatever the pairing
     seen = bytearray(len(rows))

@@ -16,8 +16,8 @@ to n = 5, ``H`` for n = 6..9, 2 bytes an entry, so the 4,862 rows of
 n = 9 take 47 MB.  The transform adds whole rows packed into one integer
 each, a field of that width per column.  A second construction,
 :func:`resolution_matrix`, resolves the grid configuration of every row
-at once, as a DAG: a state (sigma, unresolved crossings) is keyed by
-sigma as bytes and its unresolved cells as a bitmask, stepped once
+at once, as a DAG: a state (sigma, mask of unresolved crossings) is
+keyed by sigma as bytes and its mask, stepped once
 however many rows reach it, and its column counts are freed on their
 last read.  Its memo is local to one call and bounded by the distinct
 states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  It fills rows of
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .combinat import (
-    Cell,
     Matching,
     ballot_count,
     dyck_heights,
@@ -48,8 +47,8 @@ from .combinat import (
 )
 from .grid import (
     State,
+    _root,
     _step,
-    crossings_of,
     matching_of_permutation,
     pick_top_left,
     row_configuration,
@@ -143,18 +142,20 @@ def matrix(n: int) -> TransitionMatrix:
                 acc[q] += acc[lower]
     entries = []
     for q in heights:
-        row = array(typecode)
-        row.frombytes(acc.pop(q).to_bytes(nbytes, sys.byteorder))
+        # filled in place: array.frombytes over-allocates, 10,416 bytes a
+        # row at n = 9 against 9,804 for this copy
+        row = zeros[:]
+        memoryview(row).cast("B")[:] = acc.pop(q).to_bytes(nbytes,
+                                                             sys.byteorder)
         entries.append(row)
     return TransitionMatrix(n, rows, cols, tuple(entries))
 
 
-def _key(state: State, bit: dict[Cell, int]) -> tuple[bytes, int]:
-    """A resolution state packed into its memo key: sigma as bytes, and the
-    unresolved crossings as a mask with bit (i - 1) n + (j - 1) set for
-    each cell (i, j), as ``bit`` maps them."""
+def _key(state: State) -> tuple[bytes, int]:
+    """A resolution state as its memo key: sigma as bytes, and the mask of
+    its unresolved crossings as it is."""
     sigma, unresolved = state
-    return bytes(sigma), sum(map(bit.__getitem__, unresolved))
+    return bytes(sigma), unresolved
 
 
 def _take(values: dict[int, dict[int, int]], reads: list[int],
@@ -199,8 +200,6 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
-    bit = {(i, j): 1 << ((i - 1) * n + j - 1)
-           for i in range(1, n + 1) for j in range(1, n + 1)}
     ids: dict[tuple[bytes, int], int] = {}
     # per state: a tuple of child numbers, or a terminal's column
     below: list[tuple[int, ...] | int | None] = []
@@ -208,7 +207,7 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     unstepped: list[tuple[State, int]] = []
 
     def number(state: State) -> int:
-        key = _key(state, bit)
+        key = _key(state)
         s = ids.get(key)
         if s is None:
             s = ids[key] = len(reads)
@@ -220,8 +219,7 @@ def resolution_matrix(n: int) -> TransitionMatrix:
 
     roots = []
     for m in rows:
-        g = row_configuration(m)
-        roots.append(number((g.sigma, crossings_of(g.sigma) - g.elbows)))
+        roots.append(number(_root(row_configuration(m))))
         while unstepped:
             state, s = unstepped.pop()
             step = _step(state, pick_top_left)

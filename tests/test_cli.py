@@ -186,8 +186,8 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     # a fault inside the arc insertion, not only in the expansion it returns
     real = oracle._insert_arc
 
-    def dropping(partner, x, y):
-        states = list(real(partner, x, y))
+    def dropping(*args):
+        states = list(real(*args))
         return states[:-1] if len(states) > 1 else states
     monkeypatch.setattr(oracle, "_insert_arc", dropping)
     code, out, err = run(capsys, "matrix", "4", "--verify")

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -27,9 +28,11 @@ from webperm.grid import (
     pick_top_left,
     resolve,
     row_configuration,
-    _dominated,
+    _cells,
+    _cone,
+    _mask,
+    _root,
     _step,
-    children,
     trace_matching,
     web_permutations,
     web_permutations_for,
@@ -132,21 +135,24 @@ def _roots(n):
 
 def _resolution_states(root, pick):
     """Every state (sigma, unresolved) that ``resolve(root, pick=pick)``
-    visits, as (sigma, elbows, unresolved).  The elbows are tracked here:
-    a smoothed child adds the crossing its parent resolved, and a switched
-    child keeps its parent's."""
-    stack = [(root.sigma, root.elbows, crossings_of(root.sigma) - root.elbows)]
+    visits, as (sigma, elbows, unresolved) with both cell sets decoded.
+    The elbows are tracked here as a mask: a smoothed child adds the
+    crossing its parent resolved, and a switched child keeps its
+    parent's."""
+    n = len(root.sigma)
+    stack = [(*_root(root), _mask(root.elbows, n))]
     leaves = Counter()
     while stack:
-        sigma, elbows, unresolved = stack.pop()
-        yield sigma, elbows, unresolved
+        sigma, unresolved, elbows = stack.pop()
+        yield (sigma, frozenset(_cells(elbows, n)),
+               frozenset(_cells(unresolved, n)))
         step = _step((sigma, unresolved), pick)
         if step is None:
             leaves[sigma] += 1
             continue
         (_, rest), (word, moved) = step
-        stack += ((word, elbows, moved),
-                  (sigma, elbows | (unresolved - rest), rest))
+        stack += ((word, moved, elbows),
+                  (sigma, rest, elbows | (unresolved ^ rest)))
     assert leaves == resolve(root, pick=pick)
 
 
@@ -205,11 +211,13 @@ def _switch_skipping(line):
 
     def switch(sigma, unresolved, c):
         i, j = c
+        n = len(sigma)
         axis, index = {"column i": (0, i), "column k": (0, sigma.index(j) + 1),
                        "row a": (1, sigma[i - 1]), "row j": (1, j)}[line]
+        kept = _mask([d for d in itertools.product(range(1, n + 1), repeat=2)
+                      if d[axis] == index], n)
         word, fresh = real(sigma, unresolved, c)
-        return word, (frozenset(d for d in fresh if d[axis] != index)
-                      | {d for d in unresolved if d[axis] == index})
+        return word, (fresh & ~kept) | (unresolved & kept)
     return switch
 
 
@@ -263,6 +271,48 @@ def test_traced_terminal_matchings_are_noncrossing(n):
 # crossing selection and the resolution step
 # ---------------------------------------------------------------------------
 
+def children(g, pick=pick_top_left):
+    """The smoothed and the switched child of ``g`` at the crossing chosen
+    by ``pick``, or None when ``g`` is terminal: :func:`_step` on
+    configurations."""
+    crossings = crossings_of(g.sigma)
+    step = _step(_root(g), pick)
+    if step is None:
+        return None
+    (_, rest), (switched, _) = step
+    return (GridConfiguration(g.sigma,
+                              crossings - set(_cells(rest, len(g.sigma)))),
+            GridConfiguration(switched, g.elbows))
+
+
+def test_children_of_the_identity():
+    smoothed, switched = children(empty_configuration(3))
+    assert (sorted(smoothed.elbows), switched.sigma) == ([(1, 3)], (3, 2, 1))
+
+
+def _cone_by_definition(c, n):
+    i, j = c
+    return {(x, y) for x in range(1, i + 1) for y in range(j, n + 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_masks_round_trip_and_cones_follow_the_order(n):
+    grid_cells = list(itertools.product(range(1, n + 1), repeat=2))
+    assert _mask(grid_cells, n) == (1 << n * n) - 1
+    for c in grid_cells:
+        assert _cells(_mask([c], n), n) == [c]
+        assert _cells(_cone(c, n), n) == sorted(_cone_by_definition(c, n))
+    rng = random.Random(n)
+    for _ in range(200):
+        cells = {c for c in grid_cells if rng.random() < 0.3}
+        mask = _mask(cells, n)
+        assert _cells(mask, n) == sorted(cells)
+        if cells:
+            # the highest bit is the top-left cell
+            assert pick_top_left(mask, n) == max(cells,
+                                                 key=lambda c: (c[1], -c[0]))
+
+
 def _picked(g):
     """The crossing ``_step`` resolves in ``g`` by default, or None when
     ``g`` is terminal."""
@@ -276,7 +326,7 @@ def _picked(g):
 
 def _children(g, c):
     """The smoothed and switched configurations of ``g`` at ``c``."""
-    return children(g, lambda cells: c)
+    return children(g, lambda unresolved, n: c)
 
 
 def test_maximal_crossing():
@@ -288,23 +338,36 @@ def test_maximal_crossing():
 
 def test_upper_left_maximal_is_antichain():
     cells = frozenset({(1, 2), (2, 2), (2, 3), (3, 1), (3, 3)})
-    maximal = {c for c in cells if not _dominated(c, cells)}
+    mask = _mask(cells, 3)
+    maximal = {c for c in cells if mask & _cone(c, 3) == _mask([c], 3)}
     assert maximal == {(1, 2), (2, 3)}
     for c, d in itertools.permutations(maximal, 2):
         assert not (c[0] <= d[0] and c[1] >= d[1])
-    assert pick_bottom(cells) == (1, 2)
-    assert pick_top_left(cells) == (2, 3)
+    assert pick_bottom(mask, 3) == (1, 2)
+    assert pick_top_left(mask, 3) == (2, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pick_bottom_is_the_lowest_maximal_cell(n):
+    grid_cells = list(itertools.product(range(1, n + 1), repeat=2))
+    for k in range(1, min(len(grid_cells), 6) + 1):
+        for cells in itertools.combinations(grid_cells, k):
+            maximal = [c for c in cells
+                       if not any(d != c and d[0] <= c[0] and d[1] >= c[1]
+                                  for d in cells)]
+            assert pick_bottom(_mask(cells, n), n) == min(
+                maximal, key=lambda c: (c[1], c[0]))
 
 
 def test_smooth_and_switch_worked_example():
-    state = (FIG_SIGMA, crossings_of(FIG_SIGMA) - FIG_ELBOWS)
-    assert state[1] == {(1, 2), (2, 4), (3, 4)}
+    state = _root(GridConfiguration(FIG_SIGMA, FIG_ELBOWS))
+    assert _cells(state[1], 4) == [(1, 2), (2, 4), (3, 4)]
     assert crossings_of((1, 4, 2, 3)) == {(1, 2), (1, 3), (1, 4), (3, 3)}
-    assert _step(state, lambda cells: (2, 4)) == (
-        (FIG_SIGMA, frozenset({(1, 2), (3, 4)})),
-        ((1, 4, 2, 3), frozenset({(1, 2), (3, 3)})))
+    assert _step(state, lambda unresolved, n: (2, 4)) == (
+        (FIG_SIGMA, _mask({(1, 2), (3, 4)}, 4)),
+        ((1, 4, 2, 3), _mask({(1, 2), (3, 3)}, 4)))
     assert children(GridConfiguration(FIG_SIGMA, FIG_ELBOWS),
-                    lambda cells: (2, 4)) == (
+                    lambda unresolved, n: (2, 4)) == (
         GridConfiguration(FIG_SIGMA, FIG_ELBOWS | {(2, 4)}),
         GridConfiguration((1, 4, 2, 3), FIG_ELBOWS))
 
@@ -324,6 +387,9 @@ def test_resolving_preconditions():
         _children(g, (2, 2))   # not a crossing at all
     with pytest.raises(ValueError, match="not an unresolved crossing"):
         _children(GridConfiguration((1, 2, 3), frozenset({(1, 3)})), (1, 3))
+    for off_grid in ((0, 1), (1, 0), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="not an unresolved crossing"):
+            _children(g, off_grid)
 
 
 def test_smoothing_everything_is_order_independent():
@@ -378,13 +444,16 @@ def test_resolve_node_cap():
 
 
 def test_resolve_rejects_bad_policy():
-    with pytest.raises(ValueError):
-        resolve(empty_configuration(3), pick=lambda cells: min(cells))
+    with pytest.raises(ValueError, match="non-maximal"):
+        # the lowest bit: the rightmost cell of the lowest row, (1, 2)
+        resolve(empty_configuration(3),
+                pick=lambda unresolved, n: _cells(unresolved & -unresolved,
+                                                  n)[0])
     # (1, 1) is no crossing of 312 and is dominated by none, so only the
     # membership check stops it before the switch breaks the elbows.
     with pytest.raises(ValueError, match="not an unresolved crossing"):
         resolve(GridConfiguration((3, 1, 2), frozenset()),
-                pick=lambda cells: (1, 1))
+                pick=lambda unresolved, n: (1, 1))
 
 
 @pytest.mark.parametrize("pick", [pick_top_left, pick_bottom])

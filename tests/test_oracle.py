@@ -4,6 +4,7 @@ import random
 import pytest
 
 from webperm import cli, oracle
+from webperm.enumeration import euler_numbers, genocchi
 from webperm.combinat import (
     crossing_arc_pairs,
     enumerate_matchings,
@@ -16,7 +17,9 @@ from webperm.grid import web_permutations_for
 from webperm.oracle import (
     MATRIX_TRIALS,
     MODULUS,
+    _field_bytes,
     _insert_arc,
+    _Samples,
     check_rows,
     delta_product,
     minor,
@@ -89,7 +92,12 @@ def test_expansion_support_is_noncrossing():
 # arc insertion
 # ---------------------------------------------------------------------------
 
-def partners(arcs, n):
+def width(n):
+    """Bits per point of a packed partner int of size n."""
+    return (2 * n).bit_length()
+
+
+def partner_tuple(arcs, n):
     """The partner tuple of a partial matching on [2n]: the other end of
     the arc at each point, 0 at a free point and at index 0."""
     out = [0] * (2 * n + 1)
@@ -98,25 +106,37 @@ def partners(arcs, n):
     return tuple(out)
 
 
+def partners(arcs, n):
+    """The packed partner int of a partial matching on [2n]: entry p of its
+    partner tuple in field p, of :func:`width` bits."""
+    return sum(q << width(n) * p for p, q in enumerate(partner_tuple(arcs, n)))
+
+
+def unpack(key, n):
+    """The partner tuple of a packed partner int of size n."""
+    return tuple(key >> width(n) * p & (1 << width(n)) - 1
+                 for p in range(2 * n + 1))
+
+
 def by_partners(expansion, n):
-    """A ``Matching``-keyed expansion keyed by partner tuples instead."""
+    """A ``Matching``-keyed expansion keyed by packed partner ints instead."""
     return {partners(m, n): c for m, c in expansion.items()}
 
 
-def by_matchings(expansion):
+def by_matchings(expansion, n):
     """A partner-keyed expansion keyed by ``Matching`` instead."""
-    return {tuple((p, q) for p, q in enumerate(key) if p < q): c
+    return {tuple((p, q) for p, q in enumerate(unpack(key, n)) if p < q): c
             for key, c in expansion.items()}
 
 
 def insert_in_order(arcs, n):
     """The expansion by inserting ``arcs`` with :func:`_insert_arc` in the
-    order given, as partner tuples."""
+    order given, as packed partner ints."""
     expansion = {partners((), n): 1}
     for x, y in arcs:
         grown = {}
         for partner, coeff in expansion.items():
-            for state in _insert_arc(partner, x, y):
+            for state in _insert_arc(partner, x, y, width(n)):
                 grown[state] = grown.get(state, 0) + coeff
         expansion = grown
     return expansion
@@ -150,9 +170,9 @@ def test_syzygy_insert_inserts_the_shortest_arc_first(monkeypatch):
     real = oracle._insert_arc
     order = []
 
-    def recording(partner, x, y):
+    def recording(partner, x, y, w):
         order.append((x, y))
-        return real(partner, x, y)
+        return real(partner, x, y, w)
     monkeypatch.setattr(oracle, "_insert_arc", recording)
     m = matching([(1, 3), (2, 5), (4, 7), (6, 8)])
     assert syzygy_insert(m) == by_partners(syzygy_expand(m), 4)
@@ -170,13 +190,25 @@ def test_insert_arc_is_one_plucker_walk(n):
             rest = [a for a in m if a != arc]
             if not is_noncrossing(rest):
                 continue
-            states = list(_insert_arc(partners(rest, n), *arc))
+            states = list(_insert_arc(partners(rest, n), *arc, width(n)))
             x, y = arc
             k = sum(1 for a, b in rest if (x < a < y) != (x < b < y))
             assert len(states) == len(set(states)) == 2 ** k
             assert set(states) == {partners(mp, n) for mp in syzygy_expand(m)}
             if k == 0:
                 assert states == [partners(m, n)]
+
+
+def test_top_row_counts_the_web_permutations_and_the_staircase():
+    # the main theorem on row {(i, n + i)}: its coefficients count Web_n by
+    # M(sigma), so they sum to E_{n+1}, and the staircase m0 takes f(n) =
+    # g_n of them; the packed fields widen from 4 to 5 bits at n = 8
+    eulers, gs = euler_numbers(12), genocchi(11)
+    for n in range(1, 12):
+        coeffs = syzygy_insert(matching([(i, n + i) for i in range(1, n + 1)]))
+        assert sum(coeffs.values()) == eulers[n + 1]
+        assert coeffs[oracle.partners(m0(n))] == gs[n - 1]
+    assert [width(n) for n in (7, 8, 15, 16)] == [4, 5, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +408,7 @@ def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(
     # both rows are fixed by rho, so each is its own orbit
     rows = row_labels(5)
     first, second = rows[0], rows[1]
-    assert [partners(m, 5) == reflect(partners(m, 5))
+    assert [partners(m, 5) == reflect(partners(m, 5), 5)
             for m in (first, second)] == [True, True]
     shared = next(iter(syzygy_insert(first).keys() & syzygy_insert(second).keys()))
 
@@ -388,6 +420,57 @@ def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(
     monkeypatch.setattr(oracle, "syzygy_insert", wrong)
     assert batch_verdicts(rows, seed) == [m not in (first, second)
                                           for m in rows]
+
+
+def test_packed_field_widths():
+    # 122 + bit_length(terms) bits, rounded up to bytes
+    assert [_field_bytes(k) for k in (1, 63, 64, 4862, 100_000)] == [
+        16, 16, 17, 17, 18]
+
+
+@pytest.mark.parametrize("terms", [1, 2, 42, 4862])
+def test_packed_fields_hold_the_largest_sum(terms):
+    # every coefficient and every product at p - 1: each field of the sum
+    # holds its own total and carries nothing into the next
+    size = _field_bytes(terms)
+    top = MODULUS - 1
+    column = int.from_bytes(top.to_bytes(size, "little") * 3, "little")
+    raw = sum([top * column] * terms).to_bytes(3 * size, "little")
+    assert [int.from_bytes(raw[k:k + size], "little")
+            for k in range(0, 3 * size, size)] == [terms * top ** 2] * 3
+
+
+def claim_with(coeff):
+    """Row 0 of n = 4 and its expansion with the coefficient 1 at its
+    diagonal column replaced by ``coeff``."""
+    m, diagonal = row_labels(4)[0], col_labels(4)[0]
+    coeffs = syzygy_expand(m)
+    assert coeffs[diagonal] == 1
+    return m, {**coeffs, diagonal: coeff}
+
+
+@pytest.mark.parametrize("bad", [-1, MODULUS, 2**64 + 1, 2**200 * MODULUS],
+                         ids=["-1", "p", "2^64+1", "2^200 p"])
+def test_a_coefficient_off_its_residue_is_refuted(bad, monkeypatch):
+    # reduced modulo p before packing, so a coefficient below 0, at p or
+    # past a field's width is refuted rather than borrowed or carried
+    m, claim = claim_with(bad)
+    assert verify_expansion(m, claim) is False
+    monkeypatch.setattr(oracle, "syzygy_insert",
+                        lambda m: by_partners(claim, 4))
+    verdicts = dict((r, sampled) for r, _, sampled
+                    in check_rows((m,), col_labels(4), MATRIX_TRIALS, 1))
+    assert verdicts == {0: False}
+
+
+@pytest.mark.parametrize("good", [1 + MODULUS, 1 - MODULUS,
+                                  1 + 2**200 * MODULUS],
+                         ids=["1+p", "1-p", "1+2^200 p"])
+def test_a_coefficient_congruent_to_the_right_one_passes(good):
+    # the check is modulo p: a coefficient of the right residue, however
+    # far from it, packs as that residue and spills into no other sample
+    m, claim = claim_with(good)
+    assert verify_expansion(m, claim) is True
 
 
 def test_batched_identity_validates_its_input():
@@ -407,7 +490,7 @@ def test_batched_identity_validates_its_input():
     # a refused row leaves nothing behind: the next one agrees with fresh
     # samples
     m = matching([(1, 3), (2, 4)])
-    coeffs = by_matchings(syzygy_insert(m))
+    coeffs = by_matchings(syzygy_insert(m), 2)
     assert check(m, coeffs) is fresh_verify(m, coeffs, MATRIX_TRIALS, 3) is True
 
 
@@ -425,9 +508,9 @@ def mirror(m):
 def test_syzygy_insert_commutes_with_rho(n):
     # the theorem the orbits rest on: syzygy_insert(rho M) = rho(syzygy_insert(M))
     for m in matchings(n):
-        assert reflect(partners(m, n)) == partners(mirror(m), n)
+        assert reflect(partners(m, n), n) == partners(mirror(m), n)
         assert syzygy_insert(mirror(m)) == {
-            reflect(key): c for key, c in syzygy_insert(m).items()}
+            reflect(key, n): c for key, c in syzygy_insert(m).items()}
 
 
 @pytest.mark.parametrize("n", range(0, 8))
@@ -476,10 +559,10 @@ def test_columns_left_unmapped_fail_the_mirrored_rows(capsys, monkeypatch):
     # differ, which is in all (132 - 20) / 2 orbits of two rows
     real = oracle.reflection
     columns = [oracle.partners(c) for c in col_labels(6)]
-    monkeypatch.setattr(oracle, "reflection", lambda keys: (
-        list(range(len(keys))) if keys == columns else real(keys)))
+    monkeypatch.setattr(oracle, "reflection", lambda keys, n: (
+        list(range(len(keys))) if keys == columns else real(keys, n)))
     a = matrix(6)
-    pair = real([oracle.partners(m) for m in a.rows])
+    pair = real([oracle.partners(m) for m in a.rows], 6)
     failing = [m for r, (m, row) in enumerate(zip(a.rows, a.entries))
                if pair[r] < r and row != a.entries[pair[r]]]
     assert len(failing) == 56
@@ -491,8 +574,8 @@ def test_rows_paired_by_a_wrong_involution_fail(capsys, monkeypatch):
     # rho of the expansion of row k, which is not its own
     real = oracle.reflection
     rows = [oracle.partners(m) for m in row_labels(6)]
-    monkeypatch.setattr(oracle, "reflection", lambda keys: (
-        [k ^ 1 for k in range(len(keys))] if keys == rows else real(keys)))
+    monkeypatch.setattr(oracle, "reflection", lambda keys, n: (
+        [k ^ 1 for k in range(len(keys))] if keys == rows else real(keys, n)))
     a = matrix(6)
     failing = [a.rows[k] for k in range(1, len(rows), 2)
                if mirror(a.rows[k]) != a.rows[k - 1]]
@@ -507,8 +590,8 @@ def test_check_rows_yields_every_row_once_under_any_pairing(monkeypatch):
     keys = [oracle.partners(m) for m in rows]
     shifted = [(k + 1) % len(rows) for k in range(len(rows))]
     for pairing in ([0] * len(rows), shifted):
-        monkeypatch.setattr(oracle, "reflection", lambda ks: (
-            pairing if ks == keys else real(ks)))
+        monkeypatch.setattr(oracle, "reflection", lambda ks, n: (
+            pairing if ks == keys else real(ks, n)))
         assert sorted(r for r, _, _ in check_rows(rows, col_labels(5), 1, 3)
                       ) == list(range(len(rows)))
 

@@ -19,8 +19,10 @@ from webperm.combinat import (
 )
 from webperm import transition
 from webperm.grid import (
-    children,
+    _root,
+    _step,
     matching_of_permutation,
+    pick_top_left,
     resolve,
     row_configuration,
 )
@@ -121,14 +123,14 @@ def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_smoothing_a_row_root_gives_a_later_row_root(n):
-    roots = [row_configuration(m) for m in row_labels(n)]
-    later = {g.elbows: r for r, g in enumerate(roots)}
-    for r, g in enumerate(roots):
-        split = children(g)
+    roots = [_root(row_configuration(m)) for m in row_labels(n)]
+    later = {state: r for r, state in enumerate(roots)}
+    for r, state in enumerate(roots):
+        split = _step(state, pick_top_left)
         if r == len(roots) - 1:
             assert split is None            # the staircase, all elbows
         else:
-            assert later[split[0].elbows] > r
+            assert later[split[0]] > r
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -161,7 +163,7 @@ def test_resolution_matrix_steps_each_distinct_state_once(monkeypatch):
 def test_dag_keyed_on_sigma_alone_raises(monkeypatch):
     # a smoothed child keeps its parent's sigma, so every state becomes its
     # own child and is read before its value is in
-    monkeypatch.setattr(transition, "_key", lambda state, bit: bytes(state[0]))
+    monkeypatch.setattr(transition, "_key", lambda state: bytes(state[0]))
     with pytest.raises(KeyError):
         resolution_matrix(5)
 
@@ -376,6 +378,15 @@ def test_both_methods_fill_rows_of_the_web_count_typecode(n):
     code = row_typecode(len(web_table(n)))
     for a in (matrix(n), resolution_matrix(n)):
         assert {(type(row), row.typecode) for row in a.entries} == {(array, code)}
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 8])
+def test_rows_are_allocated_at_their_exact_size(n):
+    # no slack past the entries: array.frombytes over-allocated each row
+    empty = sys.getsizeof(array(row_typecode(len(web_table(n)))))
+    for a in (matrix(n), resolution_matrix(n)):
+        assert {sys.getsizeof(row) - empty for row in a.entries} == {
+            len(a.cols) * a.entries[0].itemsize}
 
 
 @pytest.mark.parametrize("bound, itemsize", [
