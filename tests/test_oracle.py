@@ -4,7 +4,6 @@ import random
 import pytest
 
 from webperm import cli, oracle
-from webperm.enumeration import euler_numbers, genocchi
 from webperm.combinat import (
     crossing_arc_pairs,
     enumerate_matchings,
@@ -13,13 +12,13 @@ from webperm.combinat import (
     matching,
     matchings,
 )
+from webperm.enumeration import euler_numbers, genocchi
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
     MATRIX_TRIALS,
     MODULUS,
     _field_bytes,
     _insert_arc,
-    _Samples,
     check_rows,
     delta_product,
     minor,
