@@ -269,29 +269,32 @@ def _field_bytes(terms: int) -> int:
 
 
 class _Samples:
-    """The seeded samples of one (n, trials, seed) and the minor of every
-    arc on each, modulo :data:`MODULUS`.  ``trials`` must be at least 1, so
-    that a pass always rests on a sample."""
+    """The minor of every arc on each seeded sample of one (n, trials,
+    seed), modulo :data:`MODULUS`.  ``trials`` must be at least 1, so that
+    a pass always rests on a sample.  The samples themselves are dropped
+    once their minors are read off."""
 
     def __init__(self, n: int, trials: int, seed: int) -> None:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
-        self.zs = [sample_z(n, rng) for _ in range(trials)]
+        zs = [sample_z(n, rng) for _ in range(trials)]
+        self.points = 2 * n
+        self.trials = trials
         # :func:`minor` of every arc, read straight off the sample rows
         self.minors = {(i + 1, j + 1): tuple((top[i] * bottom[j]
                                               - top[j] * bottom[i]) % MODULUS
-                                             for top, bottom in self.zs)
+                                             for top, bottom in zs)
                        for i, j in combinations(range(2 * n), 2)}
 
     def products(self, m: Matching) -> tuple[int, ...]:
         """:func:`delta_product` of ``m`` on each sample, modulo p."""
-        out = (1,) * len(self.zs)
+        out = (1,) * self.trials
         for i, j in m:
             column = self.minors.get((i, j))
             if column is None:
-                # not an arc on [2n]: minor() raises the ValueError
-                column = tuple(minor(z, i, j) for z in self.zs)
+                raise ValueError(f"need 1 <= i < j <= {self.points}, "
+                                 f"got ({i}, {j})")
             out = tuple(map(mul, out, column))
         return tuple(x % MODULUS for x in out)
 
@@ -323,7 +326,7 @@ class _Samples:
         size = _field_bytes(len(packed))
         total = sum(map(mul, map(MODULUS.__rmod__, coeffs.values()),
                         map(packed.__getitem__, coeffs)))
-        raw = total.to_bytes(size * len(self.zs), "little")
+        raw = total.to_bytes(size * self.trials, "little")
         return all(int.from_bytes(raw[k:k + size], "little") % MODULUS
                    == value for k, value in zip(range(0, len(raw), size),
                                                 self.products(m)))

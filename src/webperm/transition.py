@@ -9,28 +9,30 @@ The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
 evaluates this by grouping the web table by (D, M) into counts
 C[p][M'] and summing them over the Dyck lattice with a zeta transform,
-F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  No entry
-exceeds |Web_n|, so each row is an unsigned ``array.array`` of the
-narrowest typecode that holds |Web_n| (:func:`row_typecode`): ``B`` up
-to n = 5, ``H`` for n = 6..9, 2 bytes an entry, so the 4,862 rows of
-n = 9 take 47 MB.  The transform adds whole rows packed into one integer
-each, a field of that width per column.  A second construction,
-:func:`resolution_matrix`, resolves the grid configuration of every row
-at once, as a DAG: a state (sigma, mask of unresolved crossings) is
-keyed by sigma as bytes and its mask, stepped once
-however many rows reach it, and its column counts are freed on their
-last read.  Its memo is local to one call and bounded by the distinct
-states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  It fills rows of
-the same typecode, so the two compare in C.  The web table comes from
-the Andre-cycle filter, not from the grid, and both must also agree
-with the expansion of :mod:`webperm.oracle`, which never touches the
-grid.
+F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  No entry of
+column M' exceeds the number of web permutations traced to M', so each
+row is an unsigned ``array.array`` of the narrowest typecode that holds
+the largest of these column totals (:func:`row_typecode`): 155 at n = 9
+and 608 at n = 10, so ``B``, one byte an entry, through n = 9, where the
+4,862 rows take 24 MB, and ``H`` at n = 10.  Both constructions keep a row as one integer while they sum
+it, column c in the c-th field of that width, so each sum is one
+big-integer add.  A second construction, :func:`resolution_matrix`,
+resolves the grid configuration of every row at once, as a DAG: a state
+(sigma, mask of unresolved crossings) is keyed by sigma as bytes and its
+mask, stepped once however many rows reach it, and its packed value is
+freed on its last read.  Its memo is local to one call and bounded by the
+distinct states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  Both build
+their rows from one zero row (:func:`_zero_row`) and unpack them one way
+(:func:`_unpack`), so the two compare in C.  The web table comes from the
+Andre-cycle filter, not from the grid, and both must also agree with the
+expansion of :mod:`webperm.oracle`, which never touches the grid.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -88,6 +90,26 @@ def row_typecode(bound: int) -> str:
     raise OverflowError(f"no array typecode holds {bound}")
 
 
+def _zero_row(n: int, columns: int) -> array:
+    """The zero row of both constructions: ``columns`` fields of the
+    :func:`row_typecode` of the largest column total of ``web_table(n)``,
+    the most web permutations traced to one noncrossing matching."""
+    totals = Counter(rec.matched for rec in web_table(n))
+    return array(row_typecode(max(totals.values())), [0]) * columns
+
+
+def _unpack(packed: int, zeros: array) -> array:
+    """A copy of the row ``zeros`` whose field c holds field c of ``packed``,
+    read through the native byte order.  A value past the last field
+    raises ``OverflowError``."""
+    row = zeros[:]
+    # filled in place: array.frombytes over-allocates, 5,248 bytes a row
+    # at n = 9 against 4,942 for this copy
+    memoryview(row).cast("B")[:] = packed.to_bytes(
+        len(zeros) * zeros.itemsize, sys.byteorder)
+    return row
+
+
 def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 
@@ -106,28 +128,25 @@ def matrix(n: int) -> TransitionMatrix:
     lowered by 1 and each earlier coordinate clamped to min(q_j, q_k - 1):
     heights never decrease, so every p with p_k < q_k lies under q|k.
 
-    Each C[p] is an array of :func:`row_typecode` of |Web_n|, w bits an
-    item, and is packed into one integer through the native byte order,
-    column c in the c-th field of w bits, so each step of the transform is
-    one big-integer add.  No add carries out of a field: every field of
-    every F_k(q) sums nonnegative C[p] over a subset of {p <= q}, so it is
-    at most F(q)'s entry, which counts distinct web permutations and is at
-    most |Web_n| < 2^w.  The rows are
-    unpacked the same way into arrays of that typecode: ``H`` for
-    n = 6..9, 47 MB of rows at n = 9, where the transform's packed
-    integers peak at 56 MiB beyond the table.
+    Each C[p] is a copy of :func:`_zero_row`, w bits an item, and is
+    packed into one integer through the native byte order, column c in
+    the c-th field of w bits, so each step of the transform is one
+    big-integer add.  No add carries out of a field: field c of every
+    F_k(q) sums nonnegative C[p][c] over a subset of the paths, so it
+    counts a subset of the web permutations traced to column c, at most
+    that column's total < 2^w.  The rows are unpacked by :func:`_unpack`
+    into arrays of that typecode: ``B`` through n = 9, where the rows
+    take 24 MB and ``matrix(9)`` raises the peak RSS from 32 MiB after the
+    table to 66 MiB (Python 3.11.7 on a 2-vCPU KVM guest).
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
-    table = web_table(n)
-    typecode = row_typecode(len(table))
-    zeros = array(typecode, [0]) * len(cols)
-    nbytes = len(zeros) * zeros.itemsize
+    zeros = _zero_row(n, len(cols))
     paths = dyck_paths(n)
     heights = [dyck_heights(p) for p in paths]
     counts = {p: zeros[:] for p in paths}
-    for rec in table:
+    for rec in web_table(n):
         counts[rec.dyck][col_index[rec.matched]] += 1
     acc = {q: int.from_bytes(counts.pop(p), sys.byteorder)
            for p, q in zip(paths, heights)}
@@ -140,15 +159,8 @@ def matrix(n: int) -> TransitionMatrix:
             if top > k:
                 lower = tuple(min(h, top) for h in q[:k]) + (top,) + q[k + 1:]
                 acc[q] += acc[lower]
-    entries = []
-    for q in heights:
-        # filled in place: array.frombytes over-allocates, 10,416 bytes a
-        # row at n = 9 against 9,804 for this copy
-        row = zeros[:]
-        memoryview(row).cast("B")[:] = acc.pop(q).to_bytes(nbytes,
-                                                             sys.byteorder)
-        entries.append(row)
-    return TransitionMatrix(n, rows, cols, tuple(entries))
+    entries = tuple(_unpack(acc.pop(q), zeros) for q in heights)
+    return TransitionMatrix(n, rows, cols, entries)
 
 
 def _key(state: State) -> tuple[bytes, int]:
@@ -158,17 +170,16 @@ def _key(state: State) -> tuple[bytes, int]:
     return bytes(sigma), unresolved
 
 
-def _take(values: dict[int, dict[int, int]], reads: list[int],
-          s: int) -> tuple[dict[int, int], bool]:
-    """One read of the value of state ``s``, and whether the reader owns it.
+def _take(values: dict[int, int], reads: list[int], s: int) -> int:
+    """One read of the value of state ``s``.
 
-    ``reads[s]`` counts the reads left.  The last one removes the value
-    from ``values`` and hands it over, so the reader may add into it.
+    ``reads[s]`` counts the reads left; the last one removes the value
+    from ``values``.
     """
     reads[s] -= 1
     if reads[s]:
-        return values[s], False
-    return values.pop(s), True
+        return values[s]
+    return values.pop(s)
 
 
 def resolution_matrix(n: int) -> TransitionMatrix:
@@ -186,16 +197,25 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     It numbers the states by their :func:`_key`, and counts the reads of
     each: one per parent, and one per row whose root it is.  Only the
     states still to be stepped are held whole.  The second pass evaluates
-    the roots in reverse table order, post-order over the numbers: a
-    terminal's value is {its column: 1} and a state's value is the sum of
-    its children's.  :func:`_take` frees each value on its last read.
+    the roots in reverse table order, post-order over the numbers.  Each
+    value is a row packed as in :func:`matrix`, w bits a field for the
+    typecode of :func:`_zero_row`: a terminal's value is 1 << w * column
+    and a state's value is the sum of its children's.  :func:`_take`
+    frees each value on its last read, and :func:`_unpack` unpacks each
+    root's.  No field carries when the resolution is right: field c of a
+    state counts distinct web permutations under its row's root traced to
+    column c, at most that column's total.  A count past the last field
+    raises ``OverflowError``, one past another field spills into the next,
+    and either way the rows differ from :func:`matrix`'s.
 
     All of it is local to one call and bounded by the distinct states,
     3,994, 22,333 and 137,073 at n = 7, 8 and 9: the first pass keeps a
     key, children and read count per state, and the keys go when it ends.
-    The values alive at once are far fewer, at most 47,000 column entries
-    in 1,435 values at n = 9.  Each row is filled into an array of the
-    typecode of :func:`matrix`.
+    The values alive at once are far fewer: at most 1,427 packed ints,
+    1.9 MB, at n = 8, and 8,118, 37 MB, at n = 9, each up to a row's
+    4,862 bytes.  ``resolution_matrix(9)`` takes 1.1 s and raises the
+    peak RSS of ``matrix 9 --verify`` from 66 to 144 MiB (Python 3.11.7
+    on a 2-vCPU KVM guest).
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
@@ -229,8 +249,9 @@ def resolution_matrix(n: int) -> TransitionMatrix:
                 below[s] = tuple(map(number, step))
     del ids
 
-    values: dict[int, dict[int, int]] = {}
-    zeros = array(row_typecode(len(web_table(n))), [0]) * len(cols)
+    values: dict[int, int] = {}
+    zeros = _zero_row(n, len(cols))
+    w = 8 * zeros.itemsize
     grid_rows: list[array] = [zeros] * len(rows)
     for r in reversed(range(len(rows))):
         # (s, None) asks for the value of s, (s, children) sums it once
@@ -242,24 +263,13 @@ def resolution_matrix(n: int) -> TransitionMatrix:
                 # the first request expands s; a later one finds its value in
                 entry, below[s] = below[s], None
                 if isinstance(entry, int):
-                    values[s] = {entry: 1}
+                    values[s] = 1 << w * entry
                 elif entry is not None:
                     todo.append((s, entry))
                     todo.extend((child, None) for child in entry)
                 continue
-            parts = sorted((_take(values, reads, child) for child in children),
-                           key=lambda part: len(part[0]))
-            total, owned = parts.pop()
-            if not owned:
-                total = total.copy()
-            for part, _ in parts:
-                for c, v in part.items():
-                    total[c] = total.get(c, 0) + v
-            values[s] = total
-        row = zeros[:]
-        for c, v in _take(values, reads, roots[r])[0].items():
-            row[c] = v
-        grid_rows[r] = row
+            values[s] = sum(_take(values, reads, child) for child in children)
+        grid_rows[r] = _unpack(_take(values, reads, roots[r]), zeros)
     return TransitionMatrix(n, rows, cols, tuple(grid_rows))
 
 

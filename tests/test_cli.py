@@ -182,6 +182,21 @@ def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
     assert "verify OK" not in err
 
 
+@pytest.mark.parametrize("column", [1, -1])
+def test_matrix_verify_fails_on_a_dag_count_past_its_field(
+        capsys, monkeypatch, column):
+    # every terminal traced to one column: row 0 of n = 6 counts all 272
+    # web permutations there, past the 8-bit field.  Column 1 carries into
+    # column 2; the last column, m0, overflows the top field.
+    target = transition.col_labels(6)[column]
+    monkeypatch.setattr(transition, "matching_of_permutation",
+                        lambda sigma: target)
+    code, _, err = run(capsys, "matrix", "6", "--verify")
+    assert code == 1
+    assert "FAIL: entry methods disagree" in err.splitlines()
+    assert "verify OK" not in err
+
+
 def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     # a fault inside the arc insertion, not only in the expansion it returns
     real = oracle._insert_arc

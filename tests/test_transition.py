@@ -18,6 +18,7 @@ from webperm.combinat import (
     matching_from_dyck,
 )
 from webperm import transition
+from webperm.enumeration import genocchi
 from webperm.grid import (
     _root,
     _step,
@@ -172,11 +173,27 @@ def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
     def early(values, reads, s):
         reads[s] -= 1
         if reads[s] > 1:
-            return values[s], False
-        return values.pop(s), True
+            return values[s]
+        return values.pop(s)
     monkeypatch.setattr(transition, "_take", early)
     with pytest.raises(KeyError):
         resolution_matrix(5)
+
+
+def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
+    # every terminal traced to one column puts all 272 web permutations of
+    # n = 6 in that field of row 0, past the 8 bits its column totals need:
+    # column 1 carries into column 2, and the last column overflows the row
+    cols = col_labels(6)
+    assert len(web_table(6)) == 272 and row_typecode(8) == "B"
+    monkeypatch.setattr(transition, "matching_of_permutation",
+                        lambda sigma: cols[1])
+    top = resolution_matrix(6).entries[0]
+    assert list(top[:4]) == [0, 272 - 256, 1, 0]
+    monkeypatch.setattr(transition, "matching_of_permutation",
+                        lambda sigma: cols[-1])
+    with pytest.raises(OverflowError):
+        resolution_matrix(6)
 
 
 def test_dag_without_the_switched_child_disagrees(monkeypatch):
@@ -365,25 +382,42 @@ def test_top_row_sums_to_web_count(n):
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_row_zero_dominates_every_row_and_the_web_count_bounds_it(n):
-    # the facts the packed rows rest on: the CSV's strings run up to the
-    # largest entry of row 0, and the field width holds len(web_table(n))
+    # the CSV's strings run up to the largest entry of row 0, and no entry
+    # exceeds |Web_n|
     a = matrix(n)
     top = a.entries[0]
     assert all(map(int.__ge__, top, row) for row in a.entries)
     assert max(top) <= len(web_table(n))
 
 
+def largest_column_total(n):
+    return max(Counter(rec.matched for rec in web_table(n)).values())
+
+
 @pytest.mark.parametrize("n", range(0, 8))
 def test_both_methods_fill_rows_of_the_web_count_typecode(n):
-    code = row_typecode(len(web_table(n)))
+    # the field holds the most web permutations traced to one column
+    code = row_typecode(largest_column_total(n))
     for a in (matrix(n), resolution_matrix(n)):
         assert {(type(row), row.typecode) for row in a.entries} == {(array, code)}
+
+
+def test_row_zero_peaks_at_the_largest_column_total_in_the_staircase():
+    # row 0 is the table's column counts, so its largest entry is the bound
+    # the fields are sized by; it is g_n, at the staircase, the last column,
+    # so rows are B through n = 9
+    tops = [matrix(n).entries[0] for n in range(1, 10)]
+    assert [max(top) for top in tops] == [
+        largest_column_total(n) for n in range(1, 10)]
+    assert [top[-1] for top in tops] == genocchi(9) == [
+        1, 1, 1, 2, 3, 8, 17, 56, 155]
+    assert {top.typecode for top in tops} == {"B"}
 
 
 @pytest.mark.parametrize("n", [1, 5, 6, 8])
 def test_rows_are_allocated_at_their_exact_size(n):
     # no slack past the entries: array.frombytes over-allocated each row
-    empty = sys.getsizeof(array(row_typecode(len(web_table(n)))))
+    empty = sys.getsizeof(array(row_typecode(largest_column_total(n))))
     for a in (matrix(n), resolution_matrix(n)):
         assert {sys.getsizeof(row) - empty for row in a.entries} == {
             len(a.cols) * a.entries[0].itemsize}
