@@ -32,8 +32,8 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 1.0 s and 35 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
-# At n = 9 it took 8.0-8.1 s and 173 MiB there, but 9 becomes the default
+# --verify``, 0.9 s and 32 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
+# At n = 9 it took 7.7-7.8 s and 144 MiB there, but 9 becomes the default
 # only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -45,8 +45,8 @@ MAX_SEIDEL_ROWS = 1450
 
 # The most samples ``verify --trials`` draws per oracle row; no flag raises
 # it.  Time and memory both grow linearly in it: cold, ``verify --suite all
-# --max-n 8 --trials 100000`` takes 39 s and 662 MiB peak RSS (Python
-# 3.11.7 on a 2-vCPU KVM guest).
+# --max-n 8 --trials 100000`` takes 13.4-13.8 s and 381 MiB peak RSS
+# (Python 3.11.7 on a 2-vCPU KVM guest).
 MAX_TRIALS = 100_000
 
 

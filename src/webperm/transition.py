@@ -14,18 +14,19 @@ column M' exceeds the number of web permutations traced to M', so each
 row is an unsigned ``array.array`` of the narrowest typecode that holds
 the largest of these column totals (:func:`row_typecode`): 155 at n = 9
 and 608 at n = 10, so ``B``, one byte an entry, through n = 9, where the
-4,862 rows take 24 MB, and ``H`` at n = 10.  Both constructions keep a row as one integer while they sum
-it, column c in the c-th field of that width, so each sum is one
-big-integer add.  A second construction, :func:`resolution_matrix`,
-resolves the grid configuration of every row at once, as a DAG: a state
-(sigma, mask of unresolved crossings) is keyed by sigma as bytes and its
-mask, stepped once however many rows reach it, and its packed value is
-freed on its last read.  Its memo is local to one call and bounded by the
-distinct states, 3,994, 22,333 and 137,073 at n = 7, 8 and 9.  Both build
-their rows from one zero row (:func:`_zero_row`) and unpack them one way
-(:func:`_unpack`), so the two compare in C.  The web table comes from the
-Andre-cycle filter, not from the grid, and both must also agree with the
-expansion of :mod:`webperm.oracle`, which never touches the grid.
+4,862 rows take 24 MB, and ``H`` at n = 10.  Both constructions keep a
+row as one integer while they sum it, column c in the c-th field of that
+width, so each sum is one big-integer add.  A second construction,
+:func:`resolution_matrix`, resolves the grid configuration of every row
+at once, as a DAG: a state (sigma, mask of unresolved crossings) is keyed
+by sigma as bytes and its mask, stepped once however many rows reach it,
+and its packed value is freed on its last read.  Its memo is local to one
+call and bounded by the distinct states, 3,994, 22,333 and 137,073 at
+n = 7, 8 and 9.  Both build their rows from one zero row
+(:func:`_zero_row`) and unpack them one way (:func:`_unpack`), so the two
+compare in C.  The web table comes from the Andre-cycle filter, not from
+the grid, and both must also agree with the expansion of
+:mod:`webperm.oracle`, which never touches the grid.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
     # n = 6 in that field of row 0, past the 8 bits its column totals need:
     # column 1 carries into column 2, and the last column overflows the row
     cols = col_labels(6)
-    assert len(web_table(6)) == 272 and row_typecode(8) == "B"
+    assert len(web_table(6)) == 272
     monkeypatch.setattr(transition, "matching_of_permutation",
                         lambda sigma: cols[1])
     top = resolution_matrix(6).entries[0]
