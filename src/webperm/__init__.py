@@ -3,7 +3,7 @@
 Matchings, Dyck paths and grid-configuration crossing resolution; the
 transition matrix between the nonnesting and noncrossing bases; Andre
 cycle structure; zigzag/Genocchi enumeration; and an independent
-syzygy-rewriting oracle.
+Plücker-relation oracle (:mod:`webperm.oracle`).
 """
 
 from .combinat import (
@@ -50,7 +50,6 @@ from .enumeration import (
     seidel_rows,
     verify_conjecture,
 )
-from .oracle import delta_product, minor, syzygy_expand, verify_expansion
 from .webs import web_table
 
 __version__ = "0.1.0"

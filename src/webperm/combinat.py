@@ -24,12 +24,6 @@ Matching = tuple[Arc, ...]
 Permutation = tuple[int, ...]
 Cell = tuple[int, int]
 
-# Enumerating every matching on [2n] grows as (2n-1)!!; the cap keeps an
-# accidental `enumerate_matchings(12)` from eating the machine.  The
-# Catalan(n) noncrossing and nonnesting classes need no cap.
-DEFAULT_ENUMERATION_CAP = 8
-
-
 class CapExceeded(RuntimeError):
     """An enumeration or resolution exceeded its configured resource cap."""
 
@@ -73,17 +67,6 @@ def perm_to_str(sigma: Permutation) -> str:
     if len(sigma) < 10:
         return "".join(str(v) for v in sigma)
     return ",".join(str(v) for v in sigma)
-
-
-def perm_from_str(text: str) -> Permutation:
-    parts = text.split(",") if "," in text else list(text)
-    try:
-        sigma = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"not a permutation word: {text!r}") from None
-    if not is_permutation(sigma):
-        raise ValueError(f"not a permutation word: {text!r}")
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -145,40 +128,14 @@ def is_nonnesting(m: Matching) -> bool:
     return not nesting_arc_pairs(m)
 
 
-def matchings(n: int) -> Iterator[Matching]:
-    """Generate every matching on [2n], in canonical arc order."""
-
-    def rec(free: tuple[int, ...]) -> Iterator[Matching]:
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for k in range(1, len(free)):
-            b = free[k]
-            rest = free[1:k] + free[k + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    return rec(tuple(range(1, 2 * n + 1)))
-
-
-def enumerate_matchings(n: int, klass: str = "all") -> list[Matching]:
-    """Complete duplicate-free list of matchings on [2n] in the given class.
-
-    ``klass`` is "all", "NC" or "NN"; sizes are (2n-1)!!, Catalan(n) and
-    Catalan(n).  The two classes are read off the Dyck paths in table
-    order.  "all" raises :class:`CapExceeded` for n above
-    ``DEFAULT_ENUMERATION_CAP``.
-    """
+def enumerate_matchings(n: int, klass: str) -> list[Matching]:
+    """The Catalan(n) matchings on [2n] of class ``klass``, "NC"
+    (noncrossing) or "NN" (nonnesting), read off the Dyck paths in table
+    order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if klass != "all":
-        # matching_from_dyck rejects an unknown class
-        return [matching_from_dyck(p, klass) for p in dyck_paths(n)]
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise CapExceeded(f"matching enumeration capped at n = "
-                          f"{DEFAULT_ENUMERATION_CAP}, got {n}")
-    return list(matchings(n))
+    # matching_from_dyck rejects an unknown class
+    return [matching_from_dyck(p, klass) for p in dyck_paths(n)]
 
 
 def catalan(n: int) -> int:

@@ -3,6 +3,8 @@ import pathlib
 
 import pytest
 
+from webperm.combinat import is_permutation
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -24,3 +26,34 @@ def golden_web_tables() -> dict[int, list[tuple[str, str, str, str]]]:
     """
     raw = json.loads((DATA / "web_tables_golden.json").read_text())
     return {int(k): [tuple(r) for r in v] for k, v in raw.items()}
+
+
+def matchings(n: int):
+    """Generate every matching on [2n], (2n-1)!! of them, in canonical arc
+    order: the reference the matching classes and the oracle are checked
+    against."""
+
+    def rec(free):
+        if not free:
+            yield ()
+            return
+        a = free[0]
+        for k in range(1, len(free)):
+            rest = free[1:k] + free[k + 1:]
+            for tail in rec(rest):
+                yield ((a, free[k]),) + tail
+
+    return rec(tuple(range(1, 2 * n + 1)))
+
+
+def perm_from_str(text: str) -> tuple[int, ...]:
+    """Parse the one-line notation of ``perm_to_str``: digits, or
+    comma-separated values from n = 10 on."""
+    parts = text.split(",") if "," in text else list(text)
+    try:
+        sigma = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"not a permutation word: {text!r}") from None
+    if not is_permutation(sigma):
+        raise ValueError(f"not a permutation word: {text!r}")
+    return sigma

@@ -182,6 +182,22 @@ def test_every_matrix_verify_check_can_fail(capsys, monkeypatch, breaker, line):
     assert "verify OK" not in err
 
 
+def test_matrix_verify_refutes_a_zero_term_in_place_of_the_diagonal(
+        capsys, monkeypatch):
+    # the staircase row's one term traded for a 0 at a zero entry: as many
+    # terms as nonzeros, each equal to its entry, and still not the row
+    real = oracle.syzygy_insert
+    staircase = ((1, 2), (3, 4), (5, 6))
+    zero_term = {oracle.partners(((1, 6), (2, 5), (3, 4))): 0}
+    monkeypatch.setattr(oracle, "syzygy_insert", lambda m: (
+        zero_term if m == staircase else real(m)))
+    code, _, err = run(capsys, "matrix", "3", "--verify")
+    assert code == 1
+    assert err.splitlines() == [
+        f"FAIL: syzygy expansion disagrees on row {staircase}",
+        f"FAIL: numeric identity refuted on row {staircase}"]
+
+
 @pytest.mark.parametrize("column", [1, -1])
 def test_matrix_verify_fails_on_a_dag_count_past_its_field(
         capsys, monkeypatch, column):

@@ -4,8 +4,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import matchings, perm_from_str
 from webperm.combinat import (
-    CapExceeded,
     catalan,
     cells_above,
     dyck_heights,
@@ -23,8 +23,6 @@ from webperm.combinat import (
     matching,
     matching_from_dyck,
     matching_to_json,
-    matchings,
-    perm_from_str,
     perm_to_str,
     syt_to_matching,
     validate_dyck,
@@ -58,20 +56,21 @@ def test_classify_both_iff_staircase(n):
 
 
 def test_enumerate_counts():
+    # the reference generator of every matching, and the two classes
     for n in range(1, 5):
         odd_double_factorial = math.prod(range(2 * n - 1, 0, -2))
-        assert len(enumerate_matchings(n, "all")) == odd_double_factorial
-    assert len(enumerate_matchings(4, "all")) == 105
+        assert len(list(matchings(n))) == odd_double_factorial
+    assert len(list(matchings(4))) == 105
     for n in range(1, 9):
         assert len(enumerate_matchings(n, "NC")) == catalan(n)
         assert len(enumerate_matchings(n, "NN")) == catalan(n)
 
 
 def test_enumerate_n1_and_duplicates():
-    assert enumerate_matchings(1, "all") == [((1, 2),)]
+    assert list(matchings(1)) == [((1, 2),)]
     for n in SMALL:
-        for klass in ("all", "NC", "NN"):
-            out = enumerate_matchings(n, klass)
+        for out in (list(matchings(n)), enumerate_matchings(n, "NC"),
+                    enumerate_matchings(n, "NN")):
             assert len(set(out)) == len(out)
 
 
@@ -88,7 +87,7 @@ def test_enumerate_nc_n3_known_list():
 
 @pytest.mark.parametrize("n", SMALL)
 def test_enumerate_classes_agree_with_filter(n):
-    everything = enumerate_matchings(n, "all")
+    everything = list(matchings(n))
     assert set(enumerate_matchings(n, "NC")) == {
         m for m in everything if is_noncrossing(m)}
     assert set(enumerate_matchings(n, "NN")) == {
@@ -96,12 +95,12 @@ def test_enumerate_classes_agree_with_filter(n):
 
 
 def test_enumerate_cap():
-    # only "all" is capped: it builds (2n-1)!! matchings, the classes Catalan(n)
-    with pytest.raises(CapExceeded):
-        enumerate_matchings(9, "all")
+    # no class needs a cap: each has Catalan(n) members, and there is no
+    # class of all (2n-1)!! matchings to cap
     assert len(enumerate_matchings(9, "NC")) == catalan(9)
-    with pytest.raises(ValueError):
-        enumerate_matchings(2, "XX")
+    for klass in ("all", "XX"):
+        with pytest.raises(ValueError, match="unknown matching class"):
+            enumerate_matchings(2, klass)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ from collections import Counter
 
 import pytest
 
+from conftest import perm_from_str
 from webperm.andre import andre_cycle_permutations, cycle_count, foata, rlmin
-from webperm.combinat import perm_from_str
 from webperm.enumeration import (
     cc_distribution,
     entringer,

@@ -534,7 +534,8 @@ def test_row_configuration_rejects_nesting():
 # ---------------------------------------------------------------------------
 
 def test_traced_matchings_match_reference(golden_web_tables):
-    from webperm.combinat import inverse, perm_from_str
+    from conftest import perm_from_str
+    from webperm.combinat import inverse
     for n, rows in golden_web_tables.items():
         for word, _cycles, path_col, matching_col in rows:
             sigma = perm_from_str(word)

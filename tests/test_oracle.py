@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import matchings
 from webperm import cli, oracle
 from webperm.combinat import (
     crossing_arc_pairs,
@@ -10,7 +11,6 @@ from webperm.combinat import (
     is_noncrossing,
     m0,
     matching,
-    matchings,
 )
 from webperm.enumeration import euler_numbers, genocchi
 from webperm.grid import web_permutations_for
@@ -19,15 +19,13 @@ from webperm.oracle import (
     MODULUS,
     _field_bytes,
     _insert_arc,
+    _Samples,
     check_rows,
-    delta_product,
-    minor,
     reflect,
     sample_z,
     syzygy_expand,
     syzygy_insert,
     syzygy_step,
-    verify_expansion,
 )
 from webperm.transition import col_labels, matrix, row_labels
 
@@ -57,21 +55,6 @@ def test_syzygy_step_reduces_crossing_pairs():
             for pair in pairs:
                 for branch in syzygy_step(m, pair):
                     assert len(crossing_arc_pairs(branch)) < len(pairs)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_syzygy_policy_independence_exhaustive(n):
-    for m in matchings(n):
-        assert syzygy_expand(m, "first") == syzygy_expand(m, "last")
-
-
-def test_syzygy_policy_independence_sampled_n5():
-    rng = random.Random(20_25)
-    pool = enumerate_matchings(5, "all")
-    for m in rng.sample(pool, 500):
-        assert syzygy_expand(m, "first") == syzygy_expand(m, "last")
-    with pytest.raises(ValueError):
-        syzygy_expand(pool[0], "middle")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -111,21 +94,9 @@ def partners(arcs, n):
     return sum(q << width(n) * p for p, q in enumerate(partner_tuple(arcs, n)))
 
 
-def unpack(key, n):
-    """The partner tuple of a packed partner int of size n."""
-    return tuple(key >> width(n) * p & (1 << width(n)) - 1
-                 for p in range(2 * n + 1))
-
-
 def by_partners(expansion, n):
     """A ``Matching``-keyed expansion keyed by packed partner ints instead."""
     return {partners(m, n): c for m, c in expansion.items()}
-
-
-def by_matchings(expansion, n):
-    """A partner-keyed expansion keyed by ``Matching`` instead."""
-    return {tuple((p, q) for p, q in enumerate(unpack(key, n)) if p < q): c
-            for key, c in expansion.items()}
 
 
 def insert_in_order(arcs, n):
@@ -149,9 +120,7 @@ def test_syzygy_insert_equals_rewriting_on_every_matching(n):
     for m in matchings(n):
         shuffled = list(m)
         rng.shuffle(shuffled)
-        expected = syzygy_expand(m, "first")
-        assert expected == syzygy_expand(m, "last")
-        expected = by_partners(expected, n)
+        expected = by_partners(syzygy_expand(m), n)
         assert syzygy_insert(m) == syzygy_insert(tuple(shuffled)) == expected
         assert insert_in_order(shuffled, n) == expected
 
@@ -159,8 +128,7 @@ def test_syzygy_insert_equals_rewriting_on_every_matching(n):
 def test_syzygy_insert_equals_rewriting_on_nn_rows_of_size_6():
     # sizes up to 5 are covered by every matching above
     for m in row_labels(6):
-        assert syzygy_expand(m, "first") == syzygy_expand(m, "last")
-        assert syzygy_insert(m) == by_partners(syzygy_expand(m, "first"), 6)
+        assert syzygy_insert(m) == by_partners(syzygy_expand(m), 6)
 
 
 def test_syzygy_insert_inserts_the_shortest_arc_first(monkeypatch):
@@ -214,6 +182,21 @@ def test_top_row_counts_the_web_permutations_and_the_staircase():
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
+def minor(z, i, j):
+    """The 2 x 2 minor of a sample z on columns i < j."""
+    if not 1 <= i < j <= len(z[0]):
+        raise ValueError(f"need 1 <= i < j <= {len(z[0])}, got ({i}, {j})")
+    return z[0][i - 1] * z[1][j - 1] - z[0][j - 1] * z[1][i - 1]
+
+
+def delta_product(z, m):
+    """The product of the arc minors of a matching on a sample z."""
+    result = 1
+    for i, j in m:
+        result *= minor(z, i, j)
+    return result
+
+
 def test_minor_and_delta_product_basics():
     ones = [[1] * 6, [1] * 6]
     assert minor(ones, 1, 5) == 0
@@ -241,31 +224,54 @@ def test_two_by_two_exchange_identity():
                     + minor(z, a, d) * minor(z, b, c))
 
 
+def numeric_check(m, claim, trials=20, seed=1729):
+    """:meth:`_Samples.holds` on row ``m`` for a ``Matching``-keyed claim,
+    against the noncrossing columns of its size, as :func:`check_rows`
+    evaluates a row."""
+    cols = col_labels(len(m))
+    column = {c: k for k, c in enumerate(cols)}
+    samples = _Samples(len(m), trials, seed)
+    return samples.holds(m, {column[mp]: c for mp, c in claim.items()},
+                         samples.pack(cols))
+
+
+def sampled_by_check_rows(m, claim, monkeypatch, trials=MATRIX_TRIALS,
+                          seed=1):
+    """``check_rows`` on the one row ``m``, fixed by rho, with ``claim``
+    standing in for its expansion: (expansion, sampled)."""
+    assert mirror(m) == m
+    monkeypatch.setattr(oracle, "syzygy_insert", lambda _: {
+        oracle.partners(mp): c for mp, c in claim.items()})
+    [(_, coeffs, sampled)] = check_rows((m,), col_labels(len(m)), trials, seed)
+    return coeffs, sampled
+
+
 def test_verify_expansion_trivial_and_exhaustive():
-    assert verify_expansion(m0(3), {m0(3): 1})
+    # the rewriting expansion of every matching passes the numeric check
+    assert numeric_check(m0(3), {m0(3): 1})
     for n in range(1, 5):
         for m in matchings(n):
-            assert verify_expansion(m, syzygy_expand(m), trials=20, seed=11)
+            assert numeric_check(m, syzygy_expand(m), trials=20, seed=11)
 
 
-def test_verify_expansion_refutes_wrong_coefficients():
-    assert not verify_expansion(matching([(1, 3), (2, 4)]),
-                                {matching([(1, 2), (3, 4)]): 2})
+def test_verify_expansion_refutes_wrong_coefficients(monkeypatch):
+    assert sampled_by_check_rows(matching([(1, 3), (2, 4)]),
+                                 {matching([(1, 2), (3, 4)]): 2},
+                                 monkeypatch)[1] is False
 
 
-def test_verify_expansion_validates_support():
-    crossing_support = matching([(1, 3), (2, 4)])
-    with pytest.raises(ValueError):
-        verify_expansion(m0(2), {crossing_support: 1})
-    with pytest.raises(ValueError):
-        verify_expansion(m0(2), {m0(3): 1})
+def test_verify_expansion_validates_support(monkeypatch):
+    # a crossing term, or one of another size, is no column: check_rows
+    # yields no expansion and refutes the row
+    for claim in ({matching([(1, 3), (2, 4)]): 1}, {m0(3): 1}):
+        assert sampled_by_check_rows(m0(2), claim, monkeypatch) == (None,
+                                                                    False)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_verify_expansion_rejects_trials_below_one(trials):
-    m = matching([(1, 3), (2, 4)])
     with pytest.raises(ValueError, match="trials"):
-        verify_expansion(m, syzygy_expand(m), trials=trials)
+        _Samples(2, trials, 1)
 
 
 def test_verify_expansion_is_seed_deterministic():
@@ -273,13 +279,24 @@ def test_verify_expansion_is_seed_deterministic():
     coeffs = syzygy_expand(m)
     rng = random.Random(5)
     assert sample_z(2, rng) == sample_z(2, random.Random(5))
-    assert verify_expansion(m, coeffs, trials=5, seed=5) is True
+    assert _Samples(3, 5, 5).minors == _Samples(3, 5, 5).minors
+    assert numeric_check(m, coeffs, trials=5, seed=5) is True
+
+
+def test_samples_are_drawn_in_batches_in_one_rng_order(monkeypatch):
+    # the minors of a sample do not depend on the batch it is drawn in
+    whole = _Samples(3, 10, 7).minors
+    monkeypatch.setattr(oracle, "_BATCH", 3)
+    assert _Samples(3, 10, 7).minors == whole
+    rng = random.Random(7)
+    zs = [sample_z(3, rng) for _ in range(10)]
+    assert list(whole[2, 5]) == [minor(z, 2, 5) % MODULUS for z in zs]
 
 
 def fresh_verify(m, coeffs, trials=20, seed=1729):
     """The numeric check with fresh samples on every call, exact minor
     products reduced once modulo p: the definition that the shared samples
-    of ``verify_expansion`` must reproduce."""
+    of :class:`_Samples` must reproduce."""
     rng = random.Random(seed)
     for _ in range(trials):
         z = sample_z(len(m), rng)
@@ -298,9 +315,9 @@ def perturbed(coeffs):
 def test_shared_samples_agree_with_fresh_on_every_row(n):
     for m in row_labels(n):
         coeffs = syzygy_expand(m)
-        assert verify_expansion(m, coeffs) is fresh_verify(m, coeffs) is True
+        assert numeric_check(m, coeffs) is fresh_verify(m, coeffs) is True
         wrong = perturbed(coeffs)
-        assert verify_expansion(m, wrong) is fresh_verify(m, wrong) is False
+        assert numeric_check(m, wrong) is fresh_verify(m, wrong) is False
 
 
 # a crossing row, fixed by rho, and a wrong one-term expansion of it
@@ -330,7 +347,7 @@ def assert_verdicts_follow_seed_and_trials(verdict):
 def test_shared_samples_follow_seed_and_trials():
     assert_verdicts_follow_seed_and_trials(
         lambda claim, trials, seed:
-        verify_expansion(TUNED_ROW, claim, trials=trials, seed=seed))
+        numeric_check(TUNED_ROW, claim, trials=trials, seed=seed))
 
 
 def test_check_rows_samples_follow_seed_and_trials(monkeypatch):
@@ -339,9 +356,8 @@ def test_check_rows_samples_follow_seed_and_trials(monkeypatch):
     cols = col_labels(2)
 
     def verdict(claim, trials, seed):
-        monkeypatch.setattr(oracle, "syzygy_insert",
-                            lambda m: by_partners(claim, 2))
-        [(_, coeffs, sampled)] = check_rows((TUNED_ROW,), cols, trials, seed)
+        coeffs, sampled = sampled_by_check_rows(TUNED_ROW, claim, monkeypatch,
+                                                trials, seed)
         assert coeffs == {cols.index(mp): c for mp, c in claim.items()}
         return sampled
     assert_verdicts_follow_seed_and_trials(verdict)
@@ -350,23 +366,13 @@ def test_check_rows_samples_follow_seed_and_trials(monkeypatch):
 def test_perturbed_coefficient_is_refuted_between_two_passes():
     m = matching([(1, 4), (2, 6), (3, 5), (7, 8)])
     coeffs = syzygy_expand(m)
-    assert verify_expansion(m, coeffs, seed=5)
+    assert numeric_check(m, coeffs, seed=5)
     for m_prime in coeffs:
-        assert not verify_expansion(m, {**coeffs, m_prime: coeffs[m_prime] - 1},
-                                    seed=5)
+        assert not numeric_check(m, {**coeffs, m_prime: coeffs[m_prime] - 1},
+                                 seed=5)
     missing = next(mp for mp in enumerate_matchings(4, "NC") if mp not in coeffs)
-    assert not verify_expansion(m, {**coeffs, missing: 1}, seed=5)
-    assert verify_expansion(m, coeffs, seed=5)
-
-
-def test_malformed_arc_raises_value_error():
-    good = m0(2)
-    verify_expansion(good, {good: 1})
-    for bad in (((1, 2), (3, 5)), ((1, 2), (4, 3)), ((0, 1), (2, 3))):
-        with pytest.raises(ValueError):
-            verify_expansion(bad, {good: 1})
-        with pytest.raises(ValueError):
-            verify_expansion(good, {bad: 1})
+    assert not numeric_check(m, {**coeffs, missing: 1}, seed=5)
+    assert numeric_check(m, coeffs, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +446,8 @@ def test_packed_fields_hold_the_largest_sum(terms):
 
 
 def claim_with(coeff):
-    """Row 0 of n = 4 and its expansion with the coefficient 1 at its
-    diagonal column replaced by ``coeff``."""
+    """Row 0 of n = 4, fixed by rho, and its expansion with the coefficient
+    1 at its diagonal column replaced by ``coeff``."""
     m, diagonal = row_labels(4)[0], col_labels(4)[0]
     coeffs = syzygy_expand(m)
     assert coeffs[diagonal] == 1
@@ -454,43 +460,17 @@ def test_a_coefficient_off_its_residue_is_refuted(bad, monkeypatch):
     # reduced modulo p before packing, so a coefficient below 0, at p or
     # past a field's width is refuted rather than borrowed or carried
     m, claim = claim_with(bad)
-    assert verify_expansion(m, claim) is False
-    monkeypatch.setattr(oracle, "syzygy_insert",
-                        lambda m: by_partners(claim, 4))
-    verdicts = dict((r, sampled) for r, _, sampled
-                    in check_rows((m,), col_labels(4), MATRIX_TRIALS, 1))
-    assert verdicts == {0: False}
+    assert sampled_by_check_rows(m, claim, monkeypatch)[1] is False
 
 
 @pytest.mark.parametrize("good", [1 + MODULUS, 1 - MODULUS,
                                   1 + 2**200 * MODULUS],
                          ids=["1+p", "1-p", "1+2^200 p"])
-def test_a_coefficient_congruent_to_the_right_one_passes(good):
+def test_a_coefficient_congruent_to_the_right_one_passes(good, monkeypatch):
     # the check is modulo p: a coefficient of the right residue, however
     # far from it, packs as that residue and spills into no other sample
     m, claim = claim_with(good)
-    assert verify_expansion(m, claim) is True
-
-
-def test_batched_identity_validates_its_input():
-    def check(m, coeffs):
-        return verify_expansion(m, coeffs, MATRIX_TRIALS, seed=3)
-    with pytest.raises(ValueError, match="noncrossing"):
-        check(m0(2), {matching([(1, 3), (2, 4)]): 1})
-    with pytest.raises(ValueError, match="size mismatch"):
-        check(m0(2), {m0(3): 1})
-    with pytest.raises(ValueError, match="need 1 <= i < j <= 2"):
-        check(((1, 4),), {m0(1): 1})
-    for bad in (((1, 2), (3, 5)), ((1, 2), (4, 3)), ((0, 1), (2, 3))):
-        with pytest.raises(ValueError):
-            check(bad, {m0(2): 1})
-        with pytest.raises(ValueError):
-            check(m0(2), {bad: 1})
-    # a refused row leaves nothing behind: the next one agrees with fresh
-    # samples
-    m = matching([(1, 3), (2, 4)])
-    coeffs = by_matchings(syzygy_insert(m), 2)
-    assert check(m, coeffs) is fresh_verify(m, coeffs, MATRIX_TRIALS, 3) is True
+    assert sampled_by_check_rows(m, claim, monkeypatch)[1] is True
 
 
 # ---------------------------------------------------------------------------
