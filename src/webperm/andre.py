@@ -101,7 +101,7 @@ def _cycles(sigma: Permutation) -> Iterator[Cycle]:
 
 def cycles_to_str(decomposition: Sequence[Cycle]) -> str:
     """Parentheses-and-commas display, e.g. '(1,3)(2,4)'."""
-    return "".join("(" + ",".join(str(x) for x in c) + ")"
+    return "".join("(" + ",".join(map(str, c)) + ")"
                    for c in decomposition)
 
 

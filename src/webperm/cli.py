@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 from operator import eq, itemgetter
 
 from . import andre, enumeration, grid, oracle, transition, webs
@@ -85,16 +86,26 @@ def cmd_web(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     agreement = None
     if args.source == "resolve":
-        table = webs.web_records(grid.web_permutations(args.n))
+        try:
+            table = webs.web_records(grid.web_permutations(args.n))
+        except grid.RepeatedTerminals as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 1
     else:
         table = webs.web_table(args.n)
     if args.source == "both":
-        # a sigma the filter repeated would hide in the set, so its size is
-        # compared with the table's; it is dropped before the rows are built
-        sigmas = frozenset(r.sigma for r in table)
-        agreement = (len(sigmas) == len(table)
-                     and sigmas == grid.web_permutations(args.n))
-        del sigmas
+        # resolution's terminals are struck off the table's sigmas as they
+        # come: a miss or a repeat is a disagreement, and so is a leftover;
+        # a sigma the filter repeated would hide in the set, hence the sizes
+        unseen = {r.sigma for r in table}
+        agreement = len(unseen) == len(table)
+        for s in grid.terminals(grid.empty_configuration(args.n)):
+            if s not in unseen:
+                agreement = False
+                break
+            unseen.remove(s)
+        agreement = agreement and not unseen
+        del unseen
         if not agreement:
             print("source disagreement: resolution and cycle-type filter "
                   "produce different sets", file=sys.stderr)
@@ -122,11 +133,15 @@ def cmd_web(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=1))
     else:
         word, cyc = _web_widths(args.n)
+        # one path per matching object, which the records share by value
+        paths = {id(m): dyck_of_matching(m)
+                 for m in {id(r.matched): r.matched for r in table}.values()}
         # Web_0 is the empty word, whose row is all padding: print it empty.
-        for r in table:
-            print(f"{perm_to_str(r.sigma):<{word}}  "
-                  f"{webs.cycle_notation(r.sigma):<{cyc}}  "
-                  f"{r.dyck}  {dyck_of_matching(r.matched)}".rstrip())
+        lines = (f"{perm_to_str(r.sigma):<{word}}  "
+                 f"{webs.cycle_notation(r.sigma):<{cyc}}  "
+                 f"{r.dyck}  {paths[id(r.matched)]}".rstrip() for r in table)
+        while chunk := list(islice(lines, 1024)):
+            sys.stdout.write("\n".join(chunk) + "\n")
         if args.source == "both":
             print(f"agreement OK ({len(table)} permutations)")
     return 0

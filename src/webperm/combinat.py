@@ -65,8 +65,8 @@ def perm_to_str(sigma: Permutation) -> str:
     '312'
     """
     if len(sigma) < 10:
-        return "".join(str(v) for v in sigma)
-    return ",".join(str(v) for v in sigma)
+        return "".join(map(str, sigma))
+    return ",".join(map(str, sigma))
 
 
 # ---------------------------------------------------------------------------

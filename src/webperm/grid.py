@@ -12,8 +12,8 @@ the top, so tracing the strands of a configuration reads off a matching
 on [2n].  Each strand runs through one marking, so the walker follows
 the two legs of every marking, left along its row and up along its
 column, turning only at elbows, to the two labels they reach.  It works
-on the integer arrays sigma and sigma^-1 and does all tracing:
-:func:`trace_matching` for any configuration, and
+on the integer arrays sigma and sigma^-1, returns a partner array and
+does all tracing: :func:`trace_matching` for any configuration, and
 :func:`matching_of_permutation`, M(sigma), for the fully smoothed one,
 where every crossing is an elbow and no crossing set is built.
 
@@ -24,16 +24,16 @@ Resolving a crossing ``c`` replaces a configuration by two others:
 
 Only cells that are maximal in the upper-left partial order may be
 resolved; this keeps the elbow set valid in the switched configuration.
-:func:`_step` is the one resolution step and :func:`resolve` walks the
-tree it spans.  A state is sigma with a bitmask of its unresolved
-crossings, those not elbows, cell (i, j) at bit (j - 1) n + (n - i): a
-higher row is a higher block of n bits, and a column further left a
-higher bit within its block.  So the highest set bit is the top-left
-cell, and a cell is maximal iff its upper-left cone (:func:`_cone`)
-meets the mask in that cell alone.  A smoothed child clears the resolved
-bit, and a switched child recomputes the cells the switch moves, so only
-the root's mask is built from a crossing set (:func:`_root`).  Fully
-resolving the identity configuration yields the web permutations;
+:func:`_step` is the one resolution step, :func:`terminals` walks the
+tree it spans and :func:`resolve` counts its leaves.  A state is sigma
+with a bitmask of its unresolved crossings, those not elbows, cell
+(i, j) at bit (j - 1) n + (n - i): a higher row is a higher block of n
+bits, and a column further left a higher bit within its block.  So the
+highest set bit is the top-left cell, and a cell is maximal iff its
+upper-left cone (:func:`_cone`) meets the mask in that cell alone.  A
+smoothed child clears the resolved bit, and a switched child recomputes
+the cells the switch moves, so only the root's mask is built from a
+crossing set (:func:`_root`).  Fully resolving the identity configuration yields the web permutations;
 resolving :func:`row_configuration` of a nonnesting matching M yields
 the web permutations that make up row M of the transition matrix.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .combinat import (
     CapExceeded,
@@ -125,8 +125,11 @@ def row_configuration(m: Matching) -> GridConfiguration:
 # strand tracing
 # ---------------------------------------------------------------------------
 
-def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
+def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]
+          ) -> Sequence[int]:
     """Trace every strand of G(sigma, elbows); ``None`` smooths every crossing.
+    Returns the partner array, entry a the label paired with a, as bytes
+    while every label fits in a byte: hashable and compact.
 
     Every strand passes through exactly one marking, and its two halves,
     the legs, leave the marking going left along its row and up along its
@@ -137,18 +140,20 @@ def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
     above it with i < sigma^-1(j) and (i, j) an elbow.  A leg only moves
     left or up, so it never meets a marking and leaves the grid on the
     left side (label j) or the top (label n + i).  The two labels of each
-    marking make one arc, and reading the arcs off in label order gives the
-    matching in canonical form.
+    marking make one arc, and :func:`_arcs` reads the arcs off in label
+    order, which gives the matching in canonical form.
 
     Each leg is walked inline, with no call per leg, as alternating runs:
     a leftward run steps left along its row to the next elbow or off the
     left side, and an upward run steps up its column to the next elbow or
     off the top.  The leftward leg begins with a leftward run, the upward
-    leg with an upward one.
+    leg with an upward one.  Sentinel markings at (0, 0) and (n + 1, n + 1)
+    let the crossing test stop a run at the edge, so no step tests more.
     """
     n = len(sigma)
     col = (0,) + tuple(sigma)
-    row = [0] * (n + 1)
+    row = [0] * (n + 2)
+    row[n + 1] = n + 1
     for i, j in enumerate(sigma, 1):
         row[j] = i
     every = elbows is None
@@ -158,13 +163,13 @@ def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
         x, y = i, j
         while True:
             x -= 1
-            while x and not (col[x] < y and (every or (x, y) in elbows)):
+            while col[x] >= y or not (every or not x or (x, y) in elbows):
                 x -= 1
             if not x:
                 a = y
                 break
             y += 1
-            while y <= n and not (x < row[y] and (every or (x, y) in elbows)):
+            while x >= row[y] or not (every or y > n or (x, y) in elbows):
                 y += 1
             if y > n:
                 a = n + x
@@ -172,20 +177,23 @@ def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]) -> Matching:
         x, y = i, j
         while True:
             y += 1
-            while y <= n and not (x < row[y] and (every or (x, y) in elbows)):
+            while x >= row[y] or not (every or y > n or (x, y) in elbows):
                 y += 1
             if y > n:
                 b = n + x
                 break
             x -= 1
-            while x and not (col[x] < y and (every or (x, y) in elbows)):
+            while col[x] >= y or not (every or not x or (x, y) in elbows):
                 x -= 1
             if not x:
                 b = y
                 break
         partner[a], partner[b] = b, a
-    # from a list: from a generator, cold `web 9 --source both` peaked
-    # 0.75 MiB higher
+    return bytes(partner) if n < 128 else tuple(partner)
+
+
+def _arcs(partner: Sequence[int]) -> Matching:
+    """The canonical matching of a partner array from :func:`_walk`."""
     return tuple([(a, b) for a, b in enumerate(partner) if a < b])
 
 
@@ -196,7 +204,7 @@ def trace_matching(g: GridConfiguration) -> Matching:
     >>> trace_matching(g)
     ((1, 3), (2, 7), (4, 6), (5, 8))
     """
-    return _walk(g.sigma, g.elbows)
+    return _arcs(_walk(g.sigma, g.elbows))
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +340,20 @@ def _step(state: State, pick: Callable[[int, int], Cell],
     return (sigma, unresolved ^ bit), _switch(sigma, unresolved, c)
 
 
-def resolve(g: GridConfiguration,
-            node_cap: int = DEFAULT_NODE_CAP,
-            pick: Callable[[int, int], Cell] = pick_top_left,
-            ) -> Counter[Permutation]:
-    """Fully resolve ``g`` and return the terminal permutations as a multiset.
+def terminals(g: GridConfiguration, node_cap: int = DEFAULT_NODE_CAP,
+              pick: Callable[[int, int], Cell] = pick_top_left,
+              ) -> Iterator[Permutation]:
+    """Fully resolve ``g``, yielding each terminal permutation when reached.
 
     Branches depth-first on (smooth, switch) with :func:`_step` at the
     crossing chosen by ``pick``, which must always return a maximal cell
     of the mask it is given.  Each state on the stack carries the mask of
     its unresolved crossings, built once for ``g`` and updated by every
-    step; a state is terminal when none is left.
-    Raises :class:`CapExceeded` when more than ``node_cap`` states are
-    visited.  A ``g`` whose elbows a switch would move, such as
-    G(123, {(1, 2)}), is refused with :class:`RuntimeError`.
+    step; a state is terminal when none is left.  While the leaves are
+    drawn, more than ``node_cap`` states raise :class:`CapExceeded`, and
+    elbows that a switch would move, as in G(123, {(1, 2)}),
+    :class:`RuntimeError`.
     """
-    out: Counter[Permutation] = Counter()
     stack: list[State] = [_root(g)]
     nodes = 0
     while stack:
@@ -357,21 +363,31 @@ def resolve(g: GridConfiguration,
             raise CapExceeded(f"resolution exceeded the node cap {node_cap}")
         step = _step(state, pick)
         if step is None:
-            out[state[0]] += 1
+            yield state[0]
             continue
         smoothed, switched = step
         stack += switched, smoothed
-    return out
+
+
+def resolve(g: GridConfiguration, node_cap: int = DEFAULT_NODE_CAP,
+            pick: Callable[[int, int], Cell] = pick_top_left,
+            ) -> Counter[Permutation]:
+    """The terminal permutations of :func:`terminals` as a multiset."""
+    return Counter(terminals(g, node_cap, pick))
 
 
 # ---------------------------------------------------------------------------
 # web permutations by resolution
 # ---------------------------------------------------------------------------
 
+class RepeatedTerminals(RuntimeError):
+    """A resolution reached some permutation at more than one leaf."""
+
+
 def _distinct_terminals(outcome: Counter[Permutation]) -> frozenset[Permutation]:
     repeated = {s for s, mult in outcome.items() if mult > 1}
     if repeated:
-        raise RuntimeError(f"terminal permutations repeat: {sorted(repeated)}")
+        raise RepeatedTerminals(f"terminal permutations repeat: {sorted(repeated)}")
     return frozenset(outcome)
 
 
@@ -394,4 +410,4 @@ def matching_of_permutation(sigma: Permutation) -> Matching:
     """M(sigma): the matching traced from the fully smoothed configuration."""
     if not is_permutation(sigma):
         raise ValueError(f"not a permutation: {sigma}")
-    return _walk(sigma, None)
+    return _arcs(_walk(sigma, None))

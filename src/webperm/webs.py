@@ -14,23 +14,26 @@ S_n has 40,320 and 362,880 permutations.  Resolution is the cross-check:
 ``webperm web --source resolve|both`` and the test suite run it, and
 nothing else does.  In a fresh interpreter (Python 3.11.7 on a 2-vCPU
 KVM guest), median of three, peak RSS of the whole process; the table's
-time is mostly the filter and D(sigma) and M(sigma) per record, and its
-records share their paths and matchings (:func:`web_records`):
+time is mostly the filter and the strand walk of each sigma, and each
+distinct path and matching is built once (:func:`web_records`):
 
     n    filter            resolution        web_table
-    8    0.06 s, 16 MiB    0.09 s, 16 MiB    0.21 s, 18 MiB
-    9    0.41 s, 21 MiB    0.57 s, 25 MiB    1.29 s, 31 MiB
+    8    0.04 s, 16 MiB    0.03 s, 16 MiB    0.14 s, 18 MiB
+    9    0.28 s, 21 MiB    0.25 s, 25 MiB    0.93 s, 30 MiB
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import attrgetter
 
 from .andre import andre_cycle_permutations, cycles, cycles_to_str
-from .combinat import Matching, Permutation, dyck_of_permutation
-from .grid import matching_of_permutation
+from .combinat import (Matching, Permutation, dyck_of_permutation,
+                       is_permutation)
+from .grid import _arcs, _walk
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,24 +65,30 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     """The records of the given web permutations, in the order of
     :func:`web_table`.
 
-    D(sigma) and M(sigma) are computed, and sigma validated, for every
-    record, but the records share one string per Dyck path and one tuple
-    per noncrossing matching: two memos, kept for this call only, map each
-    value to the first instance seen.  Each holds at most Catalan(n)
-    entries, 1,430, 4,862 and 16,796 at n = 8, 9 and 10.  At n = 9 their
-    hash tables take 0.10 MiB and 0.14 MiB, and the values they keep, which
-    the records share in any case, 0.31 MiB of paths and 2.86 MiB of
-    matchings.
+    Each sigma is validated, and each distinct D(sigma) and M(sigma) is
+    built once and shared by its records: D is keyed by the prefix maxima
+    of sigma, its column heights h_i = max(h_{i-1}, sigma(i), i), as i
+    distinct positive letters reach i, and M by the walker's partner
+    array.  Each memo holds at most Catalan(n) entries, 4,862 at n = 9.
     """
-    dycks: dict[str, str] = {}
-    matchings: dict[Matching, Matching] = {}
+    dycks: dict[tuple[int, ...], str] = {}
+    matchings: dict[Sequence[int], Matching] = {}
     records = []
     for s in perms:
-        d = dyck_of_permutation(s)
-        m = matching_of_permutation(s)
-        records.append(WebRecord(s, dycks.setdefault(d, d),
-                                 matchings.setdefault(m, m)))
-    records.sort(key=lambda r: (r.dyck, r.sigma))
+        if not is_permutation(s):
+            raise ValueError(f"not a permutation: {s}")
+        heights = tuple(accumulate(s, max))
+        d = dycks.get(heights)
+        if d is None:
+            d = dycks[heights] = dyck_of_permutation(s)
+        partner = _walk(s, None)
+        m = matchings.get(partner)
+        if m is None:
+            m = matchings[partner] = _arcs(partner)
+        records.append(WebRecord(s, d, m))
+    # two stable sorts: by (dyck, sigma) without a key tuple per record
+    records.sort(key=attrgetter("sigma"))
+    records.sort(key=attrgetter("dyck"))
     return tuple(records)
 
 

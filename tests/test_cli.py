@@ -321,18 +321,19 @@ def cold_web_table():
 
 
 def _count_sources(monkeypatch):
-    # the filter as the web table calls it, resolution as the CLI calls it
+    # the filter as the web table calls it, resolution as one walk of its
+    # tree, which both --source resolve and --source both run
     sources = []
 
     def counting(source, real):
-        def call(n):
+        def call(*args):
             sources.append(source)
-            return real(n)
+            return real(*args)
         return call
     monkeypatch.setattr(webs, "andre_cycle_permutations",
                         counting("characterize", webs.andre_cycle_permutations))
-    monkeypatch.setattr(cli.grid, "web_permutations",
-                        counting("resolve", cli.grid.web_permutations))
+    monkeypatch.setattr(cli.grid, "terminals",
+                        counting("resolve", cli.grid.terminals))
     return sources
 
 
@@ -415,6 +416,46 @@ def test_web_source_both_fails_on_a_repeated_permutation(capsys, monkeypatch,
     code, out, err = run(capsys, "web", "5", "--source", "both")
     assert (code, out) == (1, "")
     assert err.startswith("source disagreement:")
+
+
+@pytest.mark.parametrize("change", ["repeat", "drop", "stray"])
+def test_web_source_both_fails_on_a_wrong_terminal(capsys, monkeypatch,
+                                                   change):
+    # resolution yielding a sigma twice, missing one or yielding one the
+    # filter refuses is a disagreement, found as the terminals stream
+    real = cli.grid.terminals
+
+    def wrong(g):
+        perms = list(real(g))
+        if change == "repeat":
+            perms.insert(3, perms[-1])
+        elif change == "drop":
+            perms.pop(3)
+        else:
+            perms[3] = (3, 1, 2, 4, 5)
+        return iter(perms)
+    monkeypatch.setattr(cli.grid, "terminals", wrong)
+    code, out, err = run(capsys, "web", "5", "--source", "both")
+    assert (code, out) == (1, "")
+    assert err == ("source disagreement: resolution and cycle-type filter "
+                   "produce different sets\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_web_source_resolve_fails_on_a_repeated_terminal(capsys, monkeypatch,
+                                                        fmt):
+    # a sigma at two leaves of the tree is named, with no listing
+    real = cli.grid.resolve
+
+    def bumped(*args, **kwargs):
+        outcome = real(*args, **kwargs)
+        outcome[(2, 1, 3, 4, 5)] += 1
+        return outcome
+    monkeypatch.setattr(cli.grid, "resolve", bumped)
+    code, out, err = run(capsys, "web", "5", "--source", "resolve",
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "FAIL: terminal permutations repeat: [(2, 1, 3, 4, 5)]\n"
 
 
 @pytest.mark.parametrize("command", ["matrix 5", "matrix 5 --verify",

@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from webperm import grid
-from webperm.combinat import catalan
-from webperm.webs import web_records, web_table
+from webperm.andre import andre_cycle_permutations
+from webperm.combinat import catalan, dyck_of_permutation
+from webperm.grid import matching_of_permutation
+from webperm.webs import WebRecord, web_records, web_table
 
 
 def _shared(records, field):
@@ -21,7 +25,40 @@ def test_records_share_one_path_and_one_matching_per_value(n, source):
         assert objects == values <= catalan(n), field
 
 
-@pytest.mark.parametrize("word", [(1, 1, 2), (2, 3), (0,)])
+@pytest.mark.parametrize("word", [(1, 1, 2), (2, 3), (0,), (2, 2, 3)])
 def test_web_records_rejects_a_non_permutation(word):
+    # (2, 2, 3) has the prefix maxima of (2, 1, 3), so it finds the path of
+    # the record before it in the memo and must still be refused
     with pytest.raises(ValueError, match="not a permutation"):
-        web_records([(2, 1), word])
+        web_records([(2, 1, 3), word])
+
+
+def _path_of_prefix_maxima(sigma):
+    """The path whose column heights are the prefix maxima of sigma."""
+    steps, height = [], 0
+    for top in itertools.accumulate(sigma, max):
+        steps.append("N" * (top - height) + "E")
+        height = top
+    return "".join(steps)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_prefix_maxima_key_the_dyck_path(n):
+    # the memo key of D(sigma): h_i = max(h_{i-1}, sigma(i), i) is the
+    # prefix maximum, because i distinct positive letters reach i
+    for sigma in itertools.permutations(range(1, n + 1)):
+        assert _path_of_prefix_maxima(sigma) == dyck_of_permutation(sigma)
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("source", ["table", "resolution"])
+def test_web_records_equal_the_records_built_per_sigma(n, source):
+    if source == "table":
+        perms, records = list(andre_cycle_permutations(n)), web_table(n)
+    else:
+        perms = grid.web_permutations(n)
+        records = web_records(perms)
+    expected = sorted((WebRecord(s, dyck_of_permutation(s),
+                                 matching_of_permutation(s)) for s in perms),
+                      key=lambda r: (r.dyck, r.sigma))
+    assert records == tuple(expected)
