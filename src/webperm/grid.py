@@ -125,8 +125,7 @@ def row_configuration(m: Matching) -> GridConfiguration:
 # strand tracing
 # ---------------------------------------------------------------------------
 
-def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]
-          ) -> Sequence[int]:
+def _walk(sigma: Permutation, elbows: frozenset[Cell] | None) -> Sequence[int]:
     """Trace every strand of G(sigma, elbows); ``None`` smooths every crossing.
     Returns the partner array, entry a the label paired with a, as bytes
     while every label fits in a byte: hashable and compact.
@@ -148,7 +147,8 @@ def _walk(sigma: Permutation, elbows: Optional[frozenset[Cell]]
     left side, and an upward run steps up its column to the next elbow or
     off the top.  The leftward leg begins with a leftward run, the upward
     leg with an upward one.  Sentinel markings at (0, 0) and (n + 1, n + 1)
-    let the crossing test stop a run at the edge, so no step tests more.
+    make the edge look like a crossing, so a step tests the bound only
+    where it tests for an elbow.
     """
     n = len(sigma)
     col = (0,) + tuple(sigma)

@@ -252,7 +252,8 @@ def test_trace_elbows_above_path_reproduce_matching():
     assert trace_matching(g) == m
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+# n = 130 has labels past 255, so the walker's partner array is a tuple
+@pytest.mark.parametrize("n", [*range(1, 7), 130])
 def test_trace_empty_configuration_is_aligned(n):
     assert trace_matching(empty_configuration(n)) == matching(
         (i, n + i) for i in range(1, n + 1))
