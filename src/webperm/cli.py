@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from itertools import islice
-from operator import eq, itemgetter
+from operator import eq
 
 from . import andre, enumeration, grid, oracle, transition, webs
 from .combinat import (
@@ -44,9 +44,10 @@ DEFAULT_CAP = 8
 MAX_SEIDEL_ROWS = 1450
 
 # The most samples ``verify --trials`` draws per oracle row; no flag raises
-# it.  Time and memory both grow linearly in it: cold, ``verify --suite all
-# --max-n 8 --trials 100000`` takes 12.9 s and 156 MiB peak RSS (Python
-# 3.11.7 on a 2-vCPU KVM guest).
+# it.  Time grows linearly in it, while memory stays at one batch of
+# samples: cold, ``verify --suite all --max-n 8 --trials 100000`` takes
+# 20.7-24.9 s and 37 MiB peak RSS (Python 3.11.7 on a loaded 2-vCPU KVM
+# guest, where the default 20 trials take 0.4 s).
 MAX_TRIALS = 100_000
 
 
@@ -174,10 +175,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         agree = False
     if not agree:
         failures.append("entry methods disagree")
-    disagree, refuted = [], []
-    for r, coeffs, sampled in oracle.check_rows(a.rows, a.cols,
-                                                oracle.MATRIX_TRIALS,
-                                                args.seed):
+    disagree = []
+    for r, coeffs in oracle.check_rows(a.rows, a.cols):
         # the expansion is the row iff its keys number the row's nonzeros
         # and each holds the row's nonzero entry there
         row = a.entries[r]
@@ -186,12 +185,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
                 or not all(map(eq, map(row.__getitem__, coeffs),
                                coeffs.values()))):
             disagree.append(r)
-        if not sampled:
-            refuted.append(r)
     failures.extend(f"syzygy expansion disagrees on row {a.rows[r]}"
                     for r in sorted(disagree))
     failures.extend(f"numeric identity refuted on row {a.rows[r]}"
-                    for r in sorted(refuted))
+                    for r in oracle.refuted_rows(a, oracle.MATRIX_TRIALS,
+                                                 args.seed))
     failures.extend(f"{v['reason']} at ({v['row']},{v['col']}): "
                     f"row {v['row_path']}, col {v['col_path']}"
                     for v in transition.support_check(a))
@@ -269,9 +267,10 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
     checks = []
     for n in range(1, min(max_n, 5) + 1):
         a = transition.matrix(n)
-        verdicts = sorted(oracle.check_rows(a.rows, a.cols, trials, seed),
-                          key=itemgetter(0))
-        for (_, coeffs, sampled), m, row in zip(verdicts, a.rows, a.entries):
+        expansions = dict(oracle.check_rows(a.rows, a.cols))
+        refuted = set(oracle.refuted_rows(a, trials, seed))
+        for r, (m, row) in enumerate(zip(a.rows, a.entries)):
+            coeffs = expansions[r]
             checks.append(_check(
                 f"syzygy expansion of {dyck_of_matching(m)} matches matrix row",
                 n, None,
@@ -281,7 +280,7 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
             checks.append(_check(
                 f"numeric identity for {dyck_of_matching(m)} "
                 f"({trials} samples, seed {seed})",
-                n, None, sampled, True))
+                n, None, r not in refuted, True))
     return checks
 
 

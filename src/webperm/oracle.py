@@ -1,5 +1,6 @@
 """Independent verification path: the expansion of a matching's minor
-product over the noncrossing basis, plus its numeric check.
+product over the noncrossing basis, and the numeric check of a matrix's
+rows.
 
 The minors obey the Plücker relation Δ_ac·Δ_bd = Δ_ab·Δ_cd + Δ_ad·Δ_bc
 (a < b < c < d), which rewrites a crossing pair of arcs into its two
@@ -23,38 +24,34 @@ of rewriting reaches it.  Two constructions compute it:
   reference that the tests hold the insertion to.
 
 :func:`check_rows` runs the oracle on the rows of a transition matrix
-for ``matrix --verify`` and the ``oracle`` suite.  It maps each
-expansion to column indices through the columns' packed partner ints; a
-key that is not a column fails the row.  The reflection ρ: i ↦ 2n+1−i maps
-crossings to crossings and smoothings to smoothings, so the expansion of
-ρM is ρ of the expansion of M, and one insertion serves the orbit
-{M, ρM}: ρM reads the coefficients at the columns ρ permutes them to.
-That is 232 insertions for the 429 rows of n = 7 and 2,494 for the
-4,862 of n = 9.  Each row is still compared with its own matrix row and
-sampled on its own expansion, so a wrong expansion names every row it
-reaches, and a fault in the pairing or in the column map is caught too.
+for ``matrix --verify`` and the ``oracle`` suite, which compare each
+expansion with its printed row.  It maps each expansion to column
+indices through the columns' packed partner ints; a key that is not a
+column fails the row.  The reflection ρ: i ↦ 2n+1−i maps crossings to
+crossings and smoothings to smoothings, so the expansion of ρM is ρ of
+the expansion of M, and one insertion serves the orbit {M, ρM}: ρM reads
+the coefficients at the columns ρ permutes them to.  That is 232
+insertions for the 429 rows of n = 7 and 2,494 for the 4,862 of n = 9.
+Each row is still compared with its own matrix row, so a wrong expansion
+names every row it reaches, and a fault in the pairing or in the column
+map is caught too.
 
-The rewriting never touches polynomials; the numeric check evaluates the
-identity Δ_M = sum of c(M') Δ_M' at seeded random specializations,
-uniform over the residues modulo the prime 2^61 - 1, one row at a time,
-so a failure names its row.  A wrong expansion passes a sample with
-probability at most 2n/(2^61 - 1).  ``matrix --verify`` runs it on every
-row with :data:`MATRIX_TRIALS` samples, the ``oracle`` suite with
-``--trials``.  Each call of :func:`check_rows` draws its samples once,
-from (n, trials, seed) alone, keeps only the minor of every arc on each
-(:class:`_Samples`), packs each column's products on all of them into
-one int, a field per sample wide enough that no sum of a row's terms
-carries (:func:`_field_bytes`), and evaluates every row on them through
-:meth:`_Samples.holds`, one sum of products a row; nothing is kept
-between calls.
+The numeric check, :func:`refuted_rows`, needs no expansion: it samples
+the identity Δ_M = sum of a[M][M'] Δ_M' on the printed row itself, at
+seeded random specializations uniform over the residues modulo the prime
+2^61 - 1, and names each row it refutes.  The noncrossing products Δ_M'
+are a basis (Rumer–Teller–Weyl), so a wrong row passes a sample with
+probability at most 2n/(2^61 - 1) (Schwartz–Zippel).  ``matrix --verify``
+runs it on every row with :data:`MATRIX_TRIALS` samples, the ``oracle``
+suite with ``--trials``.  The row then has two certificates, the exact
+insertion and the numeric identity, and neither rests on the other.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
-from collections.abc import Iterable, Iterator
-from itertools import combinations
+from collections.abc import Iterator
+from itertools import combinations, compress, starmap
 from operator import mul
 
 from .combinat import Matching, crossing_arc_pairs, matching
@@ -66,7 +63,7 @@ MODULUS = (1 << 61) - 1
 # probability at most 2n/(2^61 - 1), so all 4 with at most (2n/(2^61 - 1))^4,
 # under 10^-68 for n <= 9.
 MATRIX_TRIALS = 4
-# Samples drawn at a time by :class:`_Samples` before their minors are read
+# Samples drawn at a time by :func:`_minor_batches`
 _BATCH = 4096
 
 
@@ -171,8 +168,9 @@ def syzygy_insert(m: Matching) -> dict[int, int]:
     alive at once, and the largest result has all 4,862.  Each state is
     one int of 2n + 1 fields of (2n).bit_length() bits: 4-bit fields up to
     n = 7, 5-bit fields for n = 8..15, so at n = 9 a state is 95 bits.
-    The whole oracle of n = 9 (:func:`check_rows`, without the matrix)
-    peaks at 24 MiB RSS in 3.7 s (Python 3.11.7 on a 2-vCPU KVM guest).
+    The insertions of n = 9 (:func:`check_rows`, without the matrix) peak
+    at 23 MiB RSS in 4.9-5.7 s (Python 3.11.7 on a loaded 2-vCPU KVM
+    guest).
 
     >>> sorted(map(oct, syzygy_insert(matching([(1, 3), (2, 4)]))))
     ['0o12340', '0o34120']
@@ -233,113 +231,100 @@ def sample_z(n: int, rng: random.Random) -> list[list[int]]:
     return [[rng.randrange(MODULUS) for _ in range(2 * n)] for _ in range(2)]
 
 
-def _field_bytes(terms: int) -> int:
-    """Bytes per sample field of a packed sum of ``terms`` products c·Δ.
+def _field_bytes(terms: int, itemsize: int) -> int:
+    """Bytes per sample field of a packed sum of ``terms`` products c·Δ,
+    each c an entry of an unsigned array of ``itemsize`` bytes.
 
-    Every c and Δ is reduced below p < 2^61, so each product is below
-    2^122 and the sum below terms · 2^122 < 2^(122 + terms.bit_length()):
-    a field of that many bits, rounded up to whole bytes, never carries
-    into the next.
+    Every Δ is reduced below p < 2^61 and every c is below 2^(8 itemsize),
+    so the sum is below terms · 2^(61 + 8 itemsize) <
+    2^(61 + 8 itemsize + terms.bit_length()): a field of that many bits,
+    rounded up to whole bytes, never carries into the next.
     """
-    return (122 + terms.bit_length() + 7) // 8
+    return (61 + 8 * itemsize + terms.bit_length() + 7) // 8
 
 
-class _Samples:
-    """The minor z[0][i]·z[1][j] - z[0][j]·z[1][i] of every arc (i, j) on
-    each seeded sample z of one (n, trials, seed), modulo :data:`MODULUS`.
-    ``trials`` must be at least 1, so that a pass always rests on a sample.
+def _minor_batches(n: int, trials: int, seed: int
+                   ) -> Iterator[tuple[int, dict[tuple[int, int], list[int]]]]:
+    """The seeded samples z of (n, trials, seed), :data:`_BATCH` at a time
+    in the order of one ``random.Random(seed)``, as (samples in the batch,
+    the minor z[0][i]·z[1][j] - z[0][j]·z[1][i] modulo :data:`MODULUS` of
+    every arc (i, j) on each).  ``trials`` must be at least 1, so that a
+    pass always rests on a sample."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = random.Random(seed)
+    arcs = list(combinations(range(2 * n), 2))
+    for start in range(0, trials, _BATCH):
+        zs = [sample_z(n, rng) for _ in range(min(_BATCH, trials - start))]
+        # bound to no name here, so that the caller's del drops it
+        yield len(zs), {(i + 1, j + 1): [(top[i] * bottom[j]
+                                          - top[j] * bottom[i]) % MODULUS
+                                         for top, bottom in zs]
+                        for i, j in arcs}
+        del zs
 
-    The samples are drawn :data:`_BATCH` at a time, in the order of one
-    ``random.Random(seed)``, and each batch is dropped once its minors
-    are read off.  Each arc keeps its minors in an ``array('Q')``, 8 bytes
-    a sample, as every minor is below 2^61: ``verify --trials 100000`` at
-    n = 5 holds 45 arrays of 800 kB.
+
+def refuted_rows(a, trials: int, seed: int) -> list[int]:
+    """The indices, in row order, of the rows of a transition matrix ``a``
+    that the numeric identity Δ_M = sum over columns c of a[M][c]·Δ_c
+    refutes modulo p on the ``trials`` seeded samples of (n, trials,
+    seed).  ``a`` has ``rows``, ``cols`` and ``entries``, each row an
+    unsigned ``array`` over the columns; the check reads nothing else.
+
+    The samples come from :func:`_minor_batches`.  On each batch, each
+    column's minor products are packed into one int, a field per sample
+    of :func:`_field_bytes` of the columns and the rows' widest itemsize,
+    so that a row is one sum of products over its nonzeros with no carry
+    between fields, read back one field at a time; the batch is then
+    dropped.  A row refuted by a batch is not evaluated again.  So memory
+    is bounded by one batch: columns × :data:`_BATCH` fields, and the
+    samples and the minor of every arc on each.  Cold, ``verify --suite
+    oracle --max-n 5 --trials 100000`` peaks at 34 MiB RSS, where holding
+    every sample took 150 MiB; at n = 9 with :data:`MATRIX_TRIALS` it
+    takes 1.2 s (Python 3.11.7 on a 2-vCPU KVM guest).
     """
-
-    def __init__(self, n: int, trials: int, seed: int) -> None:
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        rng = random.Random(seed)
-        self.trials = trials
-        arcs = list(combinations(range(2 * n), 2))
-        self.minors = {(i + 1, j + 1): array("Q") for i, j in arcs}
-        for start in range(0, trials, _BATCH):
-            zs = [sample_z(n, rng) for _ in range(min(_BATCH, trials - start))]
-            for (i, j), column in zip(arcs, self.minors.values()):
-                column.extend([(top[i] * bottom[j] - top[j] * bottom[i])
-                               % MODULUS for top, bottom in zs])
-
-    def products(self, m: Matching) -> tuple[int, ...]:
-        """The product of the minors of the arcs of ``m`` on each sample,
-        modulo p.  The arcs' columns are multiplied through one chain of
-        ``map``s, so no sample's partial product is stored."""
-        if not m:
-            return (1,) * self.trials
-        out = self.minors[m[0]]
-        for arc in m[1:]:
-            out = map(mul, out, self.minors[arc])
-        return tuple(map(MODULUS.__rmod__, out))
-
-    def pack(self, support: Iterable[Matching]) -> list[int]:
-        """The :meth:`products` of each matching of ``support``, in order,
-        packed into one int each: sample t in field t, little-endian, of
-        :func:`_field_bytes` of the support's size.  Each column is
-        encoded in one pass, one ``to_bytes`` a sample and one
-        ``from_bytes`` in all."""
-        support = list(support)
-        size = _field_bytes(len(support))
-        return [int.from_bytes(b"".join(v.to_bytes(size, "little")
-                                        for v in self.products(m)), "little")
-                for m in support]
-
-    def holds(self, m: Matching, coeffs: dict[int, int],
-              packed: list[int]) -> bool:
-        """True iff Δ_m = sum of c·Δ_k over (k, c) in ``coeffs`` modulo p on
-        every sample, where ``packed[k]`` is Δ_k on every sample as
-        :meth:`pack` packs it.
-
-        Each c is reduced modulo p, and the keys are distinct indices into
-        ``packed``, so one sum of products adds the claim on every sample
-        at once with no carry between fields (:func:`_field_bytes`).  Its
-        fields are read back in one pass, one ``to_bytes`` and one
-        ``from_bytes`` a field, never by repeated shifts, which would cost
-        time quadratic in the samples.
-        """
-        size = _field_bytes(len(packed))
-        total = sum(map(mul, map(MODULUS.__rmod__, coeffs.values()),
-                        map(packed.__getitem__, coeffs)))
-        raw = total.to_bytes(size * self.trials, "little")
-        return all(int.from_bytes(raw[k:k + size], "little") % MODULUS
-                   == value for k, value in zip(range(0, len(raw), size),
-                                                self.products(m)))
+    n = len(a.cols[0])
+    size = _field_bytes(len(a.cols), max(row.itemsize for row in a.entries))
+    refuted = set()
+    for count, minors in _minor_batches(n, trials, seed):
+        def products(m: Matching) -> Iterator[int]:
+            out = [1] * count
+            for arc in m:
+                out = map(mul, out, minors[arc])
+            return map(MODULUS.__rmod__, out)
+        packed = [int.from_bytes(b"".join(v.to_bytes(size, "little")
+                                          for v in products(c)), "little")
+                  for c in a.cols]
+        for r, (m, row) in enumerate(zip(a.rows, a.entries)):
+            if r in refuted:
+                continue
+            total = sum(starmap(mul, compress(zip(row, packed), row)))
+            raw = total.to_bytes(size * count, "little")
+            if not all(int.from_bytes(raw[k:k + size], "little") % MODULUS
+                       == v for k, v in zip(range(0, len(raw), size),
+                                            products(m))):
+                refuted.add(r)
+        # dropped before the next batch is drawn
+        del minors, packed
+    return sorted(refuted)
 
 
-def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
-               trials: int, seed: int
-               ) -> Iterator[tuple[int, dict[int, int] | None, bool]]:
-    """The oracle's verdicts on the rows of a transition matrix, one ρ-orbit
-    of rows at a time (see the module docstring); ``rows`` and ``cols``
-    must each be closed under ρ.
+def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...]
+               ) -> Iterator[tuple[int, dict[int, int] | None]]:
+    """The exact expansion of each row of a transition matrix over its
+    columns, one insertion per ρ-orbit of rows (see the module docstring);
+    ``rows`` and ``cols`` must each be closed under ρ.
 
-    Yields (r, expansion, sampled) once for each row index r.  The
-    expansion is that of ``rows[r]`` over column indices, or None if a key
-    is not a column (no noncrossing perfect matching on [2n]).  ``sampled``
-    is the numeric check of Δ_M = sum of c(M') Δ_M' on the ``trials``
-    samples of (n, trials, seed), drawn once per call, and an expansion of
-    None fails it.  The row of each orbit first in ``rows`` is inserted;
-    its mirror reads the same coefficients at the columns ρ permutes them
-    to.
+    Yields (r, expansion) once for each row index r: the expansion of
+    ``rows[r]`` keyed by column index, or None if a key is not a column (no
+    noncrossing perfect matching on [2n]).  The row of each orbit first in
+    ``rows`` is inserted; its mirror reads the same coefficients at the
+    columns ρ permutes them to.
     """
     n = len(cols[0])
-    samples = _Samples(n, trials, seed)
     column_of = {partners(c): k for k, c in enumerate(cols)}
     mirror_col = reflection(list(column_of), n)
     mirror_row = reflection(list(map(partners, rows)), n)
-    packed = samples.pack(cols)
-
-    def sampled(r: int, coeffs: dict[int, int] | None) -> bool:
-        return coeffs is not None and samples.holds(rows[r], coeffs, packed)
-
     # each row is yielded once, whatever the pairing
     seen = bytearray(len(rows))
     for r, mirror in enumerate(mirror_row):
@@ -351,10 +336,10 @@ def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...],
                       for p, c in syzygy_insert(rows[r]).items()}
         except KeyError:
             coeffs = None
-        yield r, coeffs, sampled(r, coeffs)
+        yield r, coeffs
         if not seen[mirror]:
             seen[mirror] = 1
             if coeffs is not None:
                 coeffs = dict(zip(map(mirror_col.__getitem__, coeffs),
                                   coeffs.values()))
-            yield mirror, coeffs, sampled(mirror, coeffs)
+            yield mirror, coeffs

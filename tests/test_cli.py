@@ -126,12 +126,13 @@ def _break_syzygy(monkeypatch):
 def _break_numeric(monkeypatch):
     # One wrong arc minor breaks the Plücker relation under the numeric
     # check.
-    real = oracle._Samples.__init__
+    real = oracle._minor_batches
 
-    def init(self, *args):
-        real(self, *args)
-        self.minors[1, 4] = tuple(x + 1 for x in self.minors[1, 4])
-    monkeypatch.setattr(oracle._Samples, "__init__", init)
+    def batches(*args):
+        for count, minors in real(*args):
+            minors[1, 4] = [x + 1 for x in minors[1, 4]]
+            yield count, minors
+    monkeypatch.setattr(oracle, "_minor_batches", batches)
 
 
 def _break_support(monkeypatch):
@@ -194,8 +195,7 @@ def test_matrix_verify_refutes_a_zero_term_in_place_of_the_diagonal(
     code, _, err = run(capsys, "matrix", "3", "--verify")
     assert code == 1
     assert err.splitlines() == [
-        f"FAIL: syzygy expansion disagrees on row {staircase}",
-        f"FAIL: numeric identity refuted on row {staircase}"]
+        f"FAIL: syzygy expansion disagrees on row {staircase}"]
 
 
 @pytest.mark.parametrize("column", [1, -1])
@@ -226,7 +226,8 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 4"]
     row = "((1, 5), (2, 6), (3, 7), (4, 8))"
     assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
-    assert f"FAIL: numeric identity refuted on row {row}" in err.splitlines()
+    # the printed matrix is right, and the numeric check samples it
+    assert "numeric" not in err
     assert "verify OK" not in err
 
 
@@ -236,76 +237,85 @@ def _mirror(m):
     return tuple(sorted((end - q, end - p) for p, q in m))
 
 
+def _print_bumped(monkeypatch, *bumps):
+    """Make ``matrix --verify`` print and check its matrix with each
+    (row, column, by) of ``bumps`` applied."""
+    real = transition.matrix
+
+    def wrong(n):
+        a = real(n)
+        for r, c, by in bumps:
+            a = _bump(a, r, c, by)
+        return a
+    monkeypatch.setattr(transition, "matrix", wrong)
+
+
+def _lines_about(err, check):
+    return [line for line in err.splitlines() if check in line]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
         capsys, monkeypatch, seed):
-    # the numeric check names only the row whose expansion is off by one;
-    # the row is fixed by rho (i -> 2n + 1 - i), so it is its own orbit
-    real = oracle.syzygy_insert
-    rows = transition.matrix(6).rows
-    row = next(m for m in rows[len(rows) // 2:] if _mirror(m) == m)
-
-    def wrong(m):
-        coeffs = real(m)
-        if m == row:
-            last = next(reversed(coeffs))
-            coeffs[last] += 1
-        return coeffs
-    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    # one entry of one printed row raised by 1: the numeric check samples
+    # the printed rows, so it names that row alone; the row is fixed by rho
+    # (i -> 2n + 1 - i), so no other row shares its insertion
+    a = transition.matrix(6)
+    r = next(k for k in range(len(a.rows) // 2, len(a.rows))
+             if _mirror(a.rows[k]) == a.rows[k])
+    last = max(c for c, v in enumerate(a.entries[r]) if v)
+    _print_bumped(monkeypatch, (r, last, 1))
     code, out, err = run(capsys, "matrix", "6", "--verify", "--seed", str(seed))
     assert code == 1
-    assert [line for line in err.splitlines() if "numeric" in line] == [
-        f"FAIL: numeric identity refuted on row {row}"]
-    assert f"FAIL: syzygy expansion disagrees on row {row}" in err.splitlines()
+    assert err.splitlines() == [
+        "FAIL: entry methods disagree",
+        f"FAIL: syzygy expansion disagrees on row {a.rows[r]}",
+        f"FAIL: numeric identity refuted on row {a.rows[r]}"]
 
 
 def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
         capsys, monkeypatch):
-    # +1 on one row and -1 on another at a column they share: summed over
-    # the rows the errors would cancel, and each row is named on its own
-    # (both rows are fixed by rho, so each is its own orbit)
-    real = oracle.syzygy_insert
-    rows = transition.matrix(5).rows
-    first, second = rows[6], rows[9]
-    assert (_mirror(first), _mirror(second)) == (first, second)
-    shared = next(iter(real(first).keys() & real(second).keys()))
-
-    def wrong(m):
-        coeffs = real(m)
-        if m in (first, second):
-            coeffs[shared] += 1 if m == first else -1
-        return coeffs
-    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    # +1 on one printed row and -1 on another at a column they share:
+    # summed over the rows the errors would cancel, and each row is named
+    # on its own (both rows are fixed by rho, so each is its own orbit)
+    a = transition.matrix(5)
+    first, second = 6, 9
+    assert all(_mirror(a.rows[r]) == a.rows[r] for r in (first, second))
+    shared = next(c for c, (x, y) in enumerate(zip(a.entries[first],
+                                                   a.entries[second]))
+                  if x and y)
+    _print_bumped(monkeypatch, (first, shared, 1), (second, shared, -1))
     code, out, err = run(capsys, "matrix", "5", "--verify")
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 5"]
+    named = [a.rows[first], a.rows[second]]
+    assert _lines_about(err, "syzygy") == [
+        f"FAIL: syzygy expansion disagrees on row {m}" for m in named]
+    assert _lines_about(err, "numeric") == [
+        f"FAIL: numeric identity refuted on row {m}" for m in named]
     # every syzygy line comes before every numeric line
-    assert err.splitlines() == [
-        *(f"FAIL: syzygy expansion disagrees on row {m}" for m in (first, second)),
-        *(f"FAIL: numeric identity refuted on row {m}" for m in (first, second))]
+    assert err.splitlines()[1:5] == [*_lines_about(err, "syzygy"),
+                                     *_lines_about(err, "numeric")]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_matrix_verify_names_both_rows_of_an_orbit_with_a_wrong_coefficient(
         capsys, monkeypatch, seed):
-    # a wrong expansion of the row inserted for an orbit {M, rho M} is read
-    # by both rows, and the two are named, each on its own samples
-    real = oracle.syzygy_insert
-    rows = transition.matrix(6).rows
-    row = rows[len(rows) // 2]
-    orbit = sorted((row, _mirror(row)), key=rows.index)
-    assert orbit[0] != orbit[1]
-
-    def wrong(m):
-        coeffs = real(m)
-        if m in orbit:
-            last = next(reversed(coeffs))
-            coeffs[last] += 1
-        return coeffs
-    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    # both rows of an orbit {M, rho M} printed with one entry raised, at
+    # columns that rho swaps: the matrix keeps its symmetry, and the two
+    # rows are named, each on its own samples
+    a = transition.matrix(6)
+    r = len(a.rows) // 2
+    mirror = a.rows.index(_mirror(a.rows[r]))
+    assert mirror != r
+    col_mirror = oracle.reflection(list(map(oracle.partners, a.cols)), 6)
+    last = max(c for c, v in enumerate(a.entries[r]) if v)
+    assert a.entries[mirror][col_mirror[last]] == a.entries[r][last]
+    _print_bumped(monkeypatch, (r, last, 1), (mirror, col_mirror[last], 1))
     code, out, err = run(capsys, "matrix", "6", "--verify", "--seed", str(seed))
     assert code == 1
+    orbit = [a.rows[k] for k in sorted((r, mirror))]
     assert err.splitlines() == [
+        "FAIL: entry methods disagree",
         *(f"FAIL: syzygy expansion disagrees on row {m}" for m in orbit),
         *(f"FAIL: numeric identity refuted on row {m}" for m in orbit)]
 
@@ -790,8 +800,9 @@ def test_output_determinism(capsys):
 
 
 def test_verify_oracle_suite_fails_a_key_off_the_columns(capsys, monkeypatch):
-    # a crossing term in one row's expansion fails that row's two checks,
-    # and its expansion is reported as null
+    # a crossing term in one row's expansion fails that row's syzygy check,
+    # and its expansion is reported as null; the numeric check samples the
+    # matrix row, which is right
     real = oracle.syzygy_insert
     row = transition.matrix(3).rows[0]
     crossing = oracle.partners(((1, 3), (2, 4), (5, 6)))
@@ -808,5 +819,4 @@ def test_verify_oracle_suite_fails_a_key_off_the_columns(capsys, monkeypatch):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [(c["n"], c["lhs"], c["claim"]) for c in failed] == [
-        (3, None, "syzygy expansion of NNNEEE matches matrix row"),
-        (3, False, "numeric identity for NNNEEE (20 samples, seed 1729)")]
+        (3, None, "syzygy expansion of NNNEEE matches matrix row")]

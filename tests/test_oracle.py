@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
 import random
+import tracemalloc
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +23,10 @@ from webperm.oracle import (
     MODULUS,
     _field_bytes,
     _insert_arc,
-    _Samples,
+    _minor_batches,
     check_rows,
     reflect,
+    refuted_rows,
     sample_z,
     syzygy_expand,
     syzygy_insert,
@@ -224,26 +229,30 @@ def test_two_by_two_exchange_identity():
                     + minor(z, a, d) * minor(z, b, c))
 
 
+def as_matrix(rows, claims, n):
+    """A transition matrix with ``rows``, row k holding the ``Matching``-
+    keyed claims[k] over the noncrossing columns of size n, in the widest
+    unsigned ``array`` rows, as :func:`refuted_rows` reads it."""
+    cols = col_labels(n)
+    assert all(set(claim) <= set(cols) for claim in claims)
+    return SimpleNamespace(rows=tuple(rows), cols=tuple(cols), entries=tuple(
+        array("Q", [claim.get(c, 0) for c in cols]) for claim in claims))
+
+
 def numeric_check(m, claim, trials=20, seed=1729):
-    """:meth:`_Samples.holds` on row ``m`` for a ``Matching``-keyed claim,
-    against the noncrossing columns of its size, as :func:`check_rows`
-    evaluates a row."""
-    cols = col_labels(len(m))
-    column = {c: k for k, c in enumerate(cols)}
-    samples = _Samples(len(m), trials, seed)
-    return samples.holds(m, {column[mp]: c for mp, c in claim.items()},
-                         samples.pack(cols))
+    """True iff :func:`refuted_rows` passes row ``m`` holding a
+    ``Matching``-keyed claim, against the noncrossing columns of its size."""
+    return not refuted_rows(as_matrix([m], [claim], len(m)), trials, seed)
 
 
-def sampled_by_check_rows(m, claim, monkeypatch, trials=MATRIX_TRIALS,
-                          seed=1):
-    """``check_rows`` on the one row ``m``, fixed by rho, with ``claim``
-    standing in for its expansion: (expansion, sampled)."""
+def expansion_by_check_rows(m, claim, monkeypatch):
+    """The expansion ``check_rows`` yields for the one row ``m``, fixed by
+    rho, with ``claim`` standing in for its insertion."""
     assert mirror(m) == m
     monkeypatch.setattr(oracle, "syzygy_insert", lambda _: {
         oracle.partners(mp): c for mp, c in claim.items()})
-    [(_, coeffs, sampled)] = check_rows((m,), col_labels(len(m)), trials, seed)
-    return coeffs, sampled
+    [(_, coeffs)] = check_rows((m,), col_labels(len(m)))
+    return coeffs
 
 
 def test_verify_expansion_trivial_and_exhaustive():
@@ -254,24 +263,23 @@ def test_verify_expansion_trivial_and_exhaustive():
             assert numeric_check(m, syzygy_expand(m), trials=20, seed=11)
 
 
-def test_verify_expansion_refutes_wrong_coefficients(monkeypatch):
-    assert sampled_by_check_rows(matching([(1, 3), (2, 4)]),
-                                 {matching([(1, 2), (3, 4)]): 2},
-                                 monkeypatch)[1] is False
+def test_verify_expansion_refutes_wrong_coefficients():
+    assert numeric_check(matching([(1, 3), (2, 4)]),
+                         {matching([(1, 2), (3, 4)]): 2},
+                         trials=MATRIX_TRIALS, seed=1) is False
 
 
 def test_verify_expansion_validates_support(monkeypatch):
     # a crossing term, or one of another size, is no column: check_rows
-    # yields no expansion and refutes the row
+    # yields no expansion for the row
     for claim in ({matching([(1, 3), (2, 4)]): 1}, {m0(3): 1}):
-        assert sampled_by_check_rows(m0(2), claim, monkeypatch) == (None,
-                                                                    False)
+        assert expansion_by_check_rows(m0(2), claim, monkeypatch) is None
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_verify_expansion_rejects_trials_below_one(trials):
     with pytest.raises(ValueError, match="trials"):
-        _Samples(2, trials, 1)
+        refuted_rows(matrix(2), trials, 1)
 
 
 def test_verify_expansion_is_seed_deterministic():
@@ -279,24 +287,30 @@ def test_verify_expansion_is_seed_deterministic():
     coeffs = syzygy_expand(m)
     rng = random.Random(5)
     assert sample_z(2, rng) == sample_z(2, random.Random(5))
-    assert _Samples(3, 5, 5).minors == _Samples(3, 5, 5).minors
+    assert list(_minor_batches(3, 5, 5)) == list(_minor_batches(3, 5, 5))
     assert numeric_check(m, coeffs, trials=5, seed=5) is True
 
 
 def test_samples_are_drawn_in_batches_in_one_rng_order(monkeypatch):
     # the minors of a sample do not depend on the batch it is drawn in
-    whole = _Samples(3, 10, 7).minors
+    def joined():
+        batches = list(_minor_batches(3, 10, 7))
+        assert sum(count for count, _ in batches) == 10
+        return {arc: [v for _, minors in batches for v in minors[arc]]
+                for arc in batches[0][1]}
+    whole = joined()
     monkeypatch.setattr(oracle, "_BATCH", 3)
-    assert _Samples(3, 10, 7).minors == whole
+    assert len(list(_minor_batches(3, 10, 7))) == 4
+    assert joined() == whole
     rng = random.Random(7)
     zs = [sample_z(3, rng) for _ in range(10)]
-    assert list(whole[2, 5]) == [minor(z, 2, 5) % MODULUS for z in zs]
+    assert whole[2, 5] == [minor(z, 2, 5) % MODULUS for z in zs]
 
 
 def fresh_verify(m, coeffs, trials=20, seed=1729):
     """The numeric check with fresh samples on every call, exact minor
-    products reduced once modulo p: the definition that the shared samples
-    of :class:`_Samples` must reproduce."""
+    products reduced once modulo p: the definition that the packed batches
+    of :func:`refuted_rows` must reproduce."""
     rng = random.Random(seed)
     for _ in range(trials):
         z = sample_z(len(m), rng)
@@ -311,13 +325,28 @@ def perturbed(coeffs):
     return {**coeffs, first: coeffs[first] + 1}
 
 
+def bumped(a, r, c, by=1):
+    """A copy of the matrix ``a`` with entry (r, c) raised by ``by``."""
+    rows = list(a.entries)
+    rows[r] = rows[r][:]
+    rows[r][c] += by
+    return dataclasses.replace(a, entries=tuple(rows))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_shared_samples_agree_with_fresh_on_every_row(n):
-    for m in row_labels(n):
-        coeffs = syzygy_expand(m)
-        assert numeric_check(m, coeffs) is fresh_verify(m, coeffs) is True
-        wrong = perturbed(coeffs)
-        assert numeric_check(m, wrong) is fresh_verify(m, wrong) is False
+    # every printed row passes, and a copy with one entry of row r bumped
+    # is refuted on row r alone, as the fresh reference says of each row
+    a = matrix(n)
+    claims = [{a.cols[c]: v for c, v in enumerate(row) if v}
+              for row in a.entries]
+    assert refuted_rows(a, 20, 1729) == []
+    assert all(map(fresh_verify, a.rows, claims))
+    for r, (m, row) in enumerate(zip(a.rows, a.entries)):
+        c = row.index(1)
+        assert refuted_rows(bumped(a, r, c), 20, 1729) == [r]
+        wrong = {**claims[r], a.cols[c]: 2}
+        assert fresh_verify(m, wrong) is False
 
 
 # a crossing row, fixed by rho, and a wrong one-term expansion of it
@@ -350,19 +379,6 @@ def test_shared_samples_follow_seed_and_trials():
         numeric_check(TUNED_ROW, claim, trials=trials, seed=seed))
 
 
-def test_check_rows_samples_follow_seed_and_trials(monkeypatch):
-    # the tuned claim stands in for the row's expansion, so ``sampled``
-    # shows which samples check_rows evaluates it on
-    cols = col_labels(2)
-
-    def verdict(claim, trials, seed):
-        coeffs, sampled = sampled_by_check_rows(TUNED_ROW, claim, monkeypatch,
-                                                trials, seed)
-        assert coeffs == {cols.index(mp): c for mp, c in claim.items()}
-        return sampled
-    assert_verdicts_follow_seed_and_trials(verdict)
-
-
 def test_perturbed_coefficient_is_refuted_between_two_passes():
     m = matching([(1, 4), (2, 6), (3, 5), (7, 8)])
     coeffs = syzygy_expand(m)
@@ -376,73 +392,108 @@ def test_perturbed_coefficient_is_refuted_between_two_passes():
 
 
 # ---------------------------------------------------------------------------
-# a batch of rows on shared samples, as ``matrix --verify`` checks them
+# every row of a matrix on shared samples, in bounded batches
 # ---------------------------------------------------------------------------
 
-def verdicts_in_row_order(rows, trials, seed):
-    """:func:`check_rows` on ``rows`` against the noncrossing columns, as
-    (expansion, sampled) in row order."""
-    verdicts = sorted(check_rows(rows, col_labels(len(rows[0])), trials, seed),
-                      key=lambda verdict: verdict[0])
-    assert [r for r, _, _ in verdicts] == list(range(len(rows)))
-    return [(coeffs, sampled) for _, coeffs, sampled in verdicts]
+def tuned_to_samples(m, k, seed):
+    """A claim for row ``m`` on k noncrossing columns, its coefficients the
+    residues that solve the identity on the first k samples of ``seed``:
+    it passes those k samples and, with the next, fails."""
+    rng = random.Random(seed)
+    zs = [sample_z(len(m), rng) for _ in range(k)]
+    support = col_labels(len(m))[:k]
+    # Gauss-Jordan elimination modulo p on [Delta_c(z_t) | Delta_m(z_t)]
+    rows = [[delta_product(z, c) % MODULUS for c in support]
+            + [delta_product(z, m) % MODULUS] for z in zs]
+    for i in range(k):
+        pivot = next(r for r in range(i, k) if rows[r][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        inverse = pow(rows[i][i], -1, MODULUS)
+        rows[i] = [v * inverse % MODULUS for v in rows[i]]
+        for r in range(k):
+            if r != i and rows[r][i]:
+                factor = rows[r][i]
+                rows[r] = [(v - factor * w) % MODULUS
+                           for v, w in zip(rows[r], rows[i])]
+    return {c: row[k] for c, row in zip(support, rows)}
 
 
-def batch_verdicts(rows, seed):
-    """The numeric verdict of each row, on the same samples."""
-    return [sampled for _, sampled in
-            verdicts_in_row_order(rows, MATRIX_TRIALS, seed)]
+def test_refuted_rows_is_the_same_in_any_batch_size(monkeypatch):
+    # the true rows, a bumped row and a row tuned to pass the first four
+    # samples, so that batches of 3 refute it only in their second batch
+    m = matching([(1, 4), (2, 5), (3, 6)])
+    a = as_matrix(list(row_labels(3)) + [m, m],
+                  [syzygy_expand(r) for r in row_labels(3)]
+                  + [perturbed(syzygy_expand(m)), tuned_to_samples(m, 4, 2)],
+                  3)
+    verdicts = {trials: refuted_rows(a, trials, 2) for trials in (4, 5, 10)}
+    assert verdicts == {4: [5], 5: [5, 6], 10: [5, 6]}
+    monkeypatch.setattr(oracle, "_BATCH", 3)
+    assert {trials: refuted_rows(a, trials, 2) for trials in (4, 5, 10)
+            } == verdicts
+
+
+def test_refuted_rows_holds_one_batch_at_a_time(monkeypatch):
+    # the samples of every batch are dropped before the next is drawn, so
+    # eight batches peak about where one does; smaller batches than the
+    # default keep the run short under tracemalloc
+    monkeypatch.setattr(oracle, "_BATCH", 256)
+    a = matrix(4)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (oracle._BATCH, 8 * oracle._BATCH):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert refuted_rows(a, trials, 1) == []
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_batched_identity_holds_on_every_matching(n):
-    # every matching, crossing ones too, is a row here: the set is
-    # closed under rho, so each is checked against its own expansion
+    # every matching, crossing ones too, is a row here, with its rewriting
+    # expansion as the row: check_rows inserts each (the set is closed
+    # under rho) and the numeric check passes each
     rows = list(matchings(n))
-    assert all(batch_verdicts(rows, seed=n))
+    expansions = [syzygy_expand(m) for m in rows]
+    assert refuted_rows(as_matrix(rows, expansions, n), MATRIX_TRIALS, n) == []
     column = {m: k for k, m in enumerate(col_labels(n))}
-    for m, (coeffs, _) in zip(rows, verdicts_in_row_order(rows, 1, n)):
-        assert coeffs == {column[mp]: c for mp, c in syzygy_expand(m).items()}
+    assert sorted(check_rows(rows, col_labels(n))) == [
+        (r, {column[mp]: c for mp, c in expansion.items()})
+        for r, expansion in enumerate(expansions)]
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(
-        seed, monkeypatch):
-    # +1 on one row and -1 on another at the same column: summed over the
-    # rows the two errors would cancel, and each row is refuted on its own;
-    # both rows are fixed by rho, so each is its own orbit
-    rows = row_labels(5)
-    first, second = rows[0], rows[1]
-    assert [partners(m, 5) == reflect(partners(m, 5), 5)
-            for m in (first, second)] == [True, True]
-    shared = next(iter(syzygy_insert(first).keys() & syzygy_insert(second).keys()))
-
-    def wrong(m):
-        coeffs = syzygy_insert(m)
-        if m in (first, second):
-            coeffs[shared] += 1 if m == first else -1
-        return coeffs
-    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
-    assert batch_verdicts(rows, seed) == [m not in (first, second)
-                                          for m in rows]
+def test_batched_identity_refutes_errors_that_cancel_in_a_plain_sum(seed):
+    # +1 on one printed row and -1 on another at the same column: summed
+    # over the rows the two errors would cancel, and each row is refuted
+    # on its own
+    a = matrix(5)
+    shared = next(c for c, (x, y) in enumerate(zip(*a.entries[:2])) if x and y)
+    wrong = bumped(bumped(a, 0, shared), 1, shared, by=-1)
+    assert refuted_rows(wrong, MATRIX_TRIALS, seed) == [0, 1]
 
 
 def test_packed_field_widths():
-    # 122 + bit_length(terms) bits, rounded up to bytes
-    assert [_field_bytes(k) for k in (1, 63, 64, 4862, 100_000)] == [
-        16, 16, 17, 17, 18]
+    # 61 + 8 itemsize + bit_length(terms) bits, rounded up to bytes
+    assert [_field_bytes(k, 1) for k in (1, 7, 8, 4862)] == [9, 9, 10, 11]
+    assert [_field_bytes(k, s) for k, s in ((16796, 2), (100, 8))] == [12, 17]
 
 
 @pytest.mark.parametrize("terms", [1, 2, 42, 4862])
 def test_packed_fields_hold_the_largest_sum(terms):
-    # every coefficient and every product at p - 1: each field of the sum
-    # holds its own total and carries nothing into the next
-    size = _field_bytes(terms)
-    top = MODULUS - 1
-    column = int.from_bytes(top.to_bytes(size, "little") * 3, "little")
-    raw = sum([top * column] * terms).to_bytes(3 * size, "little")
-    assert [int.from_bytes(raw[k:k + size], "little")
-            for k in range(0, 3 * size, size)] == [terms * top ** 2] * 3
+    # every entry at the top of its array and every product at p - 1: each
+    # field of the sum holds its own total and carries nothing into the next
+    for itemsize in (1, 2, 8):
+        size = _field_bytes(terms, itemsize)
+        entry, top = (1 << 8 * itemsize) - 1, MODULUS - 1
+        column = int.from_bytes(top.to_bytes(size, "little") * 3, "little")
+        raw = sum([entry * column] * terms).to_bytes(3 * size, "little")
+        assert [int.from_bytes(raw[k:k + size], "little")
+                for k in range(0, 3 * size, size)] == [terms * entry * top] * 3
 
 
 def claim_with(coeff):
@@ -454,23 +505,23 @@ def claim_with(coeff):
     return m, {**coeffs, diagonal: coeff}
 
 
-@pytest.mark.parametrize("bad", [-1, MODULUS, 2**64 + 1, 2**200 * MODULUS],
-                         ids=["-1", "p", "2^64+1", "2^200 p"])
-def test_a_coefficient_off_its_residue_is_refuted(bad, monkeypatch):
-    # reduced modulo p before packing, so a coefficient below 0, at p or
-    # past a field's width is refuted rather than borrowed or carried
+@pytest.mark.parametrize("bad", [MODULUS - 1, MODULUS, 2**64 - 1],
+                         ids=["p-1", "p", "2^64-1"])
+def test_a_coefficient_off_its_residue_is_refuted(bad):
+    # entries are not reduced modulo p: the fields hold every entry of a
+    # 64-bit row, so an entry at -1 or 0 modulo p, or at the top of the
+    # row, is refuted rather than carried
     m, claim = claim_with(bad)
-    assert sampled_by_check_rows(m, claim, monkeypatch)[1] is False
+    assert numeric_check(m, claim, trials=MATRIX_TRIALS, seed=1) is False
 
 
-@pytest.mark.parametrize("good", [1 + MODULUS, 1 - MODULUS,
-                                  1 + 2**200 * MODULUS],
-                         ids=["1+p", "1-p", "1+2^200 p"])
-def test_a_coefficient_congruent_to_the_right_one_passes(good, monkeypatch):
-    # the check is modulo p: a coefficient of the right residue, however
-    # far from it, packs as that residue and spills into no other sample
+@pytest.mark.parametrize("good", [1 + MODULUS, 1 + 8 * MODULUS],
+                         ids=["1+p", "1+8p"])
+def test_a_coefficient_congruent_to_the_right_one_passes(good):
+    # the check is modulo p: an entry of the right residue, however far
+    # from it, spills into no other sample
     m, claim = claim_with(good)
-    assert sampled_by_check_rows(m, claim, monkeypatch)[1] is True
+    assert numeric_check(m, claim, trials=MATRIX_TRIALS, seed=1) is True
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +579,9 @@ def matrix_6_verify_failures(capsys):
 
 
 def expected_lines(rows):
-    return [*(f"FAIL: syzygy expansion disagrees on row {m}" for m in rows),
-            *(f"FAIL: numeric identity refuted on row {m}" for m in rows)]
+    # the printed rows are right, so the numeric check, which samples
+    # them and not the expansions, names none
+    return [f"FAIL: syzygy expansion disagrees on row {m}" for m in rows]
 
 
 def test_columns_left_unmapped_fail_the_mirrored_rows(capsys, monkeypatch):
@@ -571,12 +623,14 @@ def test_check_rows_yields_every_row_once_under_any_pairing(monkeypatch):
     for pairing in ([0] * len(rows), shifted):
         monkeypatch.setattr(oracle, "reflection", lambda ks, n: (
             pairing if ks == keys else real(ks, n)))
-        assert sorted(r for r, _, _ in check_rows(rows, col_labels(5), 1, 3)
+        assert sorted(r for r, _ in check_rows(rows, col_labels(5))
                       ) == list(range(len(rows)))
 
 
 def test_a_key_off_the_columns_fails_both_checks(capsys, monkeypatch):
-    # an expansion with a crossing term names its row on both lines
+    # an expansion with a crossing term names its row, and check_rows
+    # yields no expansion for it; the printed row is right, so the numeric
+    # check, which samples it, passes it
     real = oracle.syzygy_insert
     row = row_labels(6)[7]
     assert mirror(row) == row
@@ -590,12 +644,6 @@ def test_a_key_off_the_columns_fails_both_checks(capsys, monkeypatch):
         return coeffs
     monkeypatch.setattr(oracle, "syzygy_insert", off_basis)
     assert matrix_6_verify_failures(capsys) == expected_lines([row])
-    verdicts = verdicts_in_row_order(row_labels(6), MATRIX_TRIALS, 1)
-    assert [r for r, (coeffs, _) in enumerate(verdicts) if coeffs is None] == [7]
-    assert [r for r, (_, sampled) in enumerate(verdicts) if not sampled] == [7]
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_check_rows_rejects_trials_below_one(trials):
-    with pytest.raises(ValueError, match="trials"):
-        next(check_rows(row_labels(2), col_labels(2), trials, 1))
+    verdicts = sorted(check_rows(row_labels(6), col_labels(6)))
+    assert [r for r, coeffs in verdicts if coeffs is None] == [7]
+    assert refuted_rows(matrix(6), MATRIX_TRIALS, 1) == []
