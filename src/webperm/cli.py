@@ -267,8 +267,10 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
     checks = []
     for n in range(1, min(max_n, 5) + 1):
         a = transition.matrix(n)
-        expansions = dict(oracle.check_rows(a.rows, a.cols))
+        # the numeric check first: it refuses trials below 1 before any
+        # row is inserted
         refuted = set(oracle.refuted_rows(a, trials, seed))
+        expansions = dict(oracle.check_rows(a.rows, a.cols))
         for r, (m, row) in enumerate(zip(a.rows, a.entries)):
             coeffs = expansions[r]
             checks.append(_check(

@@ -50,6 +50,7 @@ insertion and the numeric identity, and neither rests on the other.
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Iterator
 from itertools import combinations, compress, starmap
 from operator import mul
@@ -270,6 +271,9 @@ def refuted_rows(a, trials: int, seed: int) -> list[int]:
     refutes modulo p on the ``trials`` seeded samples of (n, trials,
     seed).  ``a`` has ``rows``, ``cols`` and ``entries``, each row an
     unsigned ``array`` over the columns; the check reads nothing else.
+    A row that is no ``array``, a sequence of ints of any sign or size
+    such as a claimed row that no unsigned array holds, is first reduced
+    modulo p into one, since the identity is only checked modulo p.
 
     The samples come from :func:`_minor_batches`.  On each batch, each
     column's minor products are packed into one int, a field per sample
@@ -284,7 +288,10 @@ def refuted_rows(a, trials: int, seed: int) -> list[int]:
     takes 1.2 s (Python 3.11.7 on a 2-vCPU KVM guest).
     """
     n = len(a.cols[0])
-    size = _field_bytes(len(a.cols), max(row.itemsize for row in a.entries))
+    entries = [row if isinstance(row, array)
+               else array("Q", [v % MODULUS for v in row])
+               for row in a.entries]
+    size = _field_bytes(len(a.cols), max(row.itemsize for row in entries))
     refuted = set()
     for count, minors in _minor_batches(n, trials, seed):
         def products(m: Matching) -> Iterator[int]:
@@ -295,7 +302,7 @@ def refuted_rows(a, trials: int, seed: int) -> list[int]:
         packed = [int.from_bytes(b"".join(v.to_bytes(size, "little")
                                           for v in products(c)), "little")
                   for c in a.cols]
-        for r, (m, row) in enumerate(zip(a.rows, a.entries)):
+        for r, (m, row) in enumerate(zip(a.rows, entries)):
             if r in refuted:
                 continue
             total = sum(starmap(mul, compress(zip(row, packed), row)))

@@ -232,11 +232,19 @@ def test_two_by_two_exchange_identity():
 def as_matrix(rows, claims, n):
     """A transition matrix with ``rows``, row k holding the ``Matching``-
     keyed claims[k] over the noncrossing columns of size n, in the widest
-    unsigned ``array`` rows, as :func:`refuted_rows` reads it."""
+    unsigned ``array`` rows, as :func:`refuted_rows` reads it; a claim with
+    an entry that no such row holds stays a list of ints."""
     cols = col_labels(n)
     assert all(set(claim) <= set(cols) for claim in claims)
-    return SimpleNamespace(rows=tuple(rows), cols=tuple(cols), entries=tuple(
-        array("Q", [claim.get(c, 0) for c in cols]) for claim in claims))
+
+    def row(claim):
+        entries = [claim.get(c, 0) for c in cols]
+        try:
+            return array("Q", entries)
+        except OverflowError:
+            return entries
+    return SimpleNamespace(rows=tuple(rows), cols=tuple(cols),
+                           entries=tuple(map(row, claims)))
 
 
 def numeric_check(m, claim, trials=20, seed=1729):
@@ -379,6 +387,31 @@ def test_shared_samples_follow_seed_and_trials():
         numeric_check(TUNED_ROW, claim, trials=trials, seed=seed))
 
 
+def test_check_rows_samples_follow_seed_and_trials():
+    # the tuned row checked together with every true row of n = 2: all
+    # rows share the samples of (trials, seed), so the tuned verdict is
+    # the one it has alone and the true rows pass on every sample
+    rows = row_labels(2)
+
+    def verdict(claim, trials, seed):
+        a = as_matrix([*rows, TUNED_ROW],
+                      [*map(syzygy_expand, rows), claim], 2)
+        refuted = refuted_rows(a, trials, seed)
+        assert refuted in ([], [len(rows)])
+        return not refuted
+    assert_verdicts_follow_seed_and_trials(verdict)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_rows_rejects_trials_below_one(trials, monkeypatch):
+    # the oracle suite refuses trials below 1 before it inserts a row
+    def insert(m):
+        raise AssertionError(f"inserted {m}")
+    monkeypatch.setattr(oracle, "syzygy_insert", insert)
+    with pytest.raises(ValueError, match="trials"):
+        cli._suite_oracle(2, 1, trials)
+
+
 def test_perturbed_coefficient_is_refuted_between_two_passes():
     m = matching([(1, 4), (2, 6), (3, 5), (7, 8)])
     coeffs = syzygy_expand(m)
@@ -505,21 +538,25 @@ def claim_with(coeff):
     return m, {**coeffs, diagonal: coeff}
 
 
-@pytest.mark.parametrize("bad", [MODULUS - 1, MODULUS, 2**64 - 1],
-                         ids=["p-1", "p", "2^64-1"])
+@pytest.mark.parametrize("bad", [-1, MODULUS - 1, MODULUS, 2**64 - 1,
+                                 2**64 + 1, 2**200 * MODULUS],
+                         ids=["-1", "p-1", "p", "2^64-1", "2^64+1", "2^200 p"])
 def test_a_coefficient_off_its_residue_is_refuted(bad):
-    # entries are not reduced modulo p: the fields hold every entry of a
-    # 64-bit row, so an entry at -1 or 0 modulo p, or at the top of the
-    # row, is refuted rather than carried
+    # entries of an array row are not reduced modulo p: the fields hold
+    # every entry of a 64-bit row, so an entry at -1 or 0 modulo p, or at
+    # the top of the row, is refuted rather than carried; an entry below 0
+    # or past 64 bits, in a list row, is reduced modulo p and refuted too
     m, claim = claim_with(bad)
     assert numeric_check(m, claim, trials=MATRIX_TRIALS, seed=1) is False
 
 
-@pytest.mark.parametrize("good", [1 + MODULUS, 1 + 8 * MODULUS],
-                         ids=["1+p", "1+8p"])
+@pytest.mark.parametrize("good", [1 + MODULUS, 1 - MODULUS, 1 + 8 * MODULUS,
+                                  1 + 2**200 * MODULUS],
+                         ids=["1+p", "1-p", "1+8p", "1+2^200 p"])
 def test_a_coefficient_congruent_to_the_right_one_passes(good):
     # the check is modulo p: an entry of the right residue, however far
-    # from it, spills into no other sample
+    # from it and whether a 64-bit row holds it or not, spills into no
+    # other sample
     m, claim = claim_with(good)
     assert numeric_check(m, claim, trials=MATRIX_TRIALS, seed=1) is True
 
