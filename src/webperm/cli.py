@@ -15,8 +15,8 @@ import json
 import os
 import sys
 import time
+from array import array
 from itertools import islice
-from operator import eq
 
 from . import andre, enumeration, grid, oracle, transition, webs
 from .combinat import (
@@ -97,7 +97,8 @@ def cmd_web(args: argparse.Namespace) -> int:
     if args.source == "both":
         # resolution's terminals are struck off the table's sigmas as they
         # come: a miss or a repeat is a disagreement, and so is a leftover;
-        # a sigma the filter repeated would hide in the set, hence the sizes
+        # a sigma the construction repeated would hide in the set, hence
+        # the sizes
         unseen = {r.sigma for r in table}
         agreement = len(unseen) == len(table)
         for s in grid.terminals(grid.empty_configuration(args.n)):
@@ -112,7 +113,7 @@ def cmd_web(args: argparse.Namespace) -> int:
                   "produce different sets", file=sys.stderr)
             return 1
     elif args.source == "resolve" and args.format == "json":
-        # The filter's set without running the filter: every resolved sigma
+        # The construction's set without running it: every resolved sigma
         # passes the cycle-type test, and there are zigzag(n + 1) of them,
         # which is |{sigma in S_n : every cycle Andre}| by the paper's
         # characterization theorem; test_c04 (n <= 7) and --source both
@@ -152,6 +153,22 @@ def cmd_web(args: argparse.Namespace) -> int:
 # matrix
 # ---------------------------------------------------------------------------
 
+def _is_row(coeffs: dict[int, int], row: array) -> bool:
+    """True iff the expansion ``coeffs``, column index to coefficient, is
+    ``row``: it has no zero term, and written out as a row of the same
+    typecode it equals ``row``, compared in C.  A key off the row or a
+    coefficient the typecode cannot hold is no row."""
+    if 0 in coeffs.values():
+        return False
+    dense = array(row.typecode, bytes(len(row) * row.itemsize))
+    try:
+        for c, v in coeffs.items():
+            dense[c] = v
+    except (IndexError, OverflowError, TypeError):
+        return False
+    return dense == row
+
+
 def cmd_matrix(args: argparse.Namespace) -> int:
     _check_cap("n", args.n, args.cap)
     a = transition.matrix(args.n)
@@ -175,16 +192,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         agree = False
     if not agree:
         failures.append("entry methods disagree")
-    disagree = []
-    for r, coeffs in oracle.check_rows(a.rows, a.cols):
-        # the expansion is the row iff its keys number the row's nonzeros
-        # and each holds the row's nonzero entry there
-        row = a.entries[r]
-        if (coeffs is None or len(coeffs) != len(row) - row.count(0)
-                or 0 in coeffs.values()
-                or not all(map(eq, map(row.__getitem__, coeffs),
-                               coeffs.values()))):
-            disagree.append(r)
+    disagree = [r for r, coeffs in oracle.check_rows(a.rows, a.cols)
+                if coeffs is None or not _is_row(coeffs, a.entries[r])]
     failures.extend(f"syzygy expansion disagrees on row {a.rows[r]}"
                     for r in sorted(disagree))
     failures.extend(f"numeric identity refuted on row {a.rows[r]}"

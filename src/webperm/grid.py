@@ -292,22 +292,24 @@ def _switch(sigma: Permutation, unresolved: int, c: Cell) -> State:
     """
     i, j = c
     n = len(sigma)
-    inv = inverse(sigma)
-    k, a = inv[j - 1], sigma[i - 1]
+    k, a = sigma.index(j) + 1, sigma[i - 1]
     word = list(sigma)
     word[i - 1], word[k - 1] = j, a
-    # cell (x, y) is bit (y - 1) n + n - x; column k gains no cell on row
-    # j, where inv[j - 1] = k
+    # cell (x, y) is bit (y - 1) n + n - x.  On column i (or k), row y
+    # holds a crossing iff it lies above the column's marking and row y's
+    # marking lies in a column to the right, so one pass over the columns
+    # right of i finds every cell that changes; column k gains no cell on
+    # row j, whose marking is in column k.
     gone = new = 0
-    for y in range(a + 1, j + 1):
-        if i < inv[y - 1]:
+    for x in range(i + 1, n + 1):
+        y = sigma[x - 1]
+        if a < y <= j:
             gone |= 1 << (y - 1) * n + n - i
-        if k < inv[y - 1]:
-            new |= 1 << (y - 1) * n + n - k
-    for x in range(i + 1, k):
-        if sigma[x - 1] < j:
+            if k < x:
+                new |= 1 << (y - 1) * n + n - k
+        if x < k and y < j:
             gone |= 1 << (j - 1) * n + n - x
-            if sigma[x - 1] < a:
+            if y < a:
                 new |= 1 << (a - 1) * n + n - x
     moved = gone & ~unresolved
     if moved:

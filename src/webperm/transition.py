@@ -24,8 +24,8 @@ and its packed value is freed on its last read.  Its memo is local to one
 call and bounded by the distinct states, 3,994, 22,333 and 137,073 at
 n = 7, 8 and 9.  Both build their rows from one zero row
 (:func:`_zero_row`) and unpack them one way (:func:`_unpack`), so the two
-compare in C.  The web table comes from the Andre-cycle filter, not from
-the grid, and both must also agree with the expansion of
+compare in C.  The web table comes from the Andre-cycle construction,
+not from the grid, and both must also agree with the expansion of
 :mod:`webperm.oracle`, which never touches the grid.
 """
 

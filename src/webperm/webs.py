@@ -2,24 +2,26 @@
 
 Two constructions give the web permutations of [n]:
 
-- the Andre-cycle filter of the symmetric group, which builds sigma one
-  cycle at a time and drops every completion of a cycle that is not
-  Andre (:func:`webperm.andre.andre_cycle_permutations`),
+- the Andre-cycle construction, which closes the cycle of 1 with each
+  Andre word on a subset of the other letters under every web
+  permutation of the letters left over, and tests no word
+  (:func:`webperm.andre.andre_cycle_permutations`),
 - full crossing resolution of the identity grid configuration
   (:func:`webperm.grid.web_permutations`).
 
-The filter is behind :func:`web_table` and keeps nothing but what it
-yields; it tests 34,316 cycle words at n = 8 and 257,821 at n = 9, where
-S_n has 40,320 and 362,880 permutations.  Resolution is the cross-check:
-``webperm web --source resolve|both`` and the test suite run it, and
-nothing else does.  In a fresh interpreter (Python 3.11.7 on a 2-vCPU
-KVM guest), median of three, peak RSS of the whole process; the table's
-time is mostly the filter and the strand walk of each sigma, and each
-distinct path and matching is built once (:func:`web_records`):
+The construction is behind :func:`web_table` and keeps nothing once it is
+done; for the 50,521 permutations of Web_9 it builds 1,744 Andre words
+and the 1,743 web permutations of [r], r <= 7, where S_9 has 362,880
+permutations.  Resolution is the cross-check: ``webperm web --source
+resolve|both`` and the test suite run it, and nothing else does.  In a
+fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of
+three, peak RSS of the whole process; the table's time is mostly the
+strand walk of each sigma, and each distinct path and matching is built
+once (:func:`web_records`):
 
-    n    filter            resolution        web_table
-    8    0.04 s, 16 MiB    0.03 s, 16 MiB    0.14 s, 18 MiB
-    9    0.28 s, 21 MiB    0.25 s, 25 MiB    0.93 s, 30 MiB
+    n    construction      resolution        web_table
+    8    0.01 s, 15 MiB    0.04 s, 16 MiB    0.11 s, 18 MiB
+    9    0.08 s, 15 MiB    0.19 s, 25 MiB    0.73 s, 30 MiB
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
-from .andre import andre_cycle_permutations, cycles, cycles_to_str
-from .combinat import (Matching, Permutation, dyck_of_permutation,
-                       is_permutation)
+from .andre import andre_cycle_permutations
+from .combinat import Matching, Permutation, dyck_of_permutation
 from .grid import _arcs, _walk
 
 
@@ -49,8 +50,9 @@ class WebRecord:
 def web_table(n: int) -> tuple[WebRecord, ...]:
     """All web records for [n], sorted by (Dyck path, word).
 
-    Built from the Andre-cycle filter; resolution, run only by ``webperm
-    web --source resolve|both`` and the tests, is its cross-check.
+    Built by the Andre-cycle construction; resolution, run only by
+    ``webperm web --source resolve|both`` and the tests, is its
+    cross-check.
 
     Two Dyck orders are in use, both pinned by output bytes.  This one
     compares paths as strings, E < N, so the staircase comes first; the
@@ -73,9 +75,14 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     """
     dycks: dict[tuple[int, ...], str] = {}
     matchings: dict[Sequence[int], Matching] = {}
+    # the sorted word of a permutation of [n], one per length
+    identities: dict[int, list[int]] = {}
     records = []
     for s in perms:
-        if not is_permutation(s):
+        n = len(s)
+        if n not in identities:
+            identities[n] = list(range(1, n + 1))
+        if sorted(s) != identities[n]:
             raise ValueError(f"not a permutation: {s}")
         heights = tuple(accumulate(s, max))
         d = dycks.get(heights)
@@ -93,4 +100,32 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
 
 
 def cycle_notation(sigma: Permutation) -> str:
-    return cycles_to_str(cycles(sigma))
+    """The cycles of :func:`webperm.andre.cycles`, each in parentheses
+    with its entries joined by commas, written in one pass over sigma:
+    each cycle opens at the smallest letter not yet written, its minimum,
+    and the string of every letter is made once per length
+    (:func:`_tokens`).
+
+    >>> cycle_notation((5, 6, 8, 4, 7, 9, 3, 1, 2))
+    '(1,5,7,3,8)(2,6,9)(4)'
+    """
+    opens, commas = _tokens(len(sigma))
+    seen = [False] * (len(sigma) + 1)
+    out = []
+    for start, x in enumerate(sigma, 1):
+        if seen[start]:
+            continue
+        out.append(opens[start])
+        while x != start:
+            seen[x] = True
+            out.append(commas[x])
+            x = sigma[x - 1]
+        out.append(")")
+    return "".join(out)
+
+
+@lru_cache(maxsize=None)
+def _tokens(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The strings "(x" and ",x" of the letters x = 0..n."""
+    return (tuple(f"({x}" for x in range(n + 1)),
+            tuple(f",{x}" for x in range(n + 1)))

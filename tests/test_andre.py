@@ -15,7 +15,6 @@ from webperm.andre import (
     canonical_cycle,
     cycle_count,
     cycles,
-    cycles_to_str,
     foata,
     foata_inverse,
     full_cycles,
@@ -30,6 +29,7 @@ from webperm.andre import (
 from webperm.combinat import catalan, dyck_of_permutation, dyck_paths, identity
 from webperm.enumeration import euler_numbers
 from webperm.grid import web_permutations
+from webperm.webs import cycle_notation
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_canonical_cycle():
 def test_cycles_and_notation():
     sigma = (5, 6, 8, 4, 7, 9, 3, 1, 2)
     assert cycles(sigma) == ((1, 5, 7, 3, 8), (2, 6, 9), (4,))
-    assert cycles_to_str(cycles(sigma)) == "(1,5,7,3,8)(2,6,9)(4)"
+    assert cycle_notation(sigma) == "(1,5,7,3,8)(2,6,9)(4)"
     assert permutation_from_cycle((1, 5, 7, 3, 8), 9) == (5, 2, 8, 4, 7, 6, 3, 1, 9)
 
 
@@ -196,16 +196,40 @@ def test_web_set_by_cycles_is_the_filter_of_s_n(n):
     assert set(emitted) == filtered
 
 
-@pytest.mark.parametrize("n, words", [(7, 5132), (8, 34316)])
-def test_web_set_tests_cycle_words_not_permutations(n, words, monkeypatch):
-    # n! = 5040 and 40320: a rejected cycle rules out all its completions
-    tested = []
-    real = andre._andre
+@pytest.mark.parametrize("n", range(0, 10))
+def test_web_set_emits_no_permutation_twice(n):
+    emitted = list(andre_cycle_permutations(n))
+    assert len(set(emitted)) == len(emitted) == euler_numbers(n + 1)[-1]
+
+
+@pytest.mark.parametrize("n, words", [(7, 87), (8, 359)])
+def test_web_set_builds_andre_words_and_tests_none(n, words, monkeypatch):
+    # E_k Andre words on k letters for each k < n, sum E_k in all, where
+    # S_n has n! = 5040 and 40320 permutations; no word is tested
+    tested, built = [], []
+    real_test, real_build = andre._andre, andre._andre_words
     monkeypatch.setattr(andre, "_andre",
-                        lambda w: tested.append(w) or real(w))
+                        lambda w: tested.append(w) or real_test(w))
+    monkeypatch.setattr(andre, "_andre_words",
+                        lambda m: built.append(real_build(m)) or built[-1])
     emitted = frozenset(andre_cycle_permutations(n))
     assert len(emitted) == euler_numbers(n + 1)[-1]
-    assert len(tested) == words
+    assert tested == []
+    [by_size] = built
+    assert [len(ws) for ws in by_size] == euler_numbers(n - 1)
+    assert sum(map(len, by_size)) == words
+    for k, ws in enumerate(by_size):
+        assert len(set(ws)) == len(ws)
+        assert all(sorted(w) == list(range(1, k + 1)) and is_andre_word(w)
+                   for w in ws)
+
+
+@pytest.mark.parametrize("k", range(0, 8))
+def test_built_andre_words_are_those_of_s_k(k):
+    words = andre._andre_words(8)[k]
+    andre_words = [w for w in itertools.permutations(range(1, k + 1))
+                   if andre._andre(w)]
+    assert sorted(words) == andre_words
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,20 @@ def test_matrix_verify_refutes_a_zero_term_in_place_of_the_diagonal(
     assert code == 1
     assert err.splitlines() == [
         f"FAIL: syzygy expansion disagrees on row {staircase}"]
+
+
+def test_an_expansion_is_only_its_own_row():
+    row = array("B", [1, 0, 2, 0])
+    assert cli._is_row({0: 1, 2: 2}, row)
+    assert cli._is_row({2: 2, 0: 1}, row)
+    assert not cli._is_row({0: 1}, row)              # a nonzero missed
+    assert not cli._is_row({0: 1, 2: 2, 3: 0}, row)  # a zero term
+    assert not cli._is_row({0: 1, 2: 3}, row)        # a wrong entry
+    assert not cli._is_row({0: 1, 2: 2, 1: 5}, row)  # an extra term
+    assert not cli._is_row({0: 1, 2: 2, 4: 1}, row)  # a key off the row
+    assert not cli._is_row({0: 1, 2: 258}, row)      # past the typecode
+    assert not cli._is_row({0: 1, 2: -2}, row)
+    assert cli._is_row({1: 300}, array("H", [0, 300]))
 
 
 @pytest.mark.parametrize("column", [1, -1])
@@ -406,13 +421,37 @@ def test_web_source_both_runs_the_filter_once(capsys, monkeypatch,
 
 def test_web_source_both_disagreement_fails(capsys, monkeypatch,
                                            cold_web_table):
-    # an Andre test that rejects the cycle (1, 2) drops every web
-    # permutation containing it, such as 21345, from the filter's set
-    real = andre._andre
-    monkeypatch.setattr(andre, "_andre", lambda w: w != (2,) and real(w))
+    # a builder without the Andre word (1,) closes no 2-cycle, so every
+    # web permutation with one, such as 21345, is missing from the table
+    real = andre._andre_words
+
+    def dropping(n):
+        words = real(n)
+        words[1].remove((1,))
+        return words
+    monkeypatch.setattr(andre, "_andre_words", dropping)
     code, out, err = run(capsys, "web", "5", "--source", "both")
     assert code == 1
     assert out == ""
+    assert err == ("source disagreement: resolution and cycle-type filter "
+                   "produce different sets\n")
+
+
+def test_web_source_both_fails_on_a_non_andre_word(capsys, monkeypatch,
+                                                   cold_web_table):
+    # one extra word (2, 1) on two letters closes cycles such as (1, 3, 2),
+    # so the table gains 31245, which resolution never reaches
+    real = andre._andre_words
+
+    def padded(n):
+        words = real(n)
+        words[2].append((2, 1))
+        return words
+    monkeypatch.setattr(andre, "_andre_words", padded)
+    assert (3, 1, 2, 4, 5) in {r.sigma for r in webs.web_table(5)}
+    webs.web_table.cache_clear()
+    code, out, err = run(capsys, "web", "5", "--source", "both")
+    assert (code, out) == (1, "")
     assert err == ("source disagreement: resolution and cycle-type filter "
                    "produce different sets\n")
 

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from webperm import grid
-from webperm.andre import andre_cycle_permutations
+from webperm.andre import andre_cycle_permutations, cycles
 from webperm.combinat import catalan, dyck_of_permutation
 from webperm.grid import matching_of_permutation
-from webperm.webs import WebRecord, web_records, web_table
+from webperm.webs import WebRecord, cycle_notation, web_records, web_table
 
 
 def _shared(records, field):
@@ -31,6 +32,13 @@ def test_web_records_rejects_a_non_permutation(word):
     # the record before it in the memo and must still be refused
     with pytest.raises(ValueError, match="not a permutation"):
         web_records([(2, 1, 3), word])
+
+
+def test_web_records_validate_each_length_against_its_own_identity():
+    records = web_records([(2, 1, 3), (1,), (2, 1), ()])
+    assert sorted(r.sigma for r in records) == [(), (1,), (2, 1), (2, 1, 3)]
+    with pytest.raises(ValueError, match="not a permutation"):
+        web_records([(1, 2), (1, 2, 3), (1, 3)])
 
 
 def _path_of_prefix_maxima(sigma):
@@ -62,3 +70,24 @@ def test_web_records_equal_the_records_built_per_sigma(n, source):
                                  matching_of_permutation(s)) for s in perms),
                       key=lambda r: (r.dyck, r.sigma))
     assert records == tuple(expected)
+
+
+def _cycles_to_str(decomposition):
+    """The reference notation: each cycle's entries joined by commas in
+    parentheses."""
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in decomposition)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_cycle_notation_writes_the_cycles_of_every_permutation(n):
+    for sigma in itertools.permutations(range(1, n + 1)):
+        assert cycle_notation(sigma) == _cycles_to_str(cycles(sigma))
+
+
+def test_cycle_notation_writes_two_digit_letters():
+    rng = random.Random(2812)
+    for _ in range(2000):
+        sigma = tuple(rng.sample(range(1, 13), 12))
+        assert cycle_notation(sigma) == _cycles_to_str(cycles(sigma))
+    assert cycle_notation((12, 11, 3, 1, 5, 6, 7, 8, 9, 10, 2, 4)) == (
+        "(1,12,4)(2,11)(3)(5)(6)(7)(8)(9)(10)")
