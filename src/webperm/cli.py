@@ -33,8 +33,8 @@ from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
 # --verify``, 0.9 s and 32 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
-# At n = 9 it took 7.7-7.8 s and 144 MiB there, but 9 becomes the default
-# only once the benchmark records that run.  ``--cap`` raises it.
+# At n = 9 it took 7.7-7.8 s there and peaks at 130 MiB, but 9 becomes the
+# default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
 # The most rows ``seidel`` prints; it has no --cap.  The rows are printed as
@@ -109,8 +109,8 @@ def cmd_web(args: argparse.Namespace) -> int:
         agreement = agreement and not unseen
         del unseen
         if not agreement:
-            print("source disagreement: resolution and cycle-type filter "
-                  "produce different sets", file=sys.stderr)
+            print("source disagreement: resolution and the Andre-cycle "
+                  "construction produce different sets", file=sys.stderr)
             return 1
     elif args.source == "resolve" and args.format == "json":
         # The construction's set without running it: every resolved sigma
@@ -182,16 +182,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if not args.verify:
         return 0
 
-    failures = []
-    # compared and dropped at once, so it is not alive during the oracle loop;
-    # a DAG count past the last field of its row, which every entry of ``a``
-    # fits, raises OverflowError
-    try:
-        agree = transition.resolution_matrix(args.n).entries == a.entries
-    except OverflowError:
-        agree = False
-    if not agree:
-        failures.append("entry methods disagree")
+    failures = [f"entry methods disagree on row {a.rows[r]}"
+                for r in transition.resolution_refuted_rows(a)]
     disagree = [r for r, coeffs in oracle.check_rows(a.rows, a.cols)
                 if coeffs is None or not _is_row(coeffs, a.entries[r])]
     failures.extend(f"syzygy expansion disagrees on row {a.rows[r]}"

@@ -14,19 +14,21 @@ column M' exceeds the number of web permutations traced to M', so each
 row is an unsigned ``array.array`` of the narrowest typecode that holds
 the largest of these column totals (:func:`row_typecode`): 155 at n = 9
 and 608 at n = 10, so ``B``, one byte an entry, through n = 9, where the
-4,862 rows take 24 MB, and ``H`` at n = 10.  Both constructions keep a
-row as one integer while they sum it, column c in the c-th field of that
-width, so each sum is one big-integer add.  A second construction,
-:func:`resolution_matrix`, resolves the grid configuration of every row
-at once, as a DAG: a state (sigma, mask of unresolved crossings) is keyed
-by sigma as bytes and its mask, stepped once however many rows reach it,
-and its packed value is freed on its last read.  Its memo is local to one
-call and bounded by the distinct states, 3,994, 22,333 and 137,073 at
-n = 7, 8 and 9.  Both build their rows from one zero row
-(:func:`_zero_row`) and unpack them one way (:func:`_unpack`), so the two
-compare in C.  The web table comes from the Andre-cycle construction,
-not from the grid, and both must also agree with the expansion of
-:mod:`webperm.oracle`, which never touches the grid.
+4,862 rows take 24 MB, and ``H`` at n = 10.  The transform keeps a row
+as one integer while it sums it, column c in the c-th field of that
+width, so each sum is one big-integer add.
+
+A second construction, :func:`resolution_refuted_rows`, checks a printed
+matrix against resolution of the grid configuration of every row at
+once, as a DAG: a state (sigma, mask of unresolved crossings) is keyed by
+sigma as bytes and its mask, stepped once however many rows reach it,
+and its value, a row packed the same way, is freed on its last read.
+Each root's value is compared with its printed row packed into one
+integer as soon as it is summed, so no second matrix is built.  Its memo
+is local to one call and bounded by the distinct states, 3,994, 22,333
+and 137,073 at n = 7, 8 and 9.  The web table comes from the Andre-cycle
+construction, not from the grid, and both must also agree with the
+expansion of :mod:`webperm.oracle`, which never touches the grid.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class TransitionMatrix:
     n: int
     rows: tuple[Matching, ...]
     cols: tuple[Matching, ...]
-    # array.array rows from matrix and resolution_matrix; the checks and
-    # exporters take any sequences of ints
+    # array.array rows from matrix, which resolution_refuted_rows needs;
+    # the other checks and the exporters take any sequences of ints
     entries: tuple[Sequence[int], ...]
 
 
@@ -91,26 +93,6 @@ def row_typecode(bound: int) -> str:
     raise OverflowError(f"no array typecode holds {bound}")
 
 
-def _zero_row(n: int, columns: int) -> array:
-    """The zero row of both constructions: ``columns`` fields of the
-    :func:`row_typecode` of the largest column total of ``web_table(n)``,
-    the most web permutations traced to one noncrossing matching."""
-    totals = Counter(rec.matched for rec in web_table(n))
-    return array(row_typecode(max(totals.values())), [0]) * columns
-
-
-def _unpack(packed: int, zeros: array) -> array:
-    """A copy of the row ``zeros`` whose field c holds field c of ``packed``,
-    read through the native byte order.  A value past the last field
-    raises ``OverflowError``."""
-    row = zeros[:]
-    # filled in place: array.frombytes over-allocates, 5,248 bytes a row
-    # at n = 9 against 4,942 for this copy
-    memoryview(row).cast("B")[:] = packed.to_bytes(
-        len(zeros) * zeros.itemsize, sys.byteorder)
-    return row
-
-
 def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 
@@ -129,21 +111,23 @@ def matrix(n: int) -> TransitionMatrix:
     lowered by 1 and each earlier coordinate clamped to min(q_j, q_k - 1):
     heights never decrease, so every p with p_k < q_k lies under q|k.
 
-    Each C[p] is a copy of :func:`_zero_row`, w bits an item, and is
-    packed into one integer through the native byte order, column c in
-    the c-th field of w bits, so each step of the transform is one
-    big-integer add.  No add carries out of a field: field c of every
-    F_k(q) sums nonnegative C[p][c] over a subset of the paths, so it
-    counts a subset of the web permutations traced to column c, at most
-    that column's total < 2^w.  The rows are unpacked by :func:`_unpack`
-    into arrays of that typecode: ``B`` through n = 9, where the rows
+    Each C[p] is a zero row of the :func:`row_typecode` of the largest
+    column total, the most web permutations traced to one noncrossing
+    matching, w bits an item, and is packed into one integer through the
+    native byte order, column c in the c-th field of w bits, so each step
+    of the transform is one big-integer add.  No add carries out of a
+    field: field c of every F_k(q) sums nonnegative C[p][c] over a subset
+    of the paths, so it counts a subset of the web permutations traced to
+    column c, at most that column's total < 2^w.  Each F(q) is unpacked
+    into a copy of the zero row: ``B`` through n = 9, where the rows
     take 24 MB and ``matrix(9)`` raises the peak RSS from 32 MiB after the
     table to 66 MiB (Python 3.11.7 on a 2-vCPU KVM guest).
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
     col_index = {m: k for k, m in enumerate(cols)}
-    zeros = _zero_row(n, len(cols))
+    totals = Counter(rec.matched for rec in web_table(n))
+    zeros = array(row_typecode(max(totals.values())), [0]) * len(cols)
     paths = dyck_paths(n)
     heights = [dyck_heights(p) for p in paths]
     counts = {p: zeros[:] for p in paths}
@@ -160,8 +144,15 @@ def matrix(n: int) -> TransitionMatrix:
             if top > k:
                 lower = tuple(min(h, top) for h in q[:k]) + (top,) + q[k + 1:]
                 acc[q] += acc[lower]
-    entries = tuple(_unpack(acc.pop(q), zeros) for q in heights)
-    return TransitionMatrix(n, rows, cols, entries)
+    size = len(zeros) * zeros.itemsize
+    entries = []
+    for q in heights:
+        row = zeros[:]
+        # filled in place: array.frombytes over-allocates, 5,248 bytes a row
+        # at n = 9 against 4,942 for this copy
+        memoryview(row).cast("B")[:] = acc.pop(q).to_bytes(size, sys.byteorder)
+        entries.append(row)
+    return TransitionMatrix(n, rows, cols, tuple(entries))
 
 
 def _key(state: State) -> tuple[bytes, int]:
@@ -183,14 +174,18 @@ def _take(values: dict[int, int], reads: list[int], s: int) -> int:
     return values.pop(s)
 
 
-def resolution_matrix(n: int) -> TransitionMatrix:
-    """The same matrix computed by resolving the row configurations.
+def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
+    """The indices, in row order, of the rows of ``a`` that resolving the
+    row configurations refutes.  ``a`` has ``rows``, ``cols`` and
+    ``entries``, each row an unsigned ``array`` of one typecode over the
+    columns, as :func:`matrix` gives them.
 
-    Row M is the column count of the web permutations that resolving its
-    root G(id, cells above D(M)) ends in, each traced to its column
-    M(sigma).  A state (sigma, unresolved crossings) determines its whole
-    subtree, and the subtrees of different rows meet, so the resolution
-    runs as one DAG over the distinct states of all rows, in two passes.
+    Row M should be the column count of the web permutations that
+    resolving its root G(id, cells above D(M)) ends in, each traced to its
+    column M(sigma).  A state (sigma, unresolved crossings) determines its
+    whole subtree, and the subtrees of different rows meet, so the
+    resolution runs as one DAG over the distinct states of all rows, in
+    two passes.
 
     The first pass steps each distinct state once with
     :func:`~webperm.grid._step` at :func:`~webperm.grid.pick_top_left`
@@ -198,29 +193,29 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     It numbers the states by their :func:`_key`, and counts the reads of
     each: one per parent, and one per row whose root it is.  Only the
     states still to be stepped are held whole.  The second pass evaluates
-    the roots in reverse table order, post-order over the numbers.  Each
+    the roots in reverse row order, post-order over the numbers.  Each
     value is a row packed as in :func:`matrix`, w bits a field for the
-    typecode of :func:`_zero_row`: a terminal's value is 1 << w * column
-    and a state's value is the sum of its children's.  :func:`_take`
-    frees each value on its last read, and :func:`_unpack` unpacks each
-    root's.  No field carries when the resolution is right: field c of a
-    state counts distinct web permutations under its row's root traced to
-    column c, at most that column's total.  A count past the last field
-    raises ``OverflowError``, one past another field spills into the next,
-    and either way the rows differ from :func:`matrix`'s.
+    itemsize of ``a``'s rows: a terminal's value is 1 << w * column and a
+    state's value is the sum of its children's.  :func:`_take` frees each
+    value on its last read, the root's too, once it is compared with its
+    printed row packed the same way.  No field carries when the resolution
+    is right: field c of a state counts distinct web permutations under
+    its row's root traced to column c, at most that column's total.  A
+    count past another field spills into the next, and one past the last
+    field makes the value at least 2^(w * columns), above every packed
+    row; either way that row is refuted.
 
     All of it is local to one call and bounded by the distinct states,
     3,994, 22,333 and 137,073 at n = 7, 8 and 9: the first pass keeps a
     key, children and read count per state, and the keys go when it ends.
     The values alive at once are far fewer: at most 1,427 packed ints,
     1.9 MB, at n = 8, and 8,118, 37 MB, at n = 9, each up to a row's
-    4,862 bytes.  ``resolution_matrix(9)`` takes 1.1 s and raises the
-    peak RSS of ``matrix 9 --verify`` from 66 to 144 MiB (Python 3.11.7
-    on a 2-vCPU KVM guest).
+    4,862 bytes.  At n = 9 it takes 2.1 s and raises the peak RSS of
+    ``matrix 9 --verify`` from 67 MiB after :func:`matrix` to 130 MiB,
+    where a second matrix raised it to 145 MiB (Python 3.11.7 on a loaded
+    2-vCPU KVM guest).
     """
-    rows = tuple(row_labels(n))
-    cols = tuple(col_labels(n))
-    col_index = {m: k for k, m in enumerate(cols)}
+    col_index = {m: k for k, m in enumerate(a.cols)}
     ids: dict[tuple[bytes, int], int] = {}
     # per state: a tuple of child numbers, or a terminal's column
     below: list[tuple[int, ...] | int | None] = []
@@ -239,7 +234,7 @@ def resolution_matrix(n: int) -> TransitionMatrix:
         return s
 
     roots = []
-    for m in rows:
+    for m in a.rows:
         roots.append(number(_root(row_configuration(m))))
         while unstepped:
             state, s = unstepped.pop()
@@ -251,10 +246,9 @@ def resolution_matrix(n: int) -> TransitionMatrix:
     del ids
 
     values: dict[int, int] = {}
-    zeros = _zero_row(n, len(cols))
-    w = 8 * zeros.itemsize
-    grid_rows: list[array] = [zeros] * len(rows)
-    for r in reversed(range(len(rows))):
+    w = 8 * a.entries[0].itemsize
+    refuted = []
+    for r in reversed(range(len(a.rows))):
         # (s, None) asks for the value of s, (s, children) sums it once
         # the children's values are in
         todo: list[tuple[int, tuple[int, ...] | None]] = [(roots[r], None)]
@@ -270,8 +264,10 @@ def resolution_matrix(n: int) -> TransitionMatrix:
                     todo.extend((child, None) for child in entry)
                 continue
             values[s] = sum(_take(values, reads, child) for child in children)
-        grid_rows[r] = _unpack(_take(values, reads, roots[r]), zeros)
-    return TransitionMatrix(n, rows, cols, tuple(grid_rows))
+        if (_take(values, reads, roots[r])
+                != int.from_bytes(a.entries[r], sys.byteorder)):
+            refuted.append(r)
+    return refuted[::-1]
 
 
 def support_check(a: TransitionMatrix) -> list[dict]:

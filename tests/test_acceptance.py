@@ -156,7 +156,7 @@ def test_c08_seidel_conjecture():
 def test_c09_characterization_equivalence():
     for n in range(0, 9):
         assert web_permutations(n) == frozenset(andre_cycle_permutations(n))
-    _report("criterion 09 resolution = cycle-type filter", "n <= 8")
+    _report("criterion 09 resolution = Andre-cycle construction", "n <= 8")
 
 
 def test_c10_syzygy_oracle_agreement():

@@ -109,9 +109,10 @@ def _bump(a, r, c, by=1):
 
 
 def _break_resolution(monkeypatch):
-    real = transition.resolution_matrix
-    monkeypatch.setattr(transition, "resolution_matrix",
-                        lambda n: _bump(real(n), 0, 1))
+    # the DAG checks row 0 with entry (0, 1) raised, so it refutes row 0
+    real = transition.resolution_refuted_rows
+    monkeypatch.setattr(transition, "resolution_refuted_rows",
+                        lambda a: real(_bump(a, 0, 1)))
 
 
 def _break_syzygy(monkeypatch):
@@ -156,16 +157,16 @@ def _break_positivity(monkeypatch):
 
 def test_matrix_verify_passes_a_zero_bump(capsys, monkeypatch):
     # _bump keeps the rows' type, so only a changed value can fail
-    real = transition.resolution_matrix
-    monkeypatch.setattr(transition, "resolution_matrix",
-                        lambda n: _bump(real(n), 0, 1, by=0))
+    real = transition.resolution_refuted_rows
+    monkeypatch.setattr(transition, "resolution_refuted_rows",
+                        lambda a: real(_bump(a, 0, 1, by=0)))
     code, _, err = run(capsys, "matrix", "3", "--verify")
     assert code == 0
     assert "verify OK" in err
 
 
 @pytest.mark.parametrize("breaker, line", [
-    (_break_resolution, "FAIL: entry methods disagree"),
+    (_break_resolution, "FAIL: entry methods disagree on row ((1, 4), (2, 5), (3, 6))"),
     (_break_syzygy, "FAIL: syzygy expansion disagrees on row ((1, 4), (2, 5), (3, 6))"),
     (_break_numeric, "FAIL: numeric identity refuted on row ((1, 4), (2, 5), (3, 6))"),
     (_break_support, "FAIL: lower triangle must vanish at (2,1): "
@@ -218,13 +219,16 @@ def test_matrix_verify_fails_on_a_dag_count_past_its_field(
         capsys, monkeypatch, column):
     # every terminal traced to one column: row 0 of n = 6 counts all 272
     # web permutations there, past the 8-bit field.  Column 1 carries into
-    # column 2; the last column, m0, overflows the top field.
+    # column 2; the last column, m0, overflows the top field.  Either way
+    # row 0 is named, with no traceback.
     target = transition.col_labels(6)[column]
     monkeypatch.setattr(transition, "matching_of_permutation",
                         lambda sigma: target)
     code, _, err = run(capsys, "matrix", "6", "--verify")
     assert code == 1
-    assert "FAIL: entry methods disagree" in err.splitlines()
+    top = transition.row_labels(6)[0]
+    assert f"FAIL: entry methods disagree on row {top}" in err.splitlines()
+    assert "Traceback" not in err
     assert "verify OK" not in err
 
 
@@ -283,7 +287,7 @@ def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
     code, out, err = run(capsys, "matrix", "6", "--verify", "--seed", str(seed))
     assert code == 1
     assert err.splitlines() == [
-        "FAIL: entry methods disagree",
+        f"FAIL: entry methods disagree on row {a.rows[r]}",
         f"FAIL: syzygy expansion disagrees on row {a.rows[r]}",
         f"FAIL: numeric identity refuted on row {a.rows[r]}"]
 
@@ -303,13 +307,16 @@ def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
     code, out, err = run(capsys, "matrix", "5", "--verify")
     assert code == 1
     named = [a.rows[first], a.rows[second]]
+    assert _lines_about(err, "entry methods") == [
+        f"FAIL: entry methods disagree on row {m}" for m in named]
     assert _lines_about(err, "syzygy") == [
         f"FAIL: syzygy expansion disagrees on row {m}" for m in named]
     assert _lines_about(err, "numeric") == [
         f"FAIL: numeric identity refuted on row {m}" for m in named]
-    # every syzygy line comes before every numeric line
-    assert err.splitlines()[1:5] == [*_lines_about(err, "syzygy"),
-                                     *_lines_about(err, "numeric")]
+    # the lines come check by check, in this order, before the support's
+    assert err.splitlines()[:6] == [*_lines_about(err, "entry methods"),
+                                    *_lines_about(err, "syzygy"),
+                                    *_lines_about(err, "numeric")]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -330,7 +337,7 @@ def test_matrix_verify_names_both_rows_of_an_orbit_with_a_wrong_coefficient(
     assert code == 1
     orbit = [a.rows[k] for k in sorted((r, mirror))]
     assert err.splitlines() == [
-        "FAIL: entry methods disagree",
+        *(f"FAIL: entry methods disagree on row {m}" for m in orbit),
         *(f"FAIL: syzygy expansion disagrees on row {m}" for m in orbit),
         *(f"FAIL: numeric identity refuted on row {m}" for m in orbit)]
 
@@ -433,8 +440,8 @@ def test_web_source_both_disagreement_fails(capsys, monkeypatch,
     code, out, err = run(capsys, "web", "5", "--source", "both")
     assert code == 1
     assert out == ""
-    assert err == ("source disagreement: resolution and cycle-type filter "
-                   "produce different sets\n")
+    assert err == ("source disagreement: resolution and the Andre-cycle "
+                   "construction produce different sets\n")
 
 
 def test_web_source_both_fails_on_a_non_andre_word(capsys, monkeypatch,
@@ -452,8 +459,8 @@ def test_web_source_both_fails_on_a_non_andre_word(capsys, monkeypatch,
     webs.web_table.cache_clear()
     code, out, err = run(capsys, "web", "5", "--source", "both")
     assert (code, out) == (1, "")
-    assert err == ("source disagreement: resolution and cycle-type filter "
-                   "produce different sets\n")
+    assert err == ("source disagreement: resolution and the Andre-cycle "
+                   "construction produce different sets\n")
 
 
 def test_web_source_both_fails_on_a_repeated_permutation(capsys, monkeypatch,
@@ -471,7 +478,8 @@ def test_web_source_both_fails_on_a_repeated_permutation(capsys, monkeypatch,
 def test_web_source_both_fails_on_a_wrong_terminal(capsys, monkeypatch,
                                                    change):
     # resolution yielding a sigma twice, missing one or yielding one the
-    # filter refuses is a disagreement, found as the terminals stream
+    # construction never builds is a disagreement, found as the terminals
+    # stream
     real = cli.grid.terminals
 
     def wrong(g):
@@ -486,8 +494,8 @@ def test_web_source_both_fails_on_a_wrong_terminal(capsys, monkeypatch,
     monkeypatch.setattr(cli.grid, "terminals", wrong)
     code, out, err = run(capsys, "web", "5", "--source", "both")
     assert (code, out) == (1, "")
-    assert err == ("source disagreement: resolution and cycle-type filter "
-                   "produce different sets\n")
+    assert err == ("source disagreement: resolution and the Andre-cycle "
+                   "construction produce different sets\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -512,8 +520,8 @@ def test_web_source_resolve_fails_on_a_repeated_terminal(capsys, monkeypatch,
 def test_only_web_listings_call_grid_resolve(capsys, monkeypatch, command,
                                              cold_web_table):
     # the web table is built by the filter, so the matrix and the identity
-    # suites never resolve the identity grid; resolution_matrix steps its
-    # own DAG
+    # suites never resolve the identity grid; resolution_refuted_rows steps
+    # its own DAG
     real = cli.grid.resolve
     calls = []
     monkeypatch.setattr(cli.grid, "resolve",

@@ -33,7 +33,7 @@ from webperm.transition import (
     col_labels,
     csv_lines,
     matrix,
-    resolution_matrix,
+    resolution_refuted_rows,
     row_labels,
     row_typecode,
     support_check,
@@ -106,7 +106,7 @@ def test_matrix_matches_literal_characterization(n):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_methods_agree(n):
-    assert matrix(n).entries == resolution_matrix(n).entries
+    assert resolution_refuted_rows(matrix(n)) == []
 
 
 def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
@@ -117,9 +117,8 @@ def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
         traced.append(sigma)
         return real(sigma)
     monkeypatch.setattr(transition, "matching_of_permutation", counting)
-    a = resolution_matrix(5)
+    assert resolution_refuted_rows(matrix(5)) == []
     assert len(traced) == len(set(traced)) == 61
-    assert a.entries == matrix(5).entries
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -136,7 +135,9 @@ def test_smoothing_a_row_root_gives_a_later_row_root(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_recurrence_equals_per_row_resolution(n):
-    a = resolution_matrix(n)
+    # the DAG passes the rows that resolving each root on its own gives
+    a = matrix(n)
+    assert resolution_refuted_rows(a) == []
     col = {m: k for k, m in enumerate(a.cols)}
     for m, row in zip(a.rows, a.entries):
         counts = [0] * len(a.cols)
@@ -153,11 +154,12 @@ def test_resolution_matrix_steps_each_distinct_state_once(monkeypatch):
         stepped.append(state)
         return real(state, pick)
     monkeypatch.setattr(transition, "_step", counting)
-    assert resolution_matrix(7).entries == matrix(7).entries
+    a = matrix(7)
+    assert resolution_refuted_rows(a) == []
     assert len(stepped) == len(set(stepped)) == 3994
     # the memo is local to the call: a second call steps every state again
     stepped.clear()
-    resolution_matrix(7)
+    resolution_refuted_rows(a)
     assert len(stepped) == 3994
 
 
@@ -166,7 +168,7 @@ def test_dag_keyed_on_sigma_alone_raises(monkeypatch):
     # own child and is read before its value is in
     monkeypatch.setattr(transition, "_key", lambda state: bytes(state[0]))
     with pytest.raises(KeyError):
-        resolution_matrix(5)
+        resolution_refuted_rows(matrix(5))
 
 
 def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
@@ -177,30 +179,48 @@ def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
         return values.pop(s)
     monkeypatch.setattr(transition, "_take", early)
     with pytest.raises(KeyError):
-        resolution_matrix(5)
+        resolution_refuted_rows(matrix(5))
 
 
 def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
     # every terminal traced to one column puts all 272 web permutations of
     # n = 6 in that field of row 0, past the 8 bits its column totals need:
-    # column 1 carries into column 2, and the last column overflows the row
-    cols = col_labels(6)
+    # column 1 carries into column 2, and the last column overflows the
+    # row; either way row 0 is refuted, and nothing is raised
+    a = matrix(6)
     assert len(web_table(6)) == 272
-    monkeypatch.setattr(transition, "matching_of_permutation",
-                        lambda sigma: cols[1])
-    top = resolution_matrix(6).entries[0]
-    assert list(top[:4]) == [0, 272 - 256, 1, 0]
-    monkeypatch.setattr(transition, "matching_of_permutation",
-                        lambda sigma: cols[-1])
-    with pytest.raises(OverflowError):
-        resolution_matrix(6)
+    for column in (1, -1):
+        target = a.cols[column]
+        monkeypatch.setattr(transition, "matching_of_permutation",
+                            lambda sigma: target)
+        assert resolution_refuted_rows(a)[0] == 0
 
 
 def test_dag_without_the_switched_child_disagrees(monkeypatch):
     real = transition._step
     monkeypatch.setattr(transition, "_step",
                         lambda state, pick: (step := real(state, pick)) and step[:1])
-    assert resolution_matrix(5).entries != matrix(5).entries
+    assert resolution_refuted_rows(matrix(5)) != []
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_dag_checks_matrices_that_matrix_did_not_build(n, golden_matrices):
+    # the golden rows (n = 2..4) and the main theorem read literally, as
+    # arrays of matrix()'s typecode, pass; one entry raised, at the last
+    # nonzero of a middle row, is refuted at exactly its row
+    code = row_typecode(largest_column_total(n))
+    rows, cols = tuple(row_labels(n)), tuple(col_labels(n))
+    sources = [literal_entries(n)]
+    if n in golden_matrices:
+        sources.append(golden_matrices[n])
+    for entries in sources:
+        entries = [array(code, row) for row in entries]
+        assert resolution_refuted_rows(
+            TransitionMatrix(n, rows, cols, tuple(entries))) == []
+        r = len(rows) // 2
+        entries[r][max(c for c, v in enumerate(entries[r]) if v)] += 1
+        assert resolution_refuted_rows(
+            TransitionMatrix(n, rows, cols, tuple(entries))) == [r]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -396,10 +416,11 @@ def largest_column_total(n):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_both_methods_fill_rows_of_the_web_count_typecode(n):
-    # the field holds the most web permutations traced to one column
+    # the field holds the most web permutations traced to one column;
+    # resolution_refuted_rows sums the DAG's values in fields of this width
     code = row_typecode(largest_column_total(n))
-    for a in (matrix(n), resolution_matrix(n)):
-        assert {(type(row), row.typecode) for row in a.entries} == {(array, code)}
+    a = matrix(n)
+    assert {(type(row), row.typecode) for row in a.entries} == {(array, code)}
 
 
 def test_row_zero_peaks_at_the_largest_column_total_in_the_staircase():
@@ -418,9 +439,9 @@ def test_row_zero_peaks_at_the_largest_column_total_in_the_staircase():
 def test_rows_are_allocated_at_their_exact_size(n):
     # no slack past the entries: array.frombytes over-allocated each row
     empty = sys.getsizeof(array(row_typecode(largest_column_total(n))))
-    for a in (matrix(n), resolution_matrix(n)):
-        assert {sys.getsizeof(row) - empty for row in a.entries} == {
-            len(a.cols) * a.entries[0].itemsize}
+    a = matrix(n)
+    assert {sys.getsizeof(row) - empty for row in a.entries} == {
+        len(a.cols) * a.entries[0].itemsize}
 
 
 @pytest.mark.parametrize("bound, itemsize", [
