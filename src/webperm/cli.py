@@ -67,6 +67,15 @@ def _check_cap(name: str, n: int, cap: int) -> None:
                           f"pass a larger --cap to force it")
 
 
+def _print_json(payload: object) -> None:
+    # in batches of the encoder's chunks: json.dumps holds the whole text,
+    # and json.dump writes each chunk apart, a system call each unbuffered
+    chunks = json.JSONEncoder(indent=1).iterencode(payload)
+    while batch := "".join(islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    print()
+
+
 # ---------------------------------------------------------------------------
 # web
 # ---------------------------------------------------------------------------
@@ -132,7 +141,7 @@ def cmd_web(args: argparse.Namespace) -> int:
         }
         if agreement is not None:
             payload["agreement"] = agreement
-        print(json.dumps(payload, indent=1))
+        _print_json(payload)
     else:
         word, cyc = _web_widths(args.n)
         # one path per matching object, which the records share by value
@@ -176,7 +185,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for line in transition.csv_lines(a):
             print(line)
     elif args.format == "json":
-        print(json.dumps(transition.to_json(a), indent=1))
+        _print_json(transition.to_json(a))
     else:
         print(transition.to_latex(a))
     if not args.verify:

@@ -112,7 +112,8 @@ def first_letter_counts(n: int) -> Counter[int]:
 def f(n: int) -> int:
     """Web permutations of [n] whose traced matching is the staircase
     matching {{1,2}, ..., {2n-1,2n}}."""
-    return sum(f_row(n).values())
+    staircase = m0(n)
+    return sum(rec.matched == staircase for rec in web_table(n))
 
 
 def f_nk(n: int, k: int) -> int:

@@ -15,20 +15,20 @@ row is an unsigned ``array.array`` of the narrowest typecode that holds
 the largest of these column totals (:func:`row_typecode`): 155 at n = 9
 and 608 at n = 10, so ``B``, one byte an entry, through n = 9, where the
 4,862 rows take 24 MB, and ``H`` at n = 10.  The transform keeps a row
-as one integer while it sums it, column c in the c-th field of that
-width, so each sum is one big-integer add.
+as one integer while it sums it, one column to a field of that width,
+so each sum is one big-integer add.
 
 A second construction, :func:`resolution_refuted_rows`, checks a printed
 matrix against resolution of the grid configuration of every row at
 once, as a DAG: a state (sigma, mask of unresolved crossings) is keyed by
-sigma as bytes and its mask, stepped once however many rows reach it,
-and its value, a row packed the same way, is freed on its last read.
-Each root's value is compared with its printed row packed into one
-integer as soon as it is summed, so no second matrix is built.  Its memo
-is local to one call and bounded by the distinct states, 3,994, 22,333
-and 137,073 at n = 7, 8 and 9.  The web table comes from the Andre-cycle
-construction, not from the grid, and both must also agree with the
-expansion of :mod:`webperm.oracle`, which never touches the grid.
+sigma as bytes and its mask.  One recursion steps each state once however
+many rows reach it and numbers it after its children; a second sums its
+value, a row packed the same way, and frees it on its last read.  Each
+root's value is compared with its printed row packed into one integer as
+soon as it is summed, so no second matrix is built.  The web table comes
+from the Andre-cycle construction, not from the grid, and both must also
+agree with the expansion of :mod:`webperm.oracle`, which never touches
+the grid.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ def matrix(n: int) -> TransitionMatrix:
     Each C[p] is a zero row of the :func:`row_typecode` of the largest
     column total, the most web permutations traced to one noncrossing
     matching, w bits an item, and is packed into one integer through the
-    native byte order, column c in the c-th field of w bits, so each step
-    of the transform is one big-integer add.  No add carries out of a
-    field: field c of every F_k(q) sums nonnegative C[p][c] over a subset
-    of the paths, so it counts a subset of the web permutations traced to
-    column c, at most that column's total < 2^w.  Each F(q) is unpacked
-    into a copy of the zero row: ``B`` through n = 9, where the rows
-    take 24 MB and ``matrix(9)`` raises the peak RSS from 32 MiB after the
-    table to 66 MiB (Python 3.11.7 on a 2-vCPU KVM guest).
+    native byte order, one column to a field of w bits, so each step of
+    the transform is one big-integer add.  No add carries out of a field:
+    column c's field of every F_k(q) sums nonnegative C[p][c] over a
+    subset of the paths, so it counts a subset of the web permutations
+    traced to column c, at most that column's total < 2^w.  Each F(q) is
+    unpacked into a copy of the zero row: ``B`` through n = 9, where the
+    rows take 24 MB and ``matrix(9)`` raises the peak RSS from 32 MiB
+    after the table to 66 MiB (Python 3.11.7 on a 2-vCPU KVM guest).
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
@@ -184,89 +184,78 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     resolving its root G(id, cells above D(M)) ends in, each traced to its
     column M(sigma).  A state (sigma, unresolved crossings) determines its
     whole subtree, and the subtrees of different rows meet, so the
-    resolution runs as one DAG over the distinct states of all rows, in
-    two passes.
+    resolution runs as one DAG over the distinct states of all rows.
 
-    The first pass steps each distinct state once with
-    :func:`~webperm.grid._step` at :func:`~webperm.grid.pick_top_left`
-    and records its children, or, for a terminal, the column of its sigma.
-    It numbers the states by their :func:`_key`, and counts the reads of
-    each: one per parent, and one per row whose root it is.  Only the
-    states still to be stepped are held whole.  The second pass evaluates
-    the roots in reverse row order, post-order over the numbers.  Each
-    value is a row packed as in :func:`matrix`, w bits a field for the
-    itemsize of ``a``'s rows: a terminal's value is 1 << w * column and a
-    state's value is the sum of its children's.  :func:`_take` frees each
-    value on its last read, the root's too, once it is compared with its
-    printed row packed the same way.  No field carries when the resolution
-    is right: field c of a state counts distinct web permutations under
-    its row's root traced to column c, at most that column's total.  A
-    count past another field spills into the next, and one past the last
-    field makes the value at least 2^(w * columns), above every packed
-    row; either way that row is refuted.
+    ``number`` steps a state with :func:`~webperm.grid._step` at
+    :func:`~webperm.grid.pick_top_left` the first time its :func:`_key` is
+    seen, numbers its children and then it (post-order), and records the
+    children's numbers, or, for a terminal, its sigma's column.  It counts
+    one read per parent and one per row whose root it is.  ``value`` sums
+    a state on its first read and :func:`_take` frees it on its last, a
+    root's once it is compared with its printed row.  A value is a row
+    packed as ``int.from_bytes(row, sys.byteorder)`` packs ``a``'s, w bits
+    a field for their itemsize (column c in field c on a little-endian
+    host, in the mirror field on a big-endian one): a terminal's is 1 in
+    its column's field and a state's the sum of its children's.  No field
+    carries when the resolution is right: column c's field of a state
+    counts distinct web permutations traced to column c, at most that
+    column's total.  A count past its field carries into the field above,
+    which changes the packed value unless that field is short by the same
+    carry, and one past the top field makes the value at least
+    2^(w * columns), above every packed row.
+
+    Each step leaves fewer unresolved crossings, and a root has at most
+    C(n, 2), so either recursion nests at most C(n, 2) + 1 calls (37 and
+    23 at n = 9), far under the interpreter's default limit of 1,000 for
+    every n whose DAG fits in memory.
 
     All of it is local to one call and bounded by the distinct states,
-    3,994, 22,333 and 137,073 at n = 7, 8 and 9: the first pass keeps a
-    key, children and read count per state, and the keys go when it ends.
-    The values alive at once are far fewer: at most 1,427 packed ints,
-    1.9 MB, at n = 8, and 8,118, 37 MB, at n = 9, each up to a row's
-    4,862 bytes.  At n = 9 it takes 2.1 s and raises the peak RSS of
-    ``matrix 9 --verify`` from 67 MiB after :func:`matrix` to 130 MiB,
-    where a second matrix raised it to 145 MiB (Python 3.11.7 on a loaded
-    2-vCPU KVM guest).
+    3,994, 22,333 and 137,073 at n = 7, 8 and 9; the keys go once all are
+    numbered.  The values alive at once are far fewer: 1,425 packed ints,
+    1.9 MB, at n = 8 and 8,116, 37.0 MB, at n = 9.  At n = 9 it takes
+    2.0 s and raises the peak RSS of ``matrix 9 --verify`` from 67 MiB
+    after :func:`matrix` to 130 MiB (Python 3.11.7, 2-vCPU KVM guest).
     """
-    col_index = {m: k for k, m in enumerate(a.cols)}
+    cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
+    field = {m: k for k, m in enumerate(cols)}
     ids: dict[tuple[bytes, int], int] = {}
-    # per state: a tuple of child numbers, or a terminal's column
+    # per state: a tuple of child numbers, or a terminal's field
     below: list[tuple[int, ...] | int | None] = []
     reads: list[int] = []
-    unstepped: list[tuple[State, int]] = []
 
     def number(state: State) -> int:
         key = _key(state)
         s = ids.get(key)
         if s is None:
-            s = ids[key] = len(reads)
-            below.append(None)
+            step = _step(state, pick_top_left)
+            entry = (field[matching_of_permutation(state[0])] if step is None
+                     else tuple(map(number, step)))
+            s = ids[key] = len(below)
+            below.append(entry)
             reads.append(0)
-            unstepped.append((state, s))
         reads[s] += 1
         return s
 
-    roots = []
-    for m in a.rows:
-        roots.append(number(_root(row_configuration(m))))
-        while unstepped:
-            state, s = unstepped.pop()
-            step = _step(state, pick_top_left)
-            if step is None:
-                below[s] = col_index[matching_of_permutation(state[0])]
-            else:
-                below[s] = tuple(map(number, step))
+    roots = [number(_root(row_configuration(m))) for m in a.rows]
     del ids
 
     values: dict[int, int] = {}
     w = 8 * a.entries[0].itemsize
-    refuted = []
-    for r in reversed(range(len(a.rows))):
-        # (s, None) asks for the value of s, (s, children) sums it once
-        # the children's values are in
-        todo: list[tuple[int, tuple[int, ...] | None]] = [(roots[r], None)]
-        while todo:
-            s, children = todo.pop()
-            if children is None:
-                # the first request expands s; a later one finds its value in
-                entry, below[s] = below[s], None
-                if isinstance(entry, int):
-                    values[s] = 1 << w * entry
-                elif entry is not None:
-                    todo.append((s, entry))
-                    todo.extend((child, None) for child in entry)
-                continue
-            values[s] = sum(_take(values, reads, child) for child in children)
-        if (_take(values, reads, roots[r])
-                != int.from_bytes(a.entries[r], sys.byteorder)):
-            refuted.append(r)
+
+    def value(s: int) -> int:
+        # the first read sums s; a later one finds its value in
+        entry, below[s] = below[s], None
+        if isinstance(entry, int):
+            values[s] = 1 << w * entry
+        elif entry is not None:
+            values[s] = sum(map(value, entry))
+        return _take(values, reads, s)
+
+    # reverse row order for memory: 8,116 live values, 37.0 MB, at n = 9,
+    # against about 20,400, 97.4 MB, in row order or a post-order sweep
+    refuted = [r for r in reversed(range(len(a.rows)))
+               if value(roots[r])
+               != int.from_bytes(a.entries[r], sys.byteorder)]
     return refuted[::-1]
 
 

@@ -653,6 +653,21 @@ def test_seidel_streams_its_rows():
     assert peak < 10 * line
 
 
+def test_matrix_json_streams_its_text():
+    # The payload's lists hold an 8-byte pointer an entry, about the size of
+    # the text (1.3 MB at n = 7); the streamed writer adds little to them,
+    # where building the whole text first took 17 MB.
+    text = len(json.dumps(transition.to_json(transition.matrix(7)), indent=1))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(["matrix", "7", "--format", "json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * text
+
+
 def test_seidel_refuses_too_many_rows(capsys):
     rows = cli.MAX_SEIDEL_ROWS + 1
     code, out, err = run(capsys, "seidel", "--rows", str(rows))

@@ -163,12 +163,11 @@ def test_resolution_matrix_steps_each_distinct_state_once(monkeypatch):
     assert len(stepped) == 3994
 
 
-def test_dag_keyed_on_sigma_alone_raises(monkeypatch):
-    # a smoothed child keeps its parent's sigma, so every state becomes its
-    # own child and is read before its value is in
+def test_dag_keyed_on_sigma_alone_refutes_rows(monkeypatch):
+    # a smoothed child keeps its parent's sigma, so states with different
+    # masks share one number and the rows that reach them miscount
     monkeypatch.setattr(transition, "_key", lambda state: bytes(state[0]))
-    with pytest.raises(KeyError):
-        resolution_refuted_rows(matrix(5))
+    assert resolution_refuted_rows(matrix(5)) != []
 
 
 def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
@@ -180,6 +179,48 @@ def test_dag_value_freed_one_read_too_early_raises(monkeypatch):
     monkeypatch.setattr(transition, "_take", early)
     with pytest.raises(KeyError):
         resolution_refuted_rows(matrix(5))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dag_recursions_nest_one_call_per_crossing_of_the_top_root(
+        monkeypatch, n):
+    # every step resolves one crossing and the top row's root, the identity
+    # with no elbows, has all C(n, 2): its chain of smoothings is deepest
+    def nesting(name):
+        frame, depth = sys._getframe(), 0
+        while frame:
+            depth += frame.f_code.co_name == name
+            frame = frame.f_back
+        return depth
+    deepest = Counter()
+    real_step, real_take = transition._step, transition._take
+
+    def step(state, pick):
+        deepest["number"] = max(deepest["number"], nesting("number"))
+        return real_step(state, pick)
+
+    def take(values, reads, s):
+        deepest["value"] = max(deepest["value"], nesting("value"))
+        return real_take(values, reads, s)
+    monkeypatch.setattr(transition, "_step", step)
+    monkeypatch.setattr(transition, "_take", take)
+    assert resolution_refuted_rows(matrix(n)) == []
+    assert deepest["number"] == math.comb(n, 2) + 1
+    assert deepest["value"] <= math.comb(n, 2) + 1
+
+
+def test_dag_reads_rows_in_the_hosts_byte_order(monkeypatch):
+    # rows of B have the same bytes on either byte order, so a big-endian
+    # host is simulated: int.from_bytes then reads column 0 from the top
+    # field, and every row still passes, and a bumped one is refuted
+    a = matrix(5)
+    assert a.entries[0].itemsize == 1
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert resolution_refuted_rows(a) == []
+    entries = [row[:] for row in a.entries]
+    entries[3][-1] += 1
+    assert resolution_refuted_rows(
+        TransitionMatrix(a.n, a.rows, a.cols, tuple(entries))) == [3]
 
 
 def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
