@@ -187,7 +187,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _print_json(transition.to_json(a))
     else:
-        print(transition.to_latex(a))
+        for line in transition.latex_lines(a):
+            print(line)
     if not args.verify:
         return 0
 

@@ -125,10 +125,11 @@ def f_nk(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def f_row(n: int) -> dict[int, int]:
-    """First-letter distribution of the permutations counted by f(n)."""
+    """First-letter distribution of the permutations counted by f(n); the
+    empty word of n = 0 has no first letter."""
     staircase = m0(n)
     return dict(Counter(rec.sigma[0] for rec in web_table(n)
-                        if rec.matched == staircase))
+                        if rec.matched == staircase and rec.sigma))
 
 
 def f_witnesses(n: int) -> list[tuple[int, ...]]:

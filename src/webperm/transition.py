@@ -25,10 +25,10 @@ sigma as bytes and its mask.  One recursion steps each state once however
 many rows reach it and numbers it after its children; a second sums its
 value, a row packed the same way, and frees it on its last read.  Each
 root's value is compared with its printed row packed into one integer as
-soon as it is summed, so no second matrix is built.  The web table comes
-from the Andre-cycle construction, not from the grid, and both must also
-agree with the expansion of :mod:`webperm.oracle`, which never touches
-the grid.
+soon as it is summed, and its count of terminals with the row's sum, so
+no second matrix is built.  The web table comes from the Andre-cycle
+construction, not from the grid, and both must also agree with the
+expansion of :mod:`webperm.oracle`, which never touches the grid.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from itertools import compress
 
 from .combinat import (
     Matching,
+    _join_decimal,
     ballot_count,
     dyck_heights,
     dyck_leq,
@@ -200,9 +201,15 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     carries when the resolution is right: column c's field of a state
     counts distinct web permutations traced to column c, at most that
     column's total.  A count past its field carries into the field above,
-    which changes the packed value unless that field is short by the same
-    carry, and one past the top field makes the value at least
-    2^(w * columns), above every packed row.
+    and one past the top field makes the value at least 2^(w * columns),
+    above every packed row.  So ``number`` also sums each state's
+    terminals, 1 for a terminal and its children's sum otherwise, and a
+    root passes when its value equals its printed row packed and its
+    terminal count equals the row's sum.  The printed entries fit their
+    fields, so they are the value's base-2^w digits, and every other
+    nonnegative digit vector of the same value has a larger digit sum:
+    each carry lowers it by 2^w - 1.  A count carried into the field above
+    while that field is short by the carry is refuted too.
 
     Each step leaves fewer unresolved crossings, and a root has at most
     C(n, 2), so either recursion nests at most C(n, 2) + 1 calls (37 and
@@ -210,11 +217,12 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     every n whose DAG fits in memory.
 
     All of it is local to one call and bounded by the distinct states,
-    3,994, 22,333 and 137,073 at n = 7, 8 and 9; the keys go once all are
-    numbered.  The values alive at once are far fewer: 1,425 packed ints,
-    1.9 MB, at n = 8 and 8,116, 37.0 MB, at n = 9.  At n = 9 it takes
-    2.0 s and raises the peak RSS of ``matrix 9 --verify`` from 67 MiB
-    after :func:`matrix` to 130 MiB (Python 3.11.7, 2-vCPU KVM guest).
+    3,994, 22,333 and 137,073 at n = 7, 8 and 9; the keys, and the
+    terminal counts of all but the roots, go once all are numbered.  The
+    values alive at once are far fewer: 1,425 packed ints, 1.9 MB, at
+    n = 8 and 8,116, 37.0 MB, at n = 9.  At n = 9 it takes 2.0 s and
+    raises the peak RSS of ``matrix 9 --verify`` from 67 MiB after
+    :func:`matrix` to 130 MiB (Python 3.11.7, 2-vCPU KVM guest).
     """
     cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
     field = {m: k for k, m in enumerate(cols)}
@@ -222,22 +230,29 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     # per state: a tuple of child numbers, or a terminal's field
     below: list[tuple[int, ...] | int | None] = []
     reads: list[int] = []
+    terminals: list[int] = []
 
     def number(state: State) -> int:
         key = _key(state)
         s = ids.get(key)
         if s is None:
             step = _step(state, pick_top_left)
-            entry = (field[matching_of_permutation(state[0])] if step is None
-                     else tuple(map(number, step)))
+            if step is None:
+                entry = field[matching_of_permutation(state[0])]
+                count = 1
+            else:
+                entry = tuple(map(number, step))
+                count = sum(map(terminals.__getitem__, entry))
             s = ids[key] = len(below)
             below.append(entry)
             reads.append(0)
+            terminals.append(count)
         reads[s] += 1
         return s
 
     roots = [number(_root(row_configuration(m))) for m in a.rows]
-    del ids
+    counts = [terminals[s] for s in roots]
+    del ids, terminals
 
     values: dict[int, int] = {}
     w = 8 * a.entries[0].itemsize
@@ -255,7 +270,8 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     # against about 20,400, 97.4 MB, in row order or a post-order sweep
     refuted = [r for r in reversed(range(len(a.rows)))
                if value(roots[r])
-               != int.from_bytes(a.entries[r], sys.byteorder)]
+               != int.from_bytes(a.entries[r], sys.byteorder)
+               or counts[r] != sum(a.entries[r])]
     return refuted[::-1]
 
 
@@ -318,21 +334,37 @@ def support_check(a: TransitionMatrix) -> list[dict]:
 # export formats
 # ---------------------------------------------------------------------------
 
+def _row_text(row: Sequence[int], sep: str) -> str:
+    """``sep.join(map(str, row))``, through
+    :func:`~webperm.combinat._join_decimal` when ``row`` is an unsigned
+    ``array`` of values below 256: its low bytes, in the host's byte order,
+    when every other byte is 0.  Any other row is joined value by value.
+    """
+    if isinstance(row, array) and row.typecode in "BHILQ":
+        data, size = row.tobytes(), row.itemsize
+        low = data[0 if sys.byteorder == "little" else size - 1::size]
+        # the other bytes are all 0 iff they hold all the zeros low lacks
+        if data.count(0) - low.count(0) == len(data) - len(low):
+            return _join_decimal(low, sep)
+    return sep.join(map(str, row))
+
+
 def csv_lines(a: TransitionMatrix) -> Iterator[str]:
     """The CSV text of ``a``, one line per row, without newlines.
 
-    Each entry's string is looked up, not formatted: the strings of 0 up
-    to the largest entry of row 0 are made once.  Row 0 is F of the
-    maximum path, which dominates every row entrywise, so that covers
-    every entry of a :func:`matrix`; a row with any other value is
-    formatted entry by entry.
+    Every row of a :func:`matrix` through n = 9 is a ``B`` array, which
+    :func:`_row_text` turns into text in C: the 2,044,900 entries of n = 8
+    in 0.014 s and the 23.6 M of n = 9 in 0.14 s, where looking each
+    entry's string up in a dict of 0 up to the largest entry of row 0 took
+    0.09 s and 1.07 s (Python 3.11.7, 2-vCPU KVM guest).  That dict is
+    gone: no row through n = 9 is joined value by value.  At n = 10 an
+    ``H`` row of 16,796 values below 256 takes 0.1-0.3 ms, and one with a
+    value past 255 takes 2.2 ms joined, 1.2 ms looked up; if such rows
+    are n = 9's share of rows past the same fraction of their bound, 107
+    of 4,862, the dict would save about 0.4 s of n = 10's CSV.
     """
-    strs = {v: str(v) for v in range(max(a.entries[0]) + 1)}
     for row in a.entries:
-        try:
-            yield ",".join(map(strs.get, row))
-        except TypeError:
-            yield ",".join(map(str, row))
+        yield _row_text(row, ",")
 
 
 def to_csv(a: TransitionMatrix) -> str:
@@ -348,11 +380,23 @@ def to_json(a: TransitionMatrix) -> dict:
     }
 
 
+def latex_lines(a: TransitionMatrix) -> Iterator[str]:
+    """The lines of :func:`to_latex`, without newlines: a bmatrix whose
+    structural lower-triangle zeros are blank cells.
+
+    Row r's first r cells are blank, so a row is r separators and then the
+    text of the rest; a row no longer than r is blank throughout.
+    """
+    yield "\\begin{bmatrix}"
+    if not a.entries:
+        yield ""
+    for r, row in enumerate(a.entries):
+        cells = (" & " * r + _row_text(row[r:], " & ") if r < len(row)
+                 else " & " * (len(row) - 1))
+        yield "  " + cells + r" \\"
+    yield "\\end{bmatrix}"
+
+
 def to_latex(a: TransitionMatrix) -> str:
     """bmatrix display with the structural lower-triangle zeros left blank."""
-    lines = []
-    for r, row in enumerate(a.entries):
-        cells = ["" if c < r else str(v) for c, v in enumerate(row)]
-        lines.append("  " + " & ".join(cells) + r" \\")
-    body = "\n".join(lines)
-    return "\\begin{bmatrix}\n" + body + "\n\\end{bmatrix}"
+    return "\n".join(latex_lines(a))

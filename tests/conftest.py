@@ -1,7 +1,9 @@
 import json
 import pathlib
+from array import array
 
 import pytest
+from hypothesis import strategies as st
 
 from webperm.combinat import is_permutation
 
@@ -57,3 +59,29 @@ def perm_from_str(text: str) -> tuple[int, ...]:
     if not is_permutation(sigma):
         raise ValueError(f"not a permutation word: {text!r}")
     return sigma
+
+
+# the bands of values that turn into text differently: one digit, more
+# digits within a byte, past a byte, negative
+BANDS = ((0, 9), (10, 255), (256, 2**64 - 1), (-2**63, -1))
+
+
+@st.composite
+def int_rows(draw):
+    """A row of ints: an ``array`` of a typecode of each width, unsigned
+    or signed, or a list.  Its values come from a random nonempty set of
+    the :data:`BANDS` that its type can hold, so rows of one band, of
+    values below 10 or below 256, are common."""
+    code = draw(st.sampled_from([None, *"BHIQbhiq"]))
+    lo, hi = -2**63, 2**64 - 1
+    if code is not None:
+        bits = 8 * array(code).itemsize
+        lo, hi = ((0, 2**bits - 1) if code.isupper()
+                  else (-2**(bits - 1), 2**(bits - 1) - 1))
+    bands = [st.integers(max(a, lo), min(b, hi))
+             for a, b in BANDS if max(a, lo) <= min(b, hi)]
+    used = draw(st.lists(st.sampled_from(range(len(bands))), min_size=1,
+                         unique=True))
+    values = draw(st.lists(st.one_of([bands[k] for k in used]),
+                           max_size=12))
+    return values if code is None else array(code, values)

@@ -56,4 +56,5 @@ def test_the_package_uses_every_function_but_these():
         # the rewriting reference the tests hold syzygy_insert to
         "oracle.syzygy_expand",
         "transition.to_csv",
+        "transition.to_latex",
     }

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import matchings, perm_from_str
+from conftest import int_rows, matchings, perm_from_str
 from webperm.combinat import (
     catalan,
     cells_above,
@@ -289,6 +289,15 @@ def test_serialization_roundtrips():
     assert perm_from_str(perm_to_str(tuple(range(1, 12)))) == tuple(range(1, 12))
     with pytest.raises(ValueError):
         perm_from_str("313")
+
+
+@given(int_rows())
+def test_perm_to_str_joins_the_decimal_letters(row):
+    # words of any ints, short and long: the letters joined by nothing
+    # below length 10 and by commas from there
+    sigma = tuple(row)
+    sep = "" if len(sigma) < 10 else ","
+    assert perm_to_str(sigma) == sep.join(map(str, sigma))
 
 
 def test_inverse():

@@ -4,7 +4,9 @@ from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import int_rows
 from webperm.andre import is_312_avoiding
 from webperm.combinat import (
     ballot_count,
@@ -32,6 +34,7 @@ from webperm.transition import (
     TransitionMatrix,
     col_labels,
     csv_lines,
+    latex_lines,
     matrix,
     resolution_refuted_rows,
     row_labels,
@@ -242,6 +245,43 @@ def test_dag_without_the_switched_child_disagrees(monkeypatch):
     monkeypatch.setattr(transition, "_step",
                         lambda state, pick: (step := real(state, pick)) and step[:1])
     assert resolution_refuted_rows(matrix(5)) != []
+
+
+def carried_dag_refutes(monkeypatch, n, extra):
+    """The rows that ``resolution_refuted_rows(matrix(n))`` refutes when
+    the first state stepped with a terminal child of a field c > 0 trades
+    it for 2^w + ``extra`` copies of a terminal of field c - 1."""
+    a = matrix(n)
+    copies = (1 << 8 * a.entries[0].itemsize) + extra
+    cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
+    field = {m: k for k, m in enumerate(cols)}
+    terminal = {field[rec.matched]: (rec.sigma, 0) for rec in web_table(n)}
+    real = transition._step
+    tampered = []
+
+    def step(state, pick):
+        children = real(state, pick)
+        for k, child in enumerate(() if tampered else children or ()):
+            c = field[matching_of_permutation(child[0])]
+            if not child[1] and c:
+                tampered.append(state)
+                return (children[1 - k],) + (terminal[c - 1],) * copies
+        return children
+    with monkeypatch.context() as patch:
+        patch.setattr(transition, "_step", step)
+        refuted = resolution_refuted_rows(a)
+    assert tampered
+    return refuted
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dag_count_carried_into_the_next_field_is_refuted(monkeypatch, n):
+    # 2^w copies leave every packed value as it was, and only the terminal
+    # counts of the rows that reach the state show the carry; with one
+    # copy fewer the values differ too, and the same rows are refuted
+    carried = carried_dag_refutes(monkeypatch, n, 0)
+    assert carried != []
+    assert carried == carried_dag_refutes(monkeypatch, n, -1)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -534,8 +574,53 @@ def test_exports():
     assert data["cols"][0] == [[1, 4], [2, 3]]
 
 
+def latex_reference(a):
+    """The LaTeX of ``a`` cell by cell, blank below the diagonal."""
+    lines = ["  " + " & ".join("" if c < r else str(v)
+                               for c, v in enumerate(row)) + r" \\"
+             for r, row in enumerate(a.entries)]
+    return "\\begin{bmatrix}\n" + "\n".join(lines) + "\n\\end{bmatrix}"
+
+
+@given(st.lists(int_rows(), max_size=6))
+def test_exports_join_each_rows_decimal_values(rows):
+    # rows of every array width, signed or not, and lists; values of one
+    # digit, of a byte, past a byte and negative; rows shorter than their
+    # index, empty rows and no rows
+    a = TransitionMatrix(len(rows), (), (), tuple(rows))
+    assert list(csv_lines(a)) == [",".join(map(str, row)) for row in rows]
+    assert list(latex_lines(a)) == latex_reference(a).split("\n")
+    assert to_latex(a) == latex_reference(a)
+
+
+@pytest.mark.parametrize("code", ["B", "H", "Q"])
+def test_exports_of_a_matrix_without_labels(code):
+    # the text comes from the entries alone: a matrix without labels still
+    # prints every row, and the blank cells count from the row index
+    for entries in [((1, 1), (0, 1)),
+                    tuple(array(code, row) for row in ((1, 1), (0, 1)))]:
+        a = TransitionMatrix(2, (), (), entries)
+        assert to_csv(a) == "1,1\n0,1"
+        assert list(latex_lines(a))[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
+
+
+@given(st.lists(st.integers(0, 255), max_size=12),
+       st.sampled_from(["H", "I", "Q"]))
+def test_exports_read_the_low_bytes_in_the_hosts_byte_order(values, code):
+    # a big-endian host is simulated by swapping the bytes of each item:
+    # its low byte is then its last, and the text is still the values'
+    row = array(code, values)
+    row.byteswap()
+    a = TransitionMatrix(1, (), (), (row,))
+    expected = ",".join(map(str, values))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "byteorder",
+                      "big" if sys.byteorder == "little" else "little")
+        assert list(csv_lines(a)) == [expected]
+
+
 def test_csv_formats_entries_outside_row_zero():
-    # rows of any ints: a value row 0 does not reach, or a negative one,
-    # is formatted rather than looked up
+    # rows of any ints: a list row, with a value row 0 does not reach or a
+    # negative one, is joined value by value
     a = TransitionMatrix(2, (), (), ((2, 1), (0, 3), (-1, 1), (-2, 0)))
     assert to_csv(a) == "2,1\n0,3\n-1,1\n-2,0"
