@@ -593,12 +593,12 @@ def test_exports_join_each_rows_decimal_values(rows):
     assert to_latex(a) == latex_reference(a)
 
 
-@pytest.mark.parametrize("code", ["B", "H", "Q"])
-def test_exports_of_a_matrix_without_labels(code):
+def test_exports_of_a_matrix_without_labels():
     # the text comes from the entries alone: a matrix without labels still
     # prints every row, and the blank cells count from the row index
-    for entries in [((1, 1), (0, 1)),
-                    tuple(array(code, row) for row in ((1, 1), (0, 1)))]:
+    rows = ((1, 1), (0, 1))
+    for entries in [rows, *(tuple(array(code, row) for row in rows)
+                            for code in "BHQ")]:
         a = TransitionMatrix(2, (), (), entries)
         assert to_csv(a) == "1,1\n0,1"
         assert list(latex_lines(a))[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
