@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 Arc = tuple[int, int]
@@ -56,6 +57,55 @@ def inverse(sigma: Permutation) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All permutations of [n] in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
+
+
+def lehmer_keys(sigma: Permutation) -> tuple[tuple[int, ...], str]:
+    """The keys of D(sigma) and M(sigma), read off one right-to-left pass
+    over sigma.  The first is sigma with every letter that is not a
+    left-to-right maximum replaced by 0, which fixes the prefix maxima and
+    so D(sigma).  The second is the Dyck path of M(sigma), the matching
+    traced from the fully smoothed grid of sigma, with N for an opener.
+
+    Peel column 1 off that grid.  Its marking (1, j), j = sigma(1), pairs
+    label j with j + 1: its leftward leg leaves at j, and its upward leg
+    turns left at the elbow (1, j + 1), or leaves the top at label n + 1
+    when j = n.  Columns 2..n with row j deleted are the grid of sigma',
+    sigma(2..n) standardized, since row j holds no crossing there.  A
+    strand of sigma' that leaves the left side at label y' reaches
+    column 1 on row y' if y' < j, and passes straight to label y', or on
+    row y' + 1 if y' >= j, where it turns up at the elbow (1, y' + 1)
+    and left at (1, y' + 2) to leave at label y' + 2, which is the top
+    label n + 1 when y' + 1 = n; a top label n - 1 + x' of sigma' is
+    n + 1 + x' here.  So M(sigma) is M(sigma') with every
+    label >= j raised by 2, plus the arc (j, j + 1): its Dyck path is
+    that of M(sigma') with "NE" inserted at index j - 1.  Applied to the
+    suffixes sigma(i..n) for i = n down to 1, "NE" goes in at index r_i,
+    the Lehmer code entry #{k > i : sigma(k) < sigma(i)}, which is one
+    ``bisect_left`` on the sorted letters already seen.
+
+    The same entry decides the first key: sigma(i) is a left-to-right
+    maximum iff the i - 1 letters before it are all smaller, and
+    sigma(i) - 1 - r_i letters smaller than it lie before it, so iff
+    sigma(i) - r_i = i.
+
+    ``sigma`` must be a permutation; the callers check it.
+
+    >>> lehmer_keys((2, 4, 1, 3))
+    ((2, 4, 0, 0), 'NNEENENE')
+    """
+    n = len(sigma)
+    seen: list[int] = []
+    word = bytearray()
+    maxima = [0] * n
+    i = n
+    for v in reversed(sigma):
+        r = bisect_left(seen, v)
+        seen.insert(r, v)
+        word[r:r] = b"NE"
+        if v - r == i:
+            maxima[i - 1] = v
+        i -= 1
+    return tuple(maxima), word.decode()
 
 
 def perm_to_str(sigma: Permutation) -> str:
@@ -275,15 +325,27 @@ def matching_from_dyck(path: str, klass: str) -> Matching:
     if klass == "NN":
         return matching(zip(openers, closers))
     if klass == "NC":
-        stack: list[int] = []
-        arcs = []
-        for i, s in enumerate(path, start=1):
-            if s == "N":
-                stack.append(i)
-            else:
-                arcs.append((stack.pop(), i))
-        return matching(arcs)
+        return matching(noncrossing_arcs(path))
     raise ValueError(f"unknown matching class {klass!r}")
+
+
+def noncrossing_arcs(path: str) -> Matching:
+    """The noncrossing matching of a Dyck path in canonical form, each
+    closer paired with the nearest unmatched opener, with no validation:
+    ``path`` must be a Dyck path.
+
+    >>> noncrossing_arcs("NNEENE")
+    ((1, 4), (2, 3), (5, 6))
+    """
+    stack: list[int] = []
+    arcs = []
+    for i, s in enumerate(path, start=1):
+        if s == "N":
+            stack.append(i)
+        else:
+            arcs.append((stack.pop(), i))
+    arcs.sort()
+    return tuple(arcs)
 
 
 def dyck_of_permutation(sigma: Permutation) -> str:

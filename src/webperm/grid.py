@@ -13,9 +13,11 @@ on [2n].  Each strand runs through one marking, so the walker follows
 the two legs of every marking, left along its row and up along its
 column, turning only at elbows, to the two labels they reach.  It works
 on the integer arrays sigma and sigma^-1, returns a partner array and
-does all tracing: :func:`trace_matching` for any configuration, and
-:func:`matching_of_permutation`, M(sigma), for the fully smoothed one,
-where every crossing is an elbow and no crossing set is built.
+traces any configuration (:func:`trace_matching`).  M(sigma), the
+matching of the fully smoothed configuration, where every crossing is
+an elbow, needs no walk: :func:`matching_of_permutation` reads its Dyck
+path off the Lehmer code of sigma (:func:`webperm.combinat.lehmer_keys`),
+and the walker is its independent cross-check.
 
 Resolving a crossing ``c`` replaces a configuration by two others:
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import (
     CapExceeded,
@@ -55,6 +57,8 @@ from .combinat import (
     inverse,
     is_nonnesting,
     is_permutation,
+    lehmer_keys,
+    noncrossing_arcs,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -125,10 +129,9 @@ def row_configuration(m: Matching) -> GridConfiguration:
 # strand tracing
 # ---------------------------------------------------------------------------
 
-def _walk(sigma: Permutation, elbows: frozenset[Cell] | None) -> Sequence[int]:
-    """Trace every strand of G(sigma, elbows); ``None`` smooths every crossing.
-    Returns the partner array, entry a the label paired with a, as bytes
-    while every label fits in a byte: hashable and compact.
+def _walk(sigma: Permutation, elbows: frozenset[Cell]) -> list[int]:
+    """Trace every strand of G(sigma, elbows).  Returns the partner array,
+    entry a the label paired with a.
 
     Every strand passes through exactly one marking, and its two halves,
     the legs, leave the marking going left along its row and up along its
@@ -139,8 +142,8 @@ def _walk(sigma: Permutation, elbows: frozenset[Cell] | None) -> Sequence[int]:
     above it with i < sigma^-1(j) and (i, j) an elbow.  A leg only moves
     left or up, so it never meets a marking and leaves the grid on the
     left side (label j) or the top (label n + i).  The two labels of each
-    marking make one arc, and :func:`_arcs` reads the arcs off in label
-    order, which gives the matching in canonical form.
+    marking make one arc, and :func:`trace_matching` reads the arcs off
+    in label order, which gives the matching in canonical form.
 
     Each leg is walked inline, with no call per leg, as alternating runs:
     a leftward run steps left along its row to the next elbow or off the
@@ -156,20 +159,19 @@ def _walk(sigma: Permutation, elbows: frozenset[Cell] | None) -> Sequence[int]:
     row[n + 1] = n + 1
     for i, j in enumerate(sigma, 1):
         row[j] = i
-    every = elbows is None
 
     partner = [0] * (2 * n + 1)
     for i, j in enumerate(sigma, 1):
         x, y = i, j
         while True:
             x -= 1
-            while col[x] >= y or not (every or not x or (x, y) in elbows):
+            while col[x] >= y or x and (x, y) not in elbows:
                 x -= 1
             if not x:
                 a = y
                 break
             y += 1
-            while x >= row[y] or not (every or y > n or (x, y) in elbows):
+            while x >= row[y] or y <= n and (x, y) not in elbows:
                 y += 1
             if y > n:
                 a = n + x
@@ -177,24 +179,19 @@ def _walk(sigma: Permutation, elbows: frozenset[Cell] | None) -> Sequence[int]:
         x, y = i, j
         while True:
             y += 1
-            while x >= row[y] or not (every or y > n or (x, y) in elbows):
+            while x >= row[y] or y <= n and (x, y) not in elbows:
                 y += 1
             if y > n:
                 b = n + x
                 break
             x -= 1
-            while col[x] >= y or not (every or not x or (x, y) in elbows):
+            while col[x] >= y or x and (x, y) not in elbows:
                 x -= 1
             if not x:
                 b = y
                 break
         partner[a], partner[b] = b, a
-    return bytes(partner) if n < 128 else tuple(partner)
-
-
-def _arcs(partner: Sequence[int]) -> Matching:
-    """The canonical matching of a partner array from :func:`_walk`."""
-    return tuple([(a, b) for a, b in enumerate(partner) if a < b])
+    return partner
 
 
 def trace_matching(g: GridConfiguration) -> Matching:
@@ -204,7 +201,8 @@ def trace_matching(g: GridConfiguration) -> Matching:
     >>> trace_matching(g)
     ((1, 3), (2, 7), (4, 6), (5, 8))
     """
-    return _arcs(_walk(g.sigma, g.elbows))
+    partner = _walk(g.sigma, g.elbows)
+    return tuple([(a, b) for a, b in enumerate(partner) if a < b])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,13 @@ def web_permutations_for(m: Matching) -> frozenset[Permutation]:
 
 
 def matching_of_permutation(sigma: Permutation) -> Matching:
-    """M(sigma): the matching traced from the fully smoothed configuration."""
+    """M(sigma): the matching traced from the fully smoothed configuration,
+    the noncrossing matching of the Dyck path that
+    :func:`~webperm.combinat.lehmer_keys` reads off sigma.
+
+    >>> matching_of_permutation((2, 4, 1, 3))
+    ((1, 4), (2, 3), (5, 6), (7, 8))
+    """
     if not is_permutation(sigma):
         raise ValueError(f"not a permutation: {sigma}")
-    return _arcs(_walk(sigma, None))
+    return noncrossing_arcs(lehmer_keys(sigma)[1])

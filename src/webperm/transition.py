@@ -49,13 +49,13 @@ from .combinat import (
     dyck_of_matching,
     dyck_paths,
     enumerate_matchings,
+    lehmer_keys,
     matching_to_json,
 )
 from .grid import (
     State,
     _root,
     _step,
-    matching_of_permutation,
     pick_top_left,
     row_configuration,
 )
@@ -190,7 +190,9 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     ``number`` steps a state with :func:`~webperm.grid._step` at
     :func:`~webperm.grid.pick_top_left` the first time its :func:`_key` is
     seen, numbers its children and then it (post-order), and records the
-    children's numbers, or, for a terminal, its sigma's column.  It counts
+    children's numbers, or, for a terminal, its sigma's column, looked up
+    by the Dyck path of M(sigma) that
+    :func:`~webperm.combinat.lehmer_keys` reads off sigma.  It counts
     one read per parent and one per row whose root it is.  ``value`` sums
     a state on its first read and :func:`_take` frees it on its last, a
     root's once it is compared with its printed row.  A value is a row
@@ -225,7 +227,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     :func:`matrix` to 130 MiB (Python 3.11.7, 2-vCPU KVM guest).
     """
     cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
-    field = {m: k for k, m in enumerate(cols)}
+    field = {dyck_of_matching(m): k for k, m in enumerate(cols)}
     ids: dict[tuple[bytes, int], int] = {}
     # per state: a tuple of child numbers, or a terminal's field
     below: list[tuple[int, ...] | int | None] = []
@@ -238,7 +240,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
         if s is None:
             step = _step(state, pick_top_left)
             if step is None:
-                entry = field[matching_of_permutation(state[0])]
+                entry = field[lehmer_keys(state[0])[1]]
                 count = 1
             else:
                 entry = tuple(map(number, step))

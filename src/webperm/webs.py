@@ -16,25 +16,30 @@ permutations.  Resolution is the cross-check: ``webperm web --source
 resolve|both`` and the test suite run it, and nothing else does.  In a
 fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of
 three, peak RSS of the whole process; the table's time is mostly the
-strand walk of each sigma, and each distinct path and matching is built
-once (:func:`web_records`):
+one pass over each sigma that keys its path and matching
+(:func:`webperm.combinat.lehmer_keys`), and each distinct path and
+matching is built once (:func:`web_records`):
 
     n    construction      resolution        web_table
-    8    0.01 s, 15 MiB    0.04 s, 16 MiB    0.11 s, 18 MiB
-    9    0.08 s, 15 MiB    0.19 s, 25 MiB    0.73 s, 30 MiB
+    8    0.03 s, 15 MiB    0.05 s, 16 MiB    0.12 s, 18 MiB
+    9    0.12 s, 15 MiB    0.27 s, 25 MiB    0.73 s, 30 MiB
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from operator import attrgetter
 
 from .andre import andre_cycle_permutations
-from .combinat import Matching, Permutation, dyck_of_permutation
-from .grid import _arcs, _walk
+from .combinat import (
+    Matching,
+    Permutation,
+    dyck_of_permutation,
+    lehmer_keys,
+    noncrossing_arcs,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,13 +73,15 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     :func:`web_table`.
 
     Each sigma is validated, and each distinct D(sigma) and M(sigma) is
-    built once and shared: D is keyed by the prefix maxima of sigma, its
+    built once and shared, keyed by the two keys of
+    :func:`~webperm.combinat.lehmer_keys`, which one pass over sigma reads
+    off its Lehmer code: D by its left-to-right maxima, which fix its
     column heights h_i = max(h_{i-1}, sigma(i), i) as i distinct positive
-    letters reach i, and M by the walker's partner array.  At n = 9 each
-    memo holds 4,862 = Catalan(9) keys, 0.66 MiB for D and 0.38 MiB for M.
+    letters reach i, and M by its Dyck path.  At n = 9 each memo holds
+    4,862 = Catalan(9) keys, 0.66 MiB for D and 0.41 MiB for M.
     """
     dycks: dict[tuple[int, ...], str] = {}
-    matchings: dict[Sequence[int], Matching] = {}
+    matchings: dict[str, Matching] = {}
     # the sorted word of a permutation of [n], one per length
     identities: dict[int, list[int]] = {}
     records = []
@@ -84,14 +91,13 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
             identities[n] = list(range(1, n + 1))
         if sorted(s) != identities[n]:
             raise ValueError(f"not a permutation: {s}")
-        heights = tuple(accumulate(s, max))
-        d = dycks.get(heights)
+        maxima, word = lehmer_keys(s)
+        d = dycks.get(maxima)
         if d is None:
-            d = dycks[heights] = dyck_of_permutation(s)
-        partner = _walk(s, None)
-        m = matchings.get(partner)
+            d = dycks[maxima] = dyck_of_permutation(s)
+        m = matchings.get(word)
         if m is None:
-            m = matchings[partner] = _arcs(partner)
+            m = matchings[word] = noncrossing_arcs(word)
         records.append(WebRecord(s, d, m))
     # two stable sorts: by (dyck, sigma) without a key tuple per record
     records.sort(key=attrgetter("sigma"))

@@ -61,6 +61,14 @@ def perm_from_str(text: str) -> tuple[int, ...]:
     return sigma
 
 
+def even_lehmer_code(sigma) -> bool:
+    """True iff every entry #{k > i : sigma(k) < sigma(i)} of the Lehmer
+    code of sigma is even, counted pair by pair; stops at the first odd
+    one."""
+    return all(sum(b < a for b in sigma[i + 1:]) % 2 == 0
+               for i, a in enumerate(sigma))
+
+
 # the bands of values that turn into text differently: one digit, more
 # digits within a byte, past a byte, negative
 BANDS = ((0, 9), (10, 255), (256, 2**64 - 1), (-2**63, -1))

@@ -46,6 +46,9 @@ def test_the_package_uses_every_function_but_these():
         "combinat.syt_to_matching",
         # the cycle counts of the web permutations
         "enumeration.cc_distribution",
+        # M(sigma) as arcs; the package keys it by the Dyck path of
+        # lehmer_keys, and perfbench wraps it by name until ROADMAP item 1
+        "grid.matching_of_permutation",
         # c11: resolution is independent of the order of the cells
         "grid.pick_bottom",
         # the figure: the matching read off a configuration's strands

@@ -221,9 +221,8 @@ def test_matrix_verify_fails_on_a_dag_count_past_its_field(
     # web permutations there, past the 8-bit field.  Column 1 carries into
     # column 2; the last column, m0, overflows the top field.  Either way
     # row 0 is named, with no traceback.
-    target = transition.col_labels(6)[column]
-    monkeypatch.setattr(transition, "matching_of_permutation",
-                        lambda sigma: target)
+    target = transition.dyck_of_matching(transition.col_labels(6)[column])
+    monkeypatch.setattr(transition, "lehmer_keys", lambda sigma: ((), target))
     code, _, err = run(capsys, "matrix", "6", "--verify")
     assert code == 1
     top = transition.row_labels(6)[0]

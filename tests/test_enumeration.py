@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import perm_from_str
+from conftest import even_lehmer_code, perm_from_str
 from webperm.andre import andre_cycle_permutations, cycle_count, foata, rlmin
 from webperm.enumeration import (
     cc_distribution,
@@ -33,6 +33,14 @@ SEIDEL_9 = [
     [56, 48, 34, 17],
     [56, 104, 138, 155, 155],
 ]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_f_counts_the_web_permutations_of_even_lehmer_code(n):
+    # M(sigma) is the staircase iff every Lehmer entry of sigma is even, a
+    # second construction of f(n) that reads no matching
+    count = sum(map(even_lehmer_code, andre_cycle_permutations(n)))
+    assert count == f(n) == [1, *genocchi(9)][n]
 
 
 def test_seidel_rows():

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
 
 import pytest
 
+from conftest import even_lehmer_code
 from webperm import grid
 from webperm.andre import cycles
 from webperm.combinat import (
@@ -234,6 +236,38 @@ def test_matching_of_permutation_matches_reference(n):
         assert matching_of_permutation(sigma) == _reference_trace(full)
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_matching_of_permutation_matches_the_walker(n):
+    # the Lehmer-code insertion against the strand walk of the fully
+    # smoothed grid, every crossing an elbow
+    for sigma in itertools.permutations(range(1, n + 1)):
+        full = GridConfiguration(sigma, crossings_of(sigma))
+        assert matching_of_permutation(sigma) == trace_matching(full)
+
+
+def test_matching_of_permutation_matches_the_walker_past_letter_255():
+    rng = random.Random(3200)
+    for _ in range(3):
+        sigma = tuple(rng.sample(range(1, 301), 300))
+        full = GridConfiguration(sigma, crossings_of(sigma))
+        assert matching_of_permutation(sigma) == trace_matching(full)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_staircase_iff_every_lehmer_entry_is_even(n):
+    # "NE" inserted into the staircase word keeps it the staircase iff the
+    # index is even, and removing an adjacent NE from the staircase leaves
+    # the staircase, so M(sigma) = m0(n) iff the code is all even
+    staircase = 0
+    for sigma in itertools.permutations(range(1, n + 1)):
+        even = even_lehmer_code(sigma)
+        assert (matching_of_permutation(sigma) == m0(n)) == even, sigma
+        staircase += even
+    # entry i of a code takes n - i + 1 values, so ceil((n - i + 1) / 2)
+    # even codes choose independently: 1 * 1 * 2 * 2 * 3 * 3 * ...
+    assert staircase == math.prod((i + 1) // 2 for i in range(1, n + 1))
+
+
 def test_matching_of_permutation_rejects_non_permutations():
     for word in [(1, 1), (2, 3)]:
         with pytest.raises(ValueError):
@@ -252,7 +286,7 @@ def test_trace_elbows_above_path_reproduce_matching():
     assert trace_matching(g) == m
 
 
-# n = 130 has labels past 255, so the walker's partner array is a tuple
+# n = 130 has labels past 255
 @pytest.mark.parametrize("n", [*range(1, 7), 130])
 def test_trace_empty_configuration_is_aligned(n):
     assert trace_matching(empty_configuration(n)) == matching(

@@ -113,13 +113,13 @@ def test_methods_agree(n):
 
 
 def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
-    real = transition.matching_of_permutation
+    real = transition.lehmer_keys
     traced = []
 
     def counting(sigma):
         traced.append(sigma)
         return real(sigma)
-    monkeypatch.setattr(transition, "matching_of_permutation", counting)
+    monkeypatch.setattr(transition, "lehmer_keys", counting)
     assert resolution_refuted_rows(matrix(5)) == []
     assert len(traced) == len(set(traced)) == 61
 
@@ -234,9 +234,9 @@ def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
     a = matrix(6)
     assert len(web_table(6)) == 272
     for column in (1, -1):
-        target = a.cols[column]
-        monkeypatch.setattr(transition, "matching_of_permutation",
-                            lambda sigma: target)
+        target = dyck_of_matching(a.cols[column])
+        monkeypatch.setattr(transition, "lehmer_keys",
+                            lambda sigma: ((), target))
         assert resolution_refuted_rows(a)[0] == 0
 
 

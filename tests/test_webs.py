@@ -6,7 +6,12 @@ import pytest
 from webperm import grid
 from webperm.andre import andre_cycle_permutations, cycles
 from webperm.combinat import catalan, dyck_of_permutation
-from webperm.grid import matching_of_permutation
+from webperm.grid import (
+    GridConfiguration,
+    crossings_of,
+    matching_of_permutation,
+    trace_matching,
+)
 from webperm.webs import WebRecord, cycle_notation, web_records, web_table
 
 
@@ -26,10 +31,11 @@ def test_records_share_one_path_and_one_matching_per_value(n, source):
         assert objects == values <= catalan(n), field
 
 
-@pytest.mark.parametrize("word", [(1, 1, 2), (2, 3), (0,), (2, 2, 3)])
+@pytest.mark.parametrize("word", [(1, 1, 2), (2, 3), (0,), (2, 2, 3),
+                                  (2, 0, 3)])
 def test_web_records_rejects_a_non_permutation(word):
-    # (2, 2, 3) has the prefix maxima of (2, 1, 3), so it finds the path of
-    # the record before it in the memo and must still be refused
+    # (2, 0, 3) has both memo keys of (2, 1, 3), so it finds the path and
+    # the matching of the record before it and must still be refused
     with pytest.raises(ValueError, match="not a permutation"):
         web_records([(2, 1, 3), word])
 
@@ -70,6 +76,27 @@ def test_web_records_equal_the_records_built_per_sigma(n, source):
                                  matching_of_permutation(s)) for s in perms),
                       key=lambda r: (r.dyck, r.sigma))
     assert records == tuple(expected)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_web_records_of_every_permutation_match_the_walker(n):
+    # every sigma of S_n, not only the web permutations, so that every
+    # pattern of left-to-right maxima keys a path
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for rec in web_records(perms):
+        full = GridConfiguration(rec.sigma, crossings_of(rec.sigma))
+        assert rec.dyck == dyck_of_permutation(rec.sigma), rec.sigma
+        assert rec.matched == trace_matching(full), rec.sigma
+
+
+def test_web_records_past_letter_255():
+    rng = random.Random(3201)
+    perms = [tuple(rng.sample(range(1, 301), 300)) for _ in range(3)]
+    perms.append(tuple(range(300, 0, -1)))
+    for rec in web_records(perms):
+        full = GridConfiguration(rec.sigma, crossings_of(rec.sigma))
+        assert rec.dyck == dyck_of_permutation(rec.sigma)
+        assert rec.matched == trace_matching(full)
 
 
 def _cycles_to_str(decomposition):
