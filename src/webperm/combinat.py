@@ -320,12 +320,14 @@ def matching_from_dyck(path: str, klass: str) -> Matching:
     ((1, 6), (2, 5), (3, 4))
     """
     validate_dyck(path)
-    openers = [i for i, s in enumerate(path, start=1) if s == "N"]
-    closers = [i for i, s in enumerate(path, start=1) if s == "E"]
+    # both are canonical for a Dyck path: the k-th opener precedes the k-th
+    # closer, and noncrossing_arcs sorts its arcs
     if klass == "NN":
-        return matching(zip(openers, closers))
+        openers = [i for i, s in enumerate(path, start=1) if s == "N"]
+        closers = [i for i, s in enumerate(path, start=1) if s == "E"]
+        return tuple(zip(openers, closers))
     if klass == "NC":
-        return matching(noncrossing_arcs(path))
+        return noncrossing_arcs(path)
     raise ValueError(f"unknown matching class {klass!r}")
 
 

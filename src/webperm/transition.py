@@ -7,8 +7,10 @@ upper-unitriangular.
 
 The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
-evaluates this by grouping the web table by (D, M) into counts
-C[p][M'] and summing them over the Dyck lattice with a zeta transform,
+evaluates this by counting the web permutations of the Andre-cycle
+construction by the keys of D and M that
+:func:`webperm.combinat.lehmer_keys` reads off each, into counts
+C[p][M'], and summing them over the Dyck lattice with a zeta transform,
 F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  No entry of
 column M' exceeds the number of web permutations traced to M', so each
 row is an unsigned ``array.array`` of the narrowest typecode that holds
@@ -26,7 +28,7 @@ many rows reach it and numbers it after its children; a second sums its
 value, a row packed the same way, and frees it on its last read.  Each
 root's value is compared with its printed row packed into one integer as
 soon as it is summed, and its count of terminals with the row's sum, so
-no second matrix is built.  The web table comes from the Andre-cycle
+no second matrix is built.  The counts come from the Andre-cycle
 construction, not from the grid, and both must also agree with the
 expansion of :mod:`webperm.oracle`, which never touches the grid.
 """
@@ -38,8 +40,9 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 
+from .andre import andre_cycle_permutations
 from .combinat import (
     Matching,
     _join_decimal,
@@ -59,7 +62,6 @@ from .grid import (
     pick_top_left,
     row_configuration,
 )
-from .webs import web_table
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,16 @@ def row_typecode(bound: int) -> str:
 def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 
-    One pass over the web table groups it by (D, M) into counts C[p][M'],
-    one row per Dyck path p.  A zeta transform over the Dyck lattice
-    (paths as column-height vectors, ordered pointwise) then sums them
-    into F(q) = sum of C[p] over p <= q, and row M is F(D(M)).
+    One pass over the Andre-cycle construction counts its web
+    permutations by the two keys of :func:`~webperm.combinat.lehmer_keys`:
+    the left-to-right maxima, whose running maximum is the column heights
+    of D(sigma), h_i = max(h_{i-1}, sigma(i), i), since i distinct
+    positive letters reach i; and the Dyck path of M(sigma), whose
+    position in :func:`~webperm.combinat.dyck_paths` is its column.  No
+    matching is built per sigma.  Those counts are C[p][M'], one row per
+    Dyck path p.  A zeta transform over the Dyck lattice (paths as
+    column-height vectors, ordered pointwise) then sums them into
+    F(q) = sum of C[p] over p <= q, and row M is F(D(M)).
 
     The transform runs one pass per coordinate k = 1..n.  F_k(q) sums C[p]
     over the p <= q that agree with q after coordinate k, so F_0 = C and
@@ -121,21 +129,23 @@ def matrix(n: int) -> TransitionMatrix:
     subset of the paths, so it counts a subset of the web permutations
     traced to column c, at most that column's total < 2^w.  Each F(q) is
     unpacked into a copy of the zero row: ``B`` through n = 9, where the
-    rows take 24 MB and ``matrix(9)`` raises the peak RSS from 32 MiB
-    after the table to 66 MiB (Python 3.11.7 on a 2-vCPU KVM guest).
+    rows take 24 MB.
     """
     rows = tuple(row_labels(n))
     cols = tuple(col_labels(n))
-    col_index = {m: k for k, m in enumerate(cols)}
-    totals = Counter(rec.matched for rec in web_table(n))
-    zeros = array(row_typecode(max(totals.values())), [0]) * len(cols)
     paths = dyck_paths(n)
+    column = {p: k for k, p in enumerate(paths)}
+    keys = Counter(map(lehmer_keys, andre_cycle_permutations(n)))
+    totals: Counter[str] = Counter()
+    for (_, word), count in keys.items():
+        totals[word] += count
+    zeros = array(row_typecode(max(totals.values())), [0]) * len(cols)
     heights = [dyck_heights(p) for p in paths]
-    counts = {p: zeros[:] for p in paths}
-    for rec in web_table(n):
-        counts[rec.dyck][col_index[rec.matched]] += 1
-    acc = {q: int.from_bytes(counts.pop(p), sys.byteorder)
-           for p, q in zip(paths, heights)}
+    counts = {q: zeros[:] for q in heights}
+    for (maxima, word), count in keys.items():
+        counts[tuple(accumulate(maxima, max))][column[word]] += count
+    del keys
+    acc = {q: int.from_bytes(counts.pop(q), sys.byteorder) for q in heights}
     # Reverse table order is a linear extension of the lattice order, so
     # q|k has finished its pass before q reads it.  k counts from 0 here;
     # the last coordinate is always n and never lowers.

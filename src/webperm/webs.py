@@ -9,9 +9,12 @@ Two constructions give the web permutations of [n]:
 - full crossing resolution of the identity grid configuration
   (:func:`webperm.grid.web_permutations`).
 
-The construction is behind :func:`web_table` and keeps nothing once it is
-done; for the 50,521 permutations of Web_9 it builds 1,744 Andre words
-and the 1,743 web permutations of [r], r <= 7, where S_9 has 362,880
+The construction is behind :func:`web_table`, which only the ``web``
+listing reads (and the ``bijections`` suite, at n <= 5); the transition
+matrix and the statistics of :mod:`webperm.enumeration` fold the
+construction's stream themselves.  It keeps nothing once it is done; for
+the 50,521 permutations of Web_9 it builds 1,744 Andre words and the
+1,743 web permutations of [r], r <= 7, where S_9 has 362,880
 permutations.  Resolution is the cross-check: ``webperm web --source
 resolve|both`` and the test suite run it, and nothing else does.  In a
 fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of
@@ -51,9 +54,9 @@ class WebRecord:
     matched: Matching
 
 
-@lru_cache(maxsize=None)
 def web_table(n: int) -> tuple[WebRecord, ...]:
-    """All web records for [n], sorted by (Dyck path, word).
+    """All web records for [n], sorted by (Dyck path, word), built afresh
+    on every call.
 
     Built by the Andre-cycle construction; resolution, run only by
     ``webperm web --source resolve|both`` and the tests, is its

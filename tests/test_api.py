@@ -40,6 +40,9 @@ def test_the_package_uses_every_function_but_these():
         "andre.rlmin",
         # the table order, a linear extension of reverse inclusion
         "combinat.dyck_sort_key",
+        # the staircase, the one matching both noncrossing and nonnesting;
+        # the package finds it as the Dyck path NENE..NE
+        "combinat.m0",
         # the "NC" class of enumerate_matchings is the noncrossing one
         "combinat.is_noncrossing",
         # the rows are the Specht basis: 2 x n tableaux <-> nonnesting

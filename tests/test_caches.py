@@ -19,7 +19,6 @@ def test_the_package_keeps_exactly_these_caches():
         found.update((f"{info.name}.{name}", obj.cache_parameters()["maxsize"])
                      for name, obj in own.items() if hasattr(obj, "cache_info"))
     assert found == {
-        "webs.web_table": None,
         "webs._tokens": None,
         "enumeration.f_row": None,
     }

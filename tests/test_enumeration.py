@@ -97,9 +97,11 @@ def test_web_count_rejects_negative_n():
         web_count(-1)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_first_letter_refinement(n):
+    # Web_0's empty word has no first letter
     firsts = first_letter_counts(n)
+    assert set(firsts) <= set(range(1, n + 1))
     for k in range(1, n + 1):
         assert firsts.get(n + 1 - k, 0) == entringer(n, k)
 
