@@ -32,8 +32,8 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 0.9 s and 32 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
-# At n = 9 it took 7.7-7.8 s there and peaks at 130 MiB, but 9 becomes the
+# --verify``, 1.0-1.4 s and 27 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
+# At n = 9 it took 8.7-9.0 s there and peaks at 115 MiB, but 9 becomes the
 # default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -245,14 +245,10 @@ def _suite_euler(max_n: int) -> list[dict]:
 
 
 def _suite_entringer(max_n: int) -> list[dict]:
-    checks = []
-    for n in range(1, max_n + 1):
-        firsts = enumeration.first_letter_counts(n)
-        for k in range(1, n + 1):
-            checks.append(_check(
-                f"#{{sigma in Web_{n} : sigma_1 = {n + 1 - k}}} = E({n},{k})",
-                n, k, firsts.get(n + 1 - k, 0), enumeration.entringer(n, k)))
-    return checks
+    return [_check(f"#{{sigma in Web_{n} : sigma_1 = {n + 1 - k}}} = E({n},{k})",
+                   n, k, enumeration.census(n)[0].get(n + 1 - k, 0),
+                   enumeration.entringer(n, k))
+            for n in range(1, max_n + 1) for k in range(1, n + 1)]
 
 
 def _suite_genocchi(max_n: int) -> list[dict]:
@@ -304,7 +300,7 @@ def _suite_bijections(max_n: int) -> list[dict]:
                   if andre.foata_inverse(andre.foata(s)) != s)
         checks.append(_check(f"foata round-trips on S_{n}", n, None, bad, 0))
     for n in range(1, min(max_n, 5) + 1):
-        image = frozenset(andre.phi(r.sigma) for r in webs.web_table(n))
+        image = frozenset(map(andre.phi, andre.andre_cycle_permutations(n)))
         target = andre.andre_full_cycles(n + 2)
         checks.append(_check(f"phi(Web_{n}) equals the Andre (n+2)-cycles",
                              n, None, image == target, True))

@@ -7,9 +7,9 @@ row accumulates the previous one, read in alternating direction (Seidel
 time, so a caller holds only the rows it keeps.  All integers are exact
 (Python ints).
 
-The statistics of web permutations each fold the Andre-cycle construction
-(:func:`webperm.andre.andre_cycle_permutations`) as it streams, and keep
-no table: M(sigma) is the staircase iff the Dyck path that
+The counts of Web_n read one memoized pass over the Andre-cycle
+construction (:func:`webperm.andre.andre_cycle_permutations`) per n, and
+keep no table: M(sigma) is the staircase iff the Dyck path that
 :func:`webperm.combinat.lehmer_keys` reads off sigma is NENE..NE.
 """
 
@@ -104,44 +104,44 @@ def entringer(n: int, k: int) -> int:
 # statistics of web permutations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def census(n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """First-letter counts from one pass over Web_n: of all its words, and
+    of those whose traced matching is the staircase; the empty word of
+    n = 0 has no first letter.
+
+    Memoized, as every count of Web_n reads it: at most n + ceil(n/2) ints
+    per n; after ``verify --suite all --max-n 8``, 53 entries for n = 1..8,
+    7.2 KiB by ``sys.getsizeof``.
+
+    >>> census(4)
+    ({1: 5, 2: 5, 3: 4, 4: 2}, {1: 1, 3: 1})
+    """
+    staircase, firsts, stairs = "NE" * n, Counter(), Counter()
+    for s in andre_cycle_permutations(n):
+        if s:
+            firsts[s[0]] += 1
+            if lehmer_keys(s)[1] == staircase:
+                stairs[s[0]] += 1
+    return dict(sorted(firsts.items())), dict(sorted(stairs.items()))
+
+
 def web_count(n: int) -> int:
-    return sum(1 for _ in andre_cycle_permutations(n))
-
-
-def first_letter_counts(n: int) -> Counter[int]:
-    """How many web permutations of [n] start with each letter; the empty
-    word of n = 0 has no first letter."""
-    return Counter(s[0] for s in andre_cycle_permutations(n) if s)
+    return sum(census(n)[0].values()) if n else 1
 
 
 def f(n: int) -> int:
     """Web permutations of [n] whose traced matching is the staircase
-    matching {{1,2}, ..., {2n-1,2n}}: the words :func:`f_row` counts, and
+    matching {{1,2}, ..., {2n-1,2n}}: the words :func:`census` counts, and
     at n = 0 the empty word, which it leaves out."""
-    return sum(f_row(n).values()) if n else 1
+    return sum(census(n)[1].values()) if n else 1
 
 
 def f_nk(n: int, k: int) -> int:
     """As :func:`f`, restricted to permutations with first letter k."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
-    return f_row(n).get(k, 0)
-
-
-@lru_cache(maxsize=None)
-def f_row(n: int) -> dict[int, int]:
-    """First-letter distribution of the permutations counted by f(n); the
-    empty word of n = 0 has no first letter.
-
-    Memoized, since :func:`f`, :func:`f_nk` and the Seidel conjecture each
-    read it for every n and one call streams all of Web_n.  It holds at
-    most ceil(n/2) ints per n, one per odd first letter: after ``verify
-    --suite all --max-n 8``, at the default cap, 17 entries for n = 1..8,
-    2.7 KiB by ``sys.getsizeof``.
-    """
-    staircase = "NE" * n
-    return dict(Counter(s[0] for s in andre_cycle_permutations(n)
-                        if s and lehmer_keys(s)[1] == staircase))
+    return census(n)[1].get(k, 0)
 
 
 def f_witnesses(n: int) -> list[tuple[int, ...]]:

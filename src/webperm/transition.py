@@ -232,9 +232,9 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     3,994, 22,333 and 137,073 at n = 7, 8 and 9; the keys, and the
     terminal counts of all but the roots, go once all are numbered.  The
     values alive at once are far fewer: 1,425 packed ints, 1.9 MB, at
-    n = 8 and 8,116, 37.0 MB, at n = 9.  At n = 9 it takes 2.0 s and
-    raises the peak RSS of ``matrix 9 --verify`` from 67 MiB after
-    :func:`matrix` to 130 MiB (Python 3.11.7, 2-vCPU KVM guest).
+    n = 8 and 8,116, 37.0 MB, at n = 9.  At n = 9 it takes 1.3 s and
+    raises the peak RSS of ``matrix 9 --verify`` from 63 MiB after
+    :func:`matrix` to 115 MiB (Python 3.11.7, 2-vCPU KVM guest).
     """
     cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
     field = {dyck_of_matching(m): k for k, m in enumerate(cols)}

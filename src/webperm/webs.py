@@ -10,8 +10,8 @@ Two constructions give the web permutations of [n]:
   (:func:`webperm.grid.web_permutations`).
 
 The construction is behind :func:`web_table`, which only the ``web``
-listing reads (and the ``bijections`` suite, at n <= 5); the transition
-matrix and the statistics of :mod:`webperm.enumeration` fold the
+listing reads; the transition matrix, the statistics of
+:mod:`webperm.enumeration` and the ``bijections`` suite fold the
 construction's stream themselves.  It keeps nothing once it is done; for
 the 50,521 permutations of Web_9 it builds 1,744 Andre words and the
 1,743 web permutations of [r], r <= 7, where S_9 has 362,880

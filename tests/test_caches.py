@@ -20,5 +20,5 @@ def test_the_package_keeps_exactly_these_caches():
                      for name, obj in own.items() if hasattr(obj, "cache_info"))
     assert found == {
         "webs._tokens": None,
-        "enumeration.f_row": None,
+        "enumeration.census": None,
     }

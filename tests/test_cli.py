@@ -9,11 +9,12 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webperm import andre, cli, oracle, transition, webs
+from webperm import andre, cli, enumeration, oracle, transition, webs
 from webperm.enumeration import seidel_rows
 
 
@@ -696,6 +697,22 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
     assert code == 1
     assert report["failed"] == 3
     assert [c["lhs"] for c in report["checks"] if not c["pass"]] == [99, 99, 99]
+
+
+def test_verify_streams_each_web_set_once(capsys, monkeypatch):
+    # one census of Web_n serves every statistic; only f_witnesses, at
+    # n = 4 and 5, streams it a second time
+    stream, calls = enumeration.andre_cycle_permutations, Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return stream(n)
+
+    monkeypatch.setattr(enumeration, "andre_cycle_permutations", counted)
+    enumeration.census.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "6")
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert calls == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}
 
 
 def _into_closed_pipe(argv, stderr_too):
