@@ -27,6 +27,7 @@ from .combinat import (
     dyck_of_permutation,
     dyck_paths,
     matching_to_json,
+    noncrossing_arcs,
     perm_to_str,
 )
 from .oracle import DEFAULT_SEED
@@ -135,8 +136,8 @@ def cmd_web(args: argparse.Namespace) -> int:
             "source": args.source,
             "rows": [{"sigma": perm_to_str(r.sigma),
                       "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
-                      "matching_dyck": dyck_of_matching(r.matched),
-                      "matching": matching_to_json(r.matched)}
+                      "matching_dyck": r.path,
+                      "matching": matching_to_json(noncrossing_arcs(r.path))}
                      for r in table],
         }
         if agreement is not None:
@@ -144,13 +145,10 @@ def cmd_web(args: argparse.Namespace) -> int:
         _print_json(payload)
     else:
         word, cyc = _web_widths(args.n)
-        # one path per matching object, which the records share by value
-        paths = {id(m): dyck_of_matching(m)
-                 for m in {id(r.matched): r.matched for r in table}.values()}
         # Web_0 is the empty word, whose row is all padding: print it empty.
         lines = (f"{perm_to_str(r.sigma):<{word}}  "
                  f"{webs.cycle_notation(r.sigma):<{cyc}}  "
-                 f"{r.dyck}  {paths[id(r.matched)]}".rstrip() for r in table)
+                 f"{r.dyck}  {r.path}".rstrip() for r in table)
         while chunk := list(islice(lines, 1024)):
             sys.stdout.write("\n".join(chunk) + "\n")
         if args.source == "both":

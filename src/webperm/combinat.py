@@ -59,12 +59,10 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return itertools.permutations(range(1, n + 1))
 
 
-def lehmer_keys(sigma: Permutation) -> tuple[tuple[int, ...], str]:
-    """The keys of D(sigma) and M(sigma), read off one right-to-left pass
-    over sigma.  The first is sigma with every letter that is not a
-    left-to-right maximum replaced by 0, which fixes the prefix maxima and
-    so D(sigma).  The second is the Dyck path of M(sigma), the matching
-    traced from the fully smoothed grid of sigma, with N for an opener.
+def lehmer_path(sigma: Permutation) -> str:
+    """The Dyck path of M(sigma), the matching traced from the fully
+    smoothed grid of sigma, with N for an opener, read off one
+    right-to-left pass over sigma.
 
     Peel column 1 off that grid.  Its marking (1, j), j = sigma(1), pairs
     label j with j + 1: its leftward leg leaves at j, and its upward leg
@@ -83,29 +81,18 @@ def lehmer_keys(sigma: Permutation) -> tuple[tuple[int, ...], str]:
     the Lehmer code entry #{k > i : sigma(k) < sigma(i)}, which is one
     ``bisect_left`` on the sorted letters already seen.
 
-    The same entry decides the first key: sigma(i) is a left-to-right
-    maximum iff the i - 1 letters before it are all smaller, and
-    sigma(i) - 1 - r_i letters smaller than it lie before it, so iff
-    sigma(i) - r_i = i.
-
     ``sigma`` must be a permutation; the callers check it.
 
-    >>> lehmer_keys((2, 4, 1, 3))
-    ((2, 4, 0, 0), 'NNEENENE')
+    >>> lehmer_path((2, 4, 1, 3))
+    'NNEENENE'
     """
-    n = len(sigma)
     seen: list[int] = []
     word = bytearray()
-    maxima = [0] * n
-    i = n
     for v in reversed(sigma):
         r = bisect_left(seen, v)
         seen.insert(r, v)
         word[r:r] = b"NE"
-        if v - r == i:
-            maxima[i - 1] = v
-        i -= 1
-    return tuple(maxima), word.decode()
+    return word.decode()
 
 
 def perm_to_str(sigma: Permutation) -> str:

@@ -10,7 +10,7 @@ time, so a caller holds only the rows it keeps.  All integers are exact
 The counts of Web_n read one memoized pass over the Andre-cycle
 construction (:func:`webperm.andre.andre_cycle_permutations`) per n, and
 keep no table: M(sigma) is the staircase iff the Dyck path that
-:func:`webperm.combinat.lehmer_keys` reads off sigma is NENE..NE.
+:func:`webperm.combinat.lehmer_path` reads off sigma is NENE..NE.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .andre import andre_cycle_permutations, cycle_count
-from .combinat import lehmer_keys
+from .combinat import lehmer_path
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +56,16 @@ def seidel_rows(rows: int) -> Iterator[list[int]]:
 
 def genocchi(upto: int) -> list[int]:
     """g_1..g_upto: the odd rows contribute their last entry, the even rows
-    their first.
+    their first.  ``upto = 0`` gives the empty list.
 
     >>> genocchi(9)
     [1, 1, 1, 2, 3, 8, 17, 56, 155]
     """
+    if upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
+    rows = seidel_rows(upto) if upto else ()
     return [row[-1] if k % 2 == 1 else row[0]
-            for k, row in enumerate(seidel_rows(upto), start=1)]
+            for k, row in enumerate(rows, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def census(n: int) -> tuple[dict[int, int], dict[int, int]]:
     for s in andre_cycle_permutations(n):
         if s:
             firsts[s[0]] += 1
-            if lehmer_keys(s)[1] == staircase:
+            if lehmer_path(s) == staircase:
                 stairs[s[0]] += 1
     return dict(sorted(firsts.items())), dict(sorted(stairs.items()))
 
@@ -148,7 +151,7 @@ def f_witnesses(n: int) -> list[tuple[int, ...]]:
     """The permutations counted by f(n), sorted."""
     staircase = "NE" * n
     return sorted(s for s in andre_cycle_permutations(n)
-                  if lehmer_keys(s)[1] == staircase)
+                  if lehmer_path(s) == staircase)
 
 
 def cc_distribution(n: int) -> dict[int, int]:

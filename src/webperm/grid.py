@@ -16,7 +16,7 @@ on the integer arrays sigma and sigma^-1, returns a partner array and
 traces any configuration (:func:`trace_matching`).  M(sigma), the
 matching of the fully smoothed configuration, where every crossing is
 an elbow, needs no walk: :func:`matching_of_permutation` reads its Dyck
-path off the Lehmer code of sigma (:func:`webperm.combinat.lehmer_keys`),
+path off the Lehmer code of sigma (:func:`webperm.combinat.lehmer_path`),
 and the walker is its independent cross-check.
 
 Resolving a crossing ``c`` replaces a configuration by two others:
@@ -57,7 +57,7 @@ from .combinat import (
     inverse,
     is_nonnesting,
     is_permutation,
-    lehmer_keys,
+    lehmer_path,
     noncrossing_arcs,
 )
 
@@ -409,11 +409,11 @@ def web_permutations_for(m: Matching) -> frozenset[Permutation]:
 def matching_of_permutation(sigma: Permutation) -> Matching:
     """M(sigma): the matching traced from the fully smoothed configuration,
     the noncrossing matching of the Dyck path that
-    :func:`~webperm.combinat.lehmer_keys` reads off sigma.
+    :func:`~webperm.combinat.lehmer_path` reads off sigma.
 
     >>> matching_of_permutation((2, 4, 1, 3))
     ((1, 4), (2, 3), (5, 6), (7, 8))
     """
     if not is_permutation(sigma):
         raise ValueError(f"not a permutation: {sigma}")
-    return noncrossing_arcs(lehmer_keys(sigma)[1])
+    return noncrossing_arcs(lehmer_path(sigma))

@@ -8,17 +8,17 @@ upper-unitriangular.
 The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
 evaluates this by counting the web permutations of the Andre-cycle
-construction by the keys of D and M that
-:func:`webperm.combinat.lehmer_keys` reads off each, into counts
-C[p][M'], and summing them over the Dyck lattice with a zeta transform,
-F(q) = sum of C[p] over p <= q, so that row M is F(D(M)).  No entry of
-column M' exceeds the number of web permutations traced to M', so each
-row is an unsigned ``array.array`` of the narrowest typecode that holds
-the largest of these column totals (:func:`row_typecode`): 155 at n = 9
-and 608 at n = 10, so ``B``, one byte an entry, through n = 9, where the
-4,862 rows take 24 MB, and ``H`` at n = 10.  The transform keeps a row
-as one integer while it sums it, one column to a field of that width,
-so each sum is one big-integer add.
+construction by the column heights of D, the prefix maxima of sigma, and
+the Dyck path of M that :func:`webperm.combinat.lehmer_path` reads off
+sigma, into counts C[p][M'], and summing them over the Dyck lattice with
+a zeta transform, F(q) = sum of C[p] over p <= q, so that row M is
+F(D(M)).  No entry of column M' exceeds the number of web permutations
+traced to M', so each row is an unsigned ``array.array`` of the narrowest
+typecode that holds the largest of these column totals
+(:func:`row_typecode`): 155 at n = 9 and 608 at n = 10, so ``B``, one
+byte an entry, through n = 9, where the 4,862 rows take 24 MB, and ``H``
+at n = 10.  The transform keeps a row as one integer while it sums it,
+one column to a field of that width, so each sum is one big-integer add.
 
 A second construction, :func:`resolution_refuted_rows`, checks a printed
 matrix against resolution of the grid configuration of every row at
@@ -52,7 +52,7 @@ from .combinat import (
     dyck_of_matching,
     dyck_paths,
     enumerate_matchings,
-    lehmer_keys,
+    lehmer_path,
     matching_to_json,
 )
 from .grid import (
@@ -100,13 +100,12 @@ def matrix(n: int) -> TransitionMatrix:
     """The full transition matrix, entries by the characterization.
 
     One pass over the Andre-cycle construction counts its web
-    permutations by the two keys of :func:`~webperm.combinat.lehmer_keys`:
-    the left-to-right maxima, whose running maximum is the column heights
-    of D(sigma), h_i = max(h_{i-1}, sigma(i), i), since i distinct
-    positive letters reach i; and the Dyck path of M(sigma), whose
-    position in :func:`~webperm.combinat.dyck_paths` is its column.  No
-    matching is built per sigma.  Those counts are C[p][M'], one row per
-    Dyck path p.  A zeta transform over the Dyck lattice (paths as
+    permutations by two keys: the prefix maxima of sigma, which are the
+    column heights of D(sigma), h_i = max(h_{i-1}, sigma(i), i), since i
+    distinct positive letters reach i; and the Dyck path of M(sigma),
+    :func:`~webperm.combinat.lehmer_path`, whose position in
+    :func:`~webperm.combinat.dyck_paths` is its column.  No matching is
+    built per sigma.  Those counts are C[p][M'], one row per Dyck path p.  A zeta transform over the Dyck lattice (paths as
     column-height vectors, ordered pointwise) then sums them into
     F(q) = sum of C[p] over p <= q, and row M is F(D(M)).
 
@@ -135,15 +134,16 @@ def matrix(n: int) -> TransitionMatrix:
     cols = tuple(col_labels(n))
     paths = dyck_paths(n)
     column = {p: k for k, p in enumerate(paths)}
-    keys = Counter(map(lehmer_keys, andre_cycle_permutations(n)))
+    keys = Counter((tuple(accumulate(s, max)), lehmer_path(s))
+                   for s in andre_cycle_permutations(n))
     totals: Counter[str] = Counter()
     for (_, word), count in keys.items():
         totals[word] += count
     zeros = array(row_typecode(max(totals.values())), [0]) * len(cols)
     heights = [dyck_heights(p) for p in paths]
     counts = {q: zeros[:] for q in heights}
-    for (maxima, word), count in keys.items():
-        counts[tuple(accumulate(maxima, max))][column[word]] += count
+    for (q, word), count in keys.items():
+        counts[q][column[word]] += count
     del keys
     acc = {q: int.from_bytes(counts.pop(q), sys.byteorder) for q in heights}
     # Reverse table order is a linear extension of the lattice order, so
@@ -202,7 +202,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     seen, numbers its children and then it (post-order), and records the
     children's numbers, or, for a terminal, its sigma's column, looked up
     by the Dyck path of M(sigma) that
-    :func:`~webperm.combinat.lehmer_keys` reads off sigma.  It counts
+    :func:`~webperm.combinat.lehmer_path` reads off sigma.  It counts
     one read per parent and one per row whose root it is.  ``value`` sums
     a state on its first read and :func:`_take` frees it on its last, a
     root's once it is compared with its printed row.  A value is a row
@@ -250,7 +250,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
         if s is None:
             step = _step(state, pick_top_left)
             if step is None:
-                entry = field[lehmer_keys(state[0])[1]]
+                entry = field[lehmer_path(state[0])]
                 count = 1
             else:
                 entry = tuple(map(number, step))
@@ -366,14 +366,10 @@ def csv_lines(a: TransitionMatrix) -> Iterator[str]:
 
     Every row of a :func:`matrix` through n = 9 is a ``B`` array, which
     :func:`_row_text` turns into text in C: the 2,044,900 entries of n = 8
-    in 0.014 s and the 23.6 M of n = 9 in 0.14 s, where looking each
-    entry's string up in a dict of 0 up to the largest entry of row 0 took
-    0.09 s and 1.07 s (Python 3.11.7, 2-vCPU KVM guest).  That dict is
-    gone: no row through n = 9 is joined value by value.  At n = 10 an
-    ``H`` row of 16,796 values below 256 takes 0.1-0.3 ms, and one with a
-    value past 255 takes 2.2 ms joined, 1.2 ms looked up; if such rows
-    are n = 9's share of rows past the same fraction of their bound, 107
-    of 4,862, the dict would save about 0.4 s of n = 10's CSV.
+    in 0.014 s and the 23.6 M of n = 9 in 0.14 s (Python 3.11.7, 2-vCPU
+    KVM guest), so no row through n = 9 is joined value by value.  At
+    n = 10 an ``H`` row of 16,796 values below 256 takes 0.1-0.3 ms, and
+    one with a value past 255 takes 2.2 ms joined value by value.
     """
     for row in a.entries:
         yield _row_text(row, ",")

@@ -19,39 +19,34 @@ permutations.  Resolution is the cross-check: ``webperm web --source
 resolve|both`` and the test suite run it, and nothing else does.  In a
 fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of
 three, peak RSS of the whole process; the table's time is mostly the
-one pass over each sigma that keys its path and matching
-(:func:`webperm.combinat.lehmer_keys`), and each distinct path and
-matching is built once (:func:`web_records`):
+pass over each sigma that reads the path of M(sigma)
+(:func:`webperm.combinat.lehmer_path`), and each distinct path is one
+string (:func:`web_records`):
 
     n    construction      resolution        web_table
-    8    0.03 s, 15 MiB    0.05 s, 16 MiB    0.12 s, 18 MiB
-    9    0.12 s, 15 MiB    0.27 s, 25 MiB    0.73 s, 30 MiB
+    8    0.01 s, 15 MiB    0.02 s, 17 MiB    0.07 s, 17 MiB
+    9    0.07 s, 16 MiB    0.17 s, 26 MiB    0.44 s, 28 MiB
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from itertools import accumulate
+from typing import NamedTuple
 
 from .andre import andre_cycle_permutations
-from .combinat import (
-    Matching,
-    Permutation,
-    dyck_of_permutation,
-    lehmer_keys,
-    noncrossing_arcs,
-)
+from .combinat import Permutation, dyck_of_permutation, lehmer_path
 
 
-@dataclass(frozen=True, slots=True)
-class WebRecord:
-    """One web permutation with its Dyck path and traced matching."""
+class WebRecord(NamedTuple):
+    """One web permutation with the Dyck paths of D(sigma) and of its
+    traced matching M(sigma); its fields are in the order of
+    :func:`web_table`."""
 
-    sigma: Permutation
     dyck: str
-    matched: Matching
+    sigma: Permutation
+    path: str
 
 
 def web_table(n: int) -> tuple[WebRecord, ...]:
@@ -76,15 +71,16 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     :func:`web_table`.
 
     Each sigma is validated, and each distinct D(sigma) and M(sigma) is
-    built once and shared, keyed by the two keys of
-    :func:`~webperm.combinat.lehmer_keys`, which one pass over sigma reads
-    off its Lehmer code: D by its left-to-right maxima, which fix its
-    column heights h_i = max(h_{i-1}, sigma(i), i) as i distinct positive
-    letters reach i, and M by its Dyck path.  At n = 9 each memo holds
-    4,862 = Catalan(9) keys, 0.66 MiB for D and 0.41 MiB for M.
+    one string that the records share.  D is built once per key, its
+    column heights, the prefix maxima of sigma, h_i = max(h_{i-1},
+    sigma(i), i) as i distinct positive letters reach i; M is read off
+    sigma by :func:`~webperm.combinat.lehmer_path` and replaced by the
+    first equal string.  At n = 9 each memo holds 4,862 = Catalan(9)
+    keys, 0.66 MiB for D and 0.41 MiB for M by ``sys.getsizeof`` of each
+    dict and its keys.
     """
     dycks: dict[tuple[int, ...], str] = {}
-    matchings: dict[str, Matching] = {}
+    paths: dict[str, str] = {}
     # the sorted word of a permutation of [n], one per length
     identities: dict[int, list[int]] = {}
     records = []
@@ -94,17 +90,13 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
             identities[n] = list(range(1, n + 1))
         if sorted(s) != identities[n]:
             raise ValueError(f"not a permutation: {s}")
-        maxima, word = lehmer_keys(s)
-        d = dycks.get(maxima)
+        heights = tuple(accumulate(s, max))
+        d = dycks.get(heights)
         if d is None:
-            d = dycks[maxima] = dyck_of_permutation(s)
-        m = matchings.get(word)
-        if m is None:
-            m = matchings[word] = noncrossing_arcs(word)
-        records.append(WebRecord(s, d, m))
-    # two stable sorts: by (dyck, sigma) without a key tuple per record
-    records.sort(key=attrgetter("sigma"))
-    records.sort(key=attrgetter("dyck"))
+            d = dycks[heights] = dyck_of_permutation(s)
+        p = lehmer_path(s)
+        records.append(WebRecord(d, s, paths.setdefault(p, p)))
+    records.sort()
     return tuple(records)
 
 

@@ -49,8 +49,8 @@ def test_the_package_uses_every_function_but_these():
         "combinat.syt_to_matching",
         # the cycle counts of the web permutations
         "enumeration.cc_distribution",
-        # M(sigma) as arcs; the package keys it by the Dyck path of
-        # lehmer_keys, and perfbench wraps it by name until ROADMAP item 1
+        # M(sigma) as arcs; the package keys it by its Dyck path,
+        # lehmer_path, and perfbench wraps it by name until ROADMAP item 1
         "grid.matching_of_permutation",
         # c11: resolution is independent of the order of the cells
         "grid.pick_bottom",
@@ -63,4 +63,43 @@ def test_the_package_uses_every_function_but_these():
         "oracle.syzygy_expand",
         "transition.to_csv",
         "transition.to_latex",
+    }
+
+
+def package_imports(tree):
+    """The package modules that a module's code imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").startswith("webperm"):
+                # from webperm import x / from webperm.x import y
+                parts = node.module.split(".")[1:2]
+                found.update(parts or (a.name for a in node.names))
+            elif node.level:
+                found.update([node.module] if node.module
+                             else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("webperm."))
+    return found
+
+
+def test_the_modules_import_only_lower_layers():
+    # combinat is the base; andre, grid and oracle stand on it alone;
+    # enumeration and transition stand on those, and neither reads the
+    # web table: only the command line (and the re-export) imports webs
+    graph = {path.stem: package_imports(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert graph == {
+        "combinat": set(),
+        "andre": {"combinat"},
+        "grid": {"combinat"},
+        "oracle": {"combinat"},
+        "enumeration": {"andre", "combinat"},
+        "transition": {"andre", "combinat", "grid"},
+        "webs": {"andre", "combinat"},
+        "cli": {"andre", "combinat", "enumeration", "grid", "oracle",
+                "transition", "webs"},
+        "__init__": {"andre", "combinat", "enumeration", "grid",
+                     "transition", "webs"},
     }

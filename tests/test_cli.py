@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webperm import andre, cli, enumeration, oracle, transition, webs
+from webperm.combinat import matching_from_dyck
 from webperm.enumeration import seidel_rows
+from webperm.grid import GridConfiguration, crossings_of, trace_matching
 
 
 def run(capsys, *argv):
@@ -226,7 +228,7 @@ def test_matrix_verify_fails_on_a_dag_count_past_its_field(
     a = transition.matrix(6)
     monkeypatch.setattr(transition, "matrix", lambda n: a)
     target = transition.dyck_of_matching(a.cols[column])
-    monkeypatch.setattr(transition, "lehmer_keys", lambda sigma: ((), target))
+    monkeypatch.setattr(transition, "lehmer_path", lambda sigma: target)
     code, _, err = run(capsys, "matrix", "6", "--verify")
     assert code == 1
     top = transition.row_labels(6)[0]
@@ -579,6 +581,25 @@ def test_web_json(capsys):
         {"sigma": "21", "cycles": "(1,2)", "dyck": "NNEE",
          "matching_dyck": "NNEE", "matching": [[1, 4], [2, 3]]},
     ]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("source", ["characterize", "resolve", "both"])
+def test_web_json_matchings_are_the_traced_ones(capsys, n, source):
+    # past the goldens: each row's arcs are the noncrossing matching of
+    # its printed path, and the strands of sigma's fully smoothed grid
+    code, out, _ = run(capsys, "web", str(n), "--source", source,
+                       "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == enumeration.web_count(n)
+    for row in rows:
+        sigma = tuple(map(int, row["sigma"]))
+        arcs = [list(arc) for arc in
+                trace_matching(GridConfiguration(sigma, crossings_of(sigma)))]
+        assert row["matching"] == arcs, row["sigma"]
+        assert row["matching"] == [
+            list(arc) for arc in matching_from_dyck(row["matching_dyck"], "NC")
+        ], row["sigma"]
 
 
 def test_caps(capsys):

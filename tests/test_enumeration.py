@@ -54,6 +54,13 @@ def test_genocchi():
     assert genocchi(9) == [1, 1, 1, 2, 3, 8, 17, 56, 155]
 
 
+def test_genocchi_of_no_terms_is_empty_and_a_negative_count_is_named():
+    # g_1..g_0 is empty, as euler_numbers(0) is [1] and f(0) is 1
+    assert genocchi(0) == []
+    with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
+        genocchi(-1)
+
+
 def test_euler_numbers():
     assert euler_numbers(6) == [1, 1, 1, 2, 5, 16, 61]
     assert euler_numbers(8)[7:] == [272, 1385]

@@ -18,6 +18,7 @@ from webperm.combinat import (
     dyck_paths,
     matching,
     matching_from_dyck,
+    noncrossing_arcs,
 )
 from webperm import transition
 from webperm.enumeration import genocchi
@@ -97,8 +98,8 @@ def literal_entries(n):
     out = []
     for m in row_labels(n):
         path = dyck_of_matching(m)
-        below = Counter(rec.matched for rec in table if dyck_leq(rec.dyck, path))
-        out.append([below[c] for c in cols])
+        below = Counter(rec.path for rec in table if dyck_leq(rec.dyck, path))
+        out.append([below[dyck_of_matching(c)] for c in cols])
     return out
 
 
@@ -115,13 +116,13 @@ def test_methods_agree(n):
 def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
     # the matrix is built before the patch: only the DAG's traces count
     a = matrix(5)
-    real = transition.lehmer_keys
+    real = transition.lehmer_path
     traced = []
 
     def counting(sigma):
         traced.append(sigma)
         return real(sigma)
-    monkeypatch.setattr(transition, "lehmer_keys", counting)
+    monkeypatch.setattr(transition, "lehmer_path", counting)
     assert resolution_refuted_rows(a) == []
     assert len(traced) == len(set(traced)) == 61
 
@@ -237,8 +238,7 @@ def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
     assert len(web_table(6)) == 272
     for column in (1, -1):
         target = dyck_of_matching(a.cols[column])
-        monkeypatch.setattr(transition, "lehmer_keys",
-                            lambda sigma: ((), target))
+        monkeypatch.setattr(transition, "lehmer_path", lambda sigma: target)
         assert resolution_refuted_rows(a)[0] == 0
 
 
@@ -257,7 +257,8 @@ def carried_dag_refutes(monkeypatch, n, extra):
     copies = (1 << 8 * a.entries[0].itemsize) + extra
     cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
     field = {m: k for k, m in enumerate(cols)}
-    terminal = {field[rec.matched]: (rec.sigma, 0) for rec in web_table(n)}
+    terminal = {field[noncrossing_arcs(rec.path)]: (rec.sigma, 0)
+                for rec in web_table(n)}
     real = transition._step
     tampered = []
 
@@ -494,7 +495,7 @@ def test_row_zero_dominates_every_row_and_the_web_count_bounds_it(n):
 
 
 def largest_column_total(n):
-    return max(Counter(rec.matched for rec in web_table(n)).values())
+    return max(Counter(rec.path for rec in web_table(n)).values())
 
 
 @pytest.mark.parametrize("n", range(0, 8))
@@ -556,7 +557,7 @@ def test_diagonal_witnesses_avoid_312(n):
     for r, m in enumerate(a.rows):
         path = dyck_of_matching(m)
         witnesses = [rec.sigma for rec in web_table(n)
-                     if rec.matched == a.cols[r]
+                     if rec.path == dyck_of_matching(a.cols[r])
                      and dyck_leq(rec.dyck, path)]
         assert len(witnesses) == 1
         assert is_312_avoiding(witnesses[0])

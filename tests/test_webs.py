@@ -5,7 +5,12 @@ import pytest
 
 from webperm import grid
 from webperm.andre import andre_cycle_permutations, cycles
-from webperm.combinat import catalan, dyck_of_permutation
+from webperm.combinat import (
+    catalan,
+    dyck_of_matching,
+    dyck_of_permutation,
+    noncrossing_arcs,
+)
 from webperm.grid import (
     GridConfiguration,
     crossings_of,
@@ -26,7 +31,7 @@ def test_records_share_one_path_and_one_matching_per_value(n, source):
     # the table holds E_{n+1} records but only Catalan(n) distinct D and M
     records = (web_table(n) if source == "table"
                else web_records(grid.web_permutations(n)))
-    for field in ("dyck", "matched"):
+    for field in ("dyck", "path"):
         objects, values = _shared(records, field)
         assert objects == values <= catalan(n), field
 
@@ -34,8 +39,8 @@ def test_records_share_one_path_and_one_matching_per_value(n, source):
 @pytest.mark.parametrize("word", [(1, 1, 2), (2, 3), (0,), (2, 2, 3),
                                   (2, 0, 3)])
 def test_web_records_rejects_a_non_permutation(word):
-    # (2, 0, 3) has both memo keys of (2, 1, 3), so it finds the path and
-    # the matching of the record before it and must still be refused
+    # (2, 0, 3) has the heights and the Lehmer path of (2, 1, 3), so it
+    # finds both paths of the record before it and must still be refused
     with pytest.raises(ValueError, match="not a permutation"):
         web_records([(2, 1, 3), word])
 
@@ -72,9 +77,11 @@ def test_web_records_equal_the_records_built_per_sigma(n, source):
     else:
         perms = grid.web_permutations(n)
         records = web_records(perms)
-    expected = sorted((WebRecord(s, dyck_of_permutation(s),
-                                 matching_of_permutation(s)) for s in perms),
-                      key=lambda r: (r.dyck, r.sigma))
+    expected = sorted(
+        (WebRecord(dyck=dyck_of_permutation(s), sigma=s,
+                   path=dyck_of_matching(matching_of_permutation(s)))
+         for s in perms),
+        key=lambda r: (r.dyck, r.sigma))
     assert records == tuple(expected)
 
 
@@ -86,7 +93,7 @@ def test_web_records_of_every_permutation_match_the_walker(n):
     for rec in web_records(perms):
         full = GridConfiguration(rec.sigma, crossings_of(rec.sigma))
         assert rec.dyck == dyck_of_permutation(rec.sigma), rec.sigma
-        assert rec.matched == trace_matching(full), rec.sigma
+        assert noncrossing_arcs(rec.path) == trace_matching(full), rec.sigma
 
 
 def test_web_records_past_letter_255():
@@ -96,7 +103,7 @@ def test_web_records_past_letter_255():
     for rec in web_records(perms):
         full = GridConfiguration(rec.sigma, crossings_of(rec.sigma))
         assert rec.dyck == dyck_of_permutation(rec.sigma)
-        assert rec.matched == trace_matching(full)
+        assert noncrossing_arcs(rec.path) == trace_matching(full)
 
 
 def _cycles_to_str(decomposition):
