@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from array import array
+from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from . import andre, enumeration, grid, oracle, transition, webs
@@ -33,8 +34,8 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 1.0-1.4 s and 27 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
-# At n = 9 it took 8.7-9.0 s there and peaks at 115 MiB, but 9 becomes the
+# --verify``, 0.9-1.0 s and 28 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
+# At n = 9 it took 7.0-10.5 s there and peaks at 115 MiB, but 9 becomes the
 # default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -75,6 +76,22 @@ def _print_json(payload: object) -> None:
     while batch := "".join(islice(chunks, 8192)):
         sys.stdout.write(batch)
     print()
+
+
+class _Rows(list):
+    """``count`` rows that the JSON encoder makes one at a time from the
+    iterable ``rows`` as it walks them, so one row is alive at a time.  The
+    encoder reads the length only to print an empty list as ``[]``."""
+
+    def __init__(self, rows: Iterable, count: int) -> None:
+        super().__init__()
+        self._rows, self._count = rows, count
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return self._count
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +148,15 @@ def cmd_web(args: argparse.Namespace) -> int:
         agreement = (len(table) == enumeration.euler_numbers(args.n + 1)[-1]
                      and all(andre.is_web(r.sigma) for r in table))
     if args.format == "json":
+        def row(r: webs.WebRecord) -> dict:
+            return {"sigma": perm_to_str(r.sigma),
+                    "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
+                    "matching_dyck": r.path,
+                    "matching": matching_to_json(noncrossing_arcs(r.path))}
         payload = {
             "n": args.n,
             "source": args.source,
-            "rows": [{"sigma": perm_to_str(r.sigma),
-                      "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
-                      "matching_dyck": r.path,
-                      "matching": matching_to_json(noncrossing_arcs(r.path))}
-                     for r in table],
+            "rows": _Rows(map(row, table), len(table)),
         }
         if agreement is not None:
             payload["agreement"] = agreement
@@ -273,7 +291,7 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
     for n in range(1, min(max_n, 5) + 1):
         a = transition.matrix(n)
         # the numeric check first: it refuses trials below 1 before any
-        # row is inserted
+        # row is expanded
         refuted = set(oracle.refuted_rows(a, trials, seed))
         expansions = dict(oracle.check_rows(a.rows, a.cols))
         for r, (m, row) in enumerate(zip(a.rows, a.entries)):

@@ -5,36 +5,23 @@ rows.
 The minors obey the Plücker relation Δ_ac·Δ_bd = Δ_ab·Δ_cd + Δ_ad·Δ_bc
 (a < b < c < d), which rewrites a crossing pair of arcs into its two
 uncrossed pairs.  The expansion over noncrossing matchings is unique
-(Rumer–Teller–Weyl), with nonnegative integer coefficients, so any order
-of rewriting reaches it.  Two constructions compute it:
+(Rumer–Teller–Weyl), so any order of rewriting reaches it.  Two
+constructions compute it:
 
-- :func:`syzygy_insert`, the production path, inserts the arcs of a
-  matching one at a time, shortest first, into the expansion of those
-  before it.
-  Inserting an arc into a noncrossing partial matching walks along the
-  new chord and smooths each arc it crosses, in order, into 2^k
-  noncrossing states of coefficient 1.  Each state is one packed partner
-  int (:func:`partners`): field p, of w = (2n).bit_length() bits, holds
-  the other end of the arc at p, 0 at a free point, so arcs are joined
-  and unjoined by exact field adds and subtracts.  The expansion is
-  returned keyed by these ints.  Every row starts from the empty matching
-  and nothing is kept across rows.
+- :func:`check_rows`, the production path, walks down from the staircase
+  by adjacent transpositions.  Swapping columns i and i + 1 takes Δ_M to
+  Δ_{s_i M} when M does not join i to i + 1.  It takes Δ_w, w
+  noncrossing, to -Δ_w if w joins them, and else to Δ_w + Δ_{e_i w} by
+  one Plücker relation, e_i w joining i to i + 1 and their old partners
+  to each other (:func:`_transpose`).  Lowering a peak NE at points
+  (i, i + 1) of a Dyck path to EN swaps i and i + 1 in its nonnesting
+  matching, so the rows form a tree rooted at the staircase "NE"^n, whose
+  row is its own column: a path's parent lowers its first peak above
+  height 1 (:func:`_parent`).  Each term is one packed partner int
+  (:func:`partners`), so e_i is four exact field adds.
 - :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
   time, until none is left.  It has no production caller: it is the
-  reference that the tests hold the insertion to.
-
-:func:`check_rows` runs the oracle on the rows of a transition matrix
-for ``matrix --verify`` and the ``oracle`` suite, which compare each
-expansion with its printed row.  It maps each expansion to column
-indices through the columns' packed partner ints; a key that is not a
-column fails the row.  The reflection ρ: i ↦ 2n+1−i maps crossings to
-crossings and smoothings to smoothings, so the expansion of ρM is ρ of
-the expansion of M, and one insertion serves the orbit {M, ρM}: ρM reads
-the coefficients at the columns ρ permutes them to.  That is 232
-insertions for the 429 rows of n = 7 and 2,494 for the 4,862 of n = 9.
-Each row is still compared with its own matrix row, so a wrong expansion
-names every row it reaches, and a fault in the pairing or in the column
-map is caught too.
+  reference that the tests hold the walk to.
 
 The numeric check, :func:`refuted_rows`, needs no expansion: it samples
 the identity Δ_M = sum of a[M][M'] Δ_M' on the printed row itself, at
@@ -44,7 +31,7 @@ are a basis (Rumer–Teller–Weyl), so a wrong row passes a sample with
 probability at most 2n/(2^61 - 1) (Schwartz–Zippel).  ``matrix --verify``
 runs it on every row with :data:`MATRIX_TRIALS` samples, the ``oracle``
 suite with ``--trials``.  The row then has two certificates, the exact
-insertion and the numeric identity, and neither rests on the other.
+walk and the numeric identity, and neither rests on the other.
 """
 
 from __future__ import annotations
@@ -52,10 +39,17 @@ from __future__ import annotations
 import random
 from array import array
 from collections.abc import Iterator
-from itertools import combinations, compress, starmap
+from itertools import chain, combinations, compress, starmap
 from operator import mul
 
-from .combinat import Matching, crossing_arc_pairs, matching
+from .combinat import (
+    Matching,
+    crossing_arc_pairs,
+    dyck_of_matching,
+    is_nonnesting,
+    m0,
+    matching,
+)
 
 DEFAULT_SEED = 1729
 # the Mersenne prime 2^61 - 1, the modulus of the numeric check
@@ -99,94 +93,6 @@ def syzygy_expand(m: Matching) -> dict[Matching, int]:
     return dict(sorted(out.items()))
 
 
-def _insert_arc(partner: int, x: int, y: int, w: int) -> list[int]:
-    """Expand N·Δ_xy over noncrossing partial matchings, for a noncrossing
-    partial matching N and x < y free points of N.
-
-    N is given as its packed partner int (:func:`partners`, ``w`` bits a
-    point), and so is each state returned; every state has coefficient 1.
-    The k arcs of N that cross (x, y) are walked in the order of their
-    endpoint inside (x, y), and each of them crosses the chord from the
-    current loose end, x at first, to y.  At each one the loose end is
-    joined to one of its endpoints and the other endpoint becomes the
-    loose end: the two smoothings of the Plücker relation.  The last loose
-    end is joined to y.  The joins form one path from x to y, never a
-    closed loop, so the 2^k walks give 2^k noncrossing states.
-
-    The crossed arcs are unjoined once for all walks, by subtracting their
-    fields.  After each crossed arc the walks fall into two groups by
-    their loose end, one of its two endpoints, so each next join adds one
-    int, (e << w l) + (l << w e) for loose end l and endpoint e, the same
-    for its whole group.  Every add and subtract hits fields that hold
-    exactly the value removed or 0, so no field borrows or carries.
-    """
-    fields = (1 << w) - 1
-    base = partner
-    crossed = []
-    for p in range(x + 1, y):
-        q = partner >> w * p & fields
-        if q and not x < q < y:
-            crossed.append((p, q))
-            base -= (q << w * p) + (p << w * q)
-    # the walks whose loose end is a, and those whose loose end is b
-    a, at_a, b, at_b = x, [base], 0, []
-    for inner, outer in crossed:
-        join = (inner << w * a) + (a << w * inner)
-        to_inner = [state + join for state in at_a]
-        join = (outer << w * a) + (a << w * outer)
-        to_outer = [state + join for state in at_a]
-        if at_b:
-            join = (inner << w * b) + (b << w * inner)
-            to_inner += [state + join for state in at_b]
-            join = (outer << w * b) + (b << w * outer)
-            to_outer += [state + join for state in at_b]
-        a, at_a, b, at_b = outer, to_inner, inner, to_outer
-    join = (y << w * a) + (a << w * y)
-    out = [state + join for state in at_a]
-    if at_b:
-        join = (y << w * b) + (b << w * y)
-        out += [state + join for state in at_b]
-    return out
-
-
-def syzygy_insert(m: Matching) -> dict[int, int]:
-    """Expand a matching over noncrossing matchings by arc insertion.
-
-    Starting from the empty matching, the arcs of ``m`` are inserted one
-    at a time by :func:`_insert_arc`, shortest first and ties by opener.
-    The expansion is keyed by packed partner ints (see :func:`partners`),
-    as the states are while arcs are inserted.  It is unique
-    (Rumer–Teller–Weyl), so the arc order does not change the result,
-    which is ``syzygy_expand(m)`` with each key packed.  It changes the
-    work: an arc (x, y) of a nonnesting matching crosses y - x - 1 others,
-    so the expansions stay small for longer, and the rows of n = 7 and 8
-    take 72,267 and 735,307 walks, against 85,552 and 814,697 in opener
-    order.
-
-    Memory is bounded by two expansions, the one being grown and the one
-    it grows from.  The result has at most Catalan(n) keys; on the 2,494
-    rows that ``matrix 9 --verify`` inserts, at most 6,292 states are
-    alive at once, and the largest result has all 4,862.  Each state is
-    one int of 2n + 1 fields of (2n).bit_length() bits: 4-bit fields up to
-    n = 7, 5-bit fields for n = 8..15, so at n = 9 a state is 95 bits.
-    The insertions of n = 9 (:func:`check_rows`, without the matrix) peak
-    at 23 MiB RSS in 4.9-5.7 s (Python 3.11.7 on a loaded 2-vCPU KVM
-    guest).
-
-    >>> sorted(map(oct, syzygy_insert(matching([(1, 3), (2, 4)]))))
-    ['0o12340', '0o34120']
-    """
-    w = (2 * len(m)).bit_length()
-    expansion: dict[int, int] = {0: 1}
-    for x, y in sorted(m, key=lambda arc: (arc[1] - arc[0], arc[0])):
-        grown: dict[int, int] = {}
-        for partner, coeff in expansion.items():
-            for state in _insert_arc(partner, x, y, w):
-                grown[state] = grown.get(state, 0) + coeff
-        expansion = grown
-    return expansion
-
-
 def partners(m: Matching) -> int:
     """The packed partner int of a matching on [2n]: field p, the bits
     w p up to w (p + 1) for w = (2n).bit_length(), holds the other end of
@@ -200,26 +106,53 @@ def partners(m: Matching) -> int:
     return sum((q << w * p) + (p << w * q) for p, q in m)
 
 
-def reflect(partner: int, n: int) -> int:
-    """The image of the packed partner int of a perfect matching on [2n]
-    under ρ: i ↦ 2n+1−i.
+def _parent(path: str) -> tuple[str, int] | None:
+    """A Dyck path's parent in the walk of :func:`check_rows`, and the point
+    i where they differ: its first peak above height 1, N at i and E at
+    i + 1, lowered to EN.  The staircase, all peaks at height 1, has none.
 
-    >>> oct(reflect(partners(matching([(1, 2), (3, 5), (4, 6)])), 3))
-    '0o5621430'
+    >>> _parent("NNEENE"), _parent("NENENE")
+    (('NENENE', 2), None)
     """
-    w = (2 * n).bit_length()
+    height = 0
+    for i, (step, after) in enumerate(zip(path, path[1:]), start=1):
+        height += 1 if step == "N" else -1
+        if height > 1 and step + after == "NE":
+            return f"{path[:i - 1]}EN{path[i + 1:]}", i
+    return None
+
+
+def _transpose(row: dict[int, int], i: int, w: int) -> dict[int, int]:
+    """The expansion of s_i M from that of M, for M not joining i to i + 1,
+    each keyed by packed partner ints of ``w``-bit fields.  A term w of
+    coefficient a gives -a to w if w joins i to i + 1, and else a to w and
+    a to e_i w, which joins i to i + 1 and their old partners p and q by
+    four field adds.  Terms that cancel are dropped; only one holding
+    (i, i + 1) can, since every coefficient on the walk is positive.
+
+    >>> staircase = {partners(matching([(1, 2), (3, 4)])): 1}
+    >>> sorted(map(oct, _transpose(staircase, 2, 3)))
+    ['0o12340', '0o34120']
+    """
     fields = (1 << w) - 1
-    end = 2 * n + 1
-    return sum(end - (partner >> w * p & fields) << w * (end - p)
-               for p in range(1, end))
-
-
-def reflection(keys: list[int], n: int) -> list[int]:
-    """The permutation of indices that ρ induces on a list of packed
-    partner ints of size n closed under ρ: entry k is the index of
-    ``reflect(keys[k], n)``."""
-    index = {key: k for k, key in enumerate(keys)}
-    return [index[reflect(key, n)] for key in keys]
+    here, there = w * i, w * (i + 1)
+    # every term gives a to itself, and one holding (i, i + 1) takes 2a back
+    out = row.copy()
+    held = []
+    for key, a in row.items():
+        p = key >> here & fields
+        if p == i + 1:
+            out[key] -= 2 * a
+            held.append(key)
+        else:
+            q = key >> there & fields
+            joined = (key + (i + 1 - p << here) + (i - q << there)
+                      + (q - i << w * p) + (p - i - 1 << w * q))
+            out[joined] = out.get(joined, 0) + a
+    for key in held:
+        if not out[key]:
+            del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,35 +251,42 @@ def refuted_rows(a, trials: int, seed: int) -> list[int]:
 
 def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...]
                ) -> Iterator[tuple[int, dict[int, int] | None]]:
-    """The exact expansion of each row of a transition matrix over its
-    columns, one insertion per ρ-orbit of rows (see the module docstring);
-    ``rows`` and ``cols`` must each be closed under ρ.
+    """The exact expansion of each nonnesting row of a transition matrix
+    over its columns, by the walk of the module docstring.
 
-    Yields (r, expansion) once for each row index r: the expansion of
-    ``rows[r]`` keyed by column index, or None if a key is not a column (no
-    noncrossing perfect matching on [2n]).  The row of each orbit first in
-    ``rows`` is inserted; its mirror reads the same coefficients at the
-    columns ρ permutes them to.
+    Yields (r, expansion) once for each row index r, in walk order: the
+    expansion of ``rows[r]`` keyed by column index, or None if a key is no
+    column or the row's parent chain misses the staircase.  Only the
+    parent chains of ``rows`` are walked, one :func:`_transpose` per edge:
+    Catalan(n) - 1 for all rows, C(n, 2) for the top row alone.  A child
+    is transposed from its parent when it is popped, so at most
+    C(n, 2) + 1 expansions are alive.
     """
     n = len(cols[0])
+    w = (2 * n).bit_length()
     column_of = {partners(c): k for k, c in enumerate(cols)}
-    mirror_col = reflection(list(column_of), n)
-    mirror_row = reflection(list(map(partners, rows)), n)
-    # each row is yielded once, whatever the pairing
-    seen = bytearray(len(rows))
-    for r, mirror in enumerate(mirror_row):
-        if seen[r]:
-            continue
-        seen[r] = 1
-        try:
-            coeffs = {column_of[p]: c
-                      for p, c in syzygy_insert(rows[r]).items()}
-        except KeyError:
-            coeffs = None
-        yield r, coeffs
-        if not seen[mirror]:
-            seen[mirror] = 1
-            if coeffs is not None:
-                coeffs = dict(zip(map(mirror_col.__getitem__, coeffs),
-                                  coeffs.values()))
-            yield mirror, coeffs
+    wanted: dict[str, list[int]] = {}
+    children: dict[str, list[tuple[str, int]]] = {}
+    linked = set()
+    for r, m in enumerate(rows):
+        if not is_nonnesting(m):
+            raise ValueError(f"row {m} is not nonnesting")
+        path = dyck_of_matching(m)
+        wanted.setdefault(path, []).append(r)
+        while path not in linked and (up := _parent(path)):
+            linked.add(path)
+            children.setdefault(up[0], []).append((path, up[1]))
+            path = up[0]
+    stack = [("NE" * n, None, 0)]
+    while stack:
+        path, row, i = stack.pop()
+        row = _transpose(row, i, w) if i else {partners(m0(n)): 1}
+        for r in wanted.pop(path, ()):
+            try:
+                coeffs = {column_of[key]: a for key, a in row.items()}
+            except KeyError:
+                coeffs = None
+            yield r, coeffs
+        stack.extend((child, row, j) for child, j in children.pop(path, ()))
+    for r in chain.from_iterable(wanted.values()):
+        yield r, None

@@ -40,9 +40,6 @@ def test_the_package_uses_every_function_but_these():
         "andre.rlmin",
         # the table order, a linear extension of reverse inclusion
         "combinat.dyck_sort_key",
-        # the staircase, the one matching both noncrossing and nonnesting;
-        # the package finds it as the Dyck path NENE..NE
-        "combinat.m0",
         # the "NC" class of enumerate_matchings is the noncrossing one
         "combinat.is_noncrossing",
         # the rows are the Specht basis: 2 x n tableaux <-> nonnesting
@@ -59,7 +56,7 @@ def test_the_package_uses_every_function_but_these():
         # the main theorem's sum: each sigma with D(sigma) <= D(M) once
         "grid.web_permutations_for",
         # pinned by perfbench until ROADMAP item 1; syzygy_expand is also
-        # the rewriting reference the tests hold syzygy_insert to
+        # the rewriting reference the tests hold check_rows' walk to
         "oracle.syzygy_expand",
         "transition.to_csv",
         "transition.to_latex",

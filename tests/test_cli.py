@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -119,13 +120,14 @@ def _break_resolution(monkeypatch):
 
 
 def _break_syzygy(monkeypatch):
-    real = oracle.syzygy_insert
+    # one coefficient of every transposition raised by 1
+    real = oracle._transpose
 
-    def wrong(m):
-        coeffs = real(m)
+    def wrong(row, i, w):
+        coeffs = real(row, i, w)
         top = next(iter(coeffs))
         return {**coeffs, top: coeffs[top] + 1}
-    monkeypatch.setattr(oracle, "syzygy_insert", wrong)
+    monkeypatch.setattr(oracle, "_transpose", wrong)
 
 
 def _break_numeric(monkeypatch):
@@ -192,11 +194,14 @@ def test_matrix_verify_refutes_a_zero_term_in_place_of_the_diagonal(
         capsys, monkeypatch):
     # the staircase row's one term traded for a 0 at a zero entry: as many
     # terms as nonzeros, each equal to its entry, and still not the row
-    real = oracle.syzygy_insert
+    real = oracle.check_rows
     staircase = ((1, 2), (3, 4), (5, 6))
-    zero_term = {oracle.partners(((1, 6), (2, 5), (3, 4))): 0}
-    monkeypatch.setattr(oracle, "syzygy_insert", lambda m: (
-        zero_term if m == staircase else real(m)))
+
+    def zero_term(rows, cols):
+        zero = cols.index(((1, 6), (2, 5), (3, 4)))
+        for r, coeffs in real(rows, cols):
+            yield r, ({zero: 0} if rows[r] == staircase else coeffs)
+    monkeypatch.setattr(oracle, "check_rows", zero_term)
     code, _, err = run(capsys, "matrix", "3", "--verify")
     assert code == 1
     assert err.splitlines() == [
@@ -238,13 +243,17 @@ def test_matrix_verify_fails_on_a_dag_count_past_its_field(
 
 
 def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
-    # a fault inside the arc insertion, not only in the expansion it returns
-    real = oracle._insert_arc
+    # a fault inside the walk, not only in the expansions it yields: each
+    # transposition loses the last smoothing state e_i w it adds
+    real = oracle._transpose
 
-    def dropping(*args):
-        states = list(real(*args))
-        return states[:-1] if len(states) > 1 else states
-    monkeypatch.setattr(oracle, "_insert_arc", dropping)
+    def dropping(row, i, w):
+        coeffs = real(row, i, w)
+        added = [key for key in coeffs if key not in row]
+        if added:
+            del coeffs[added[-1]]
+        return coeffs
+    monkeypatch.setattr(oracle, "_transpose", dropping)
     code, out, err = run(capsys, "matrix", "4", "--verify")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 4"]
@@ -253,6 +262,66 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     # the printed matrix is right, and the numeric check samples it
     assert "numeric" not in err
     assert "verify OK" not in err
+
+
+def _mutate(monkeypatch, name, old, new):
+    """Replace ``oracle.<name>`` by its own source with the one ``old`` in
+    it changed to ``new``."""
+    source = inspect.getsource(getattr(oracle, name))
+    assert source.count(old) == 1
+    scope = dict(vars(oracle))
+    exec(source.replace(old, new), scope)
+    monkeypatch.setattr(oracle, name, scope[name])
+
+
+def _keep_the_sign_of_a_held_term(monkeypatch):
+    # a term joining i to i + 1 gives +a to itself, not -a
+    _mutate(monkeypatch, "_transpose", "out[key] -= 2 * a", "out[key] -= 0")
+
+
+def _join_the_wrong_partners(monkeypatch):
+    # e_i writes q into the field of q and p into the field of p
+    _mutate(monkeypatch, "_transpose",
+            "(q - i << w * p) + (p - i - 1 << w * q)",
+            "(q - i << w * q) + (p - i - 1 << w * p)")
+
+
+def _lower_a_height_1_peak(monkeypatch):
+    # a parent may lower a peak at height 1, leaving the Dyck paths
+    _mutate(monkeypatch, "_parent", "height > 1", "height > 0")
+
+
+def _perturb_one_yielded_row(monkeypatch):
+    real = oracle.check_rows
+
+    def perturbed(rows, cols):
+        for r, coeffs in real(rows, cols):
+            if r == 5:
+                first = next(iter(coeffs))
+                coeffs = {**coeffs, first: coeffs[first] + 1}
+            yield r, coeffs
+    monkeypatch.setattr(oracle, "check_rows", perturbed)
+
+
+@pytest.mark.parametrize("breaker", [
+    _keep_the_sign_of_a_held_term, _join_the_wrong_partners,
+    _lower_a_height_1_peak, _perturb_one_yielded_row])
+def test_matrix_verify_catches_a_fault_in_the_walk(capsys, monkeypatch,
+                                                   breaker):
+    # the printed matrix is right, so only the exact oracle fails, and it
+    # names the rows it gets wrong without a traceback
+    breaker(monkeypatch)
+    code, out, err = run(capsys, "matrix", "4", "--verify")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SNAPSHOTS["matrix 4"]
+    lines = err.splitlines()
+    assert lines
+    assert all(line.startswith("FAIL: syzygy expansion disagrees on row ((")
+               for line in lines)
+    if breaker is _perturb_one_yielded_row:
+        row = transition.row_labels(4)[5]
+        assert lines == [f"FAIL: syzygy expansion disagrees on row {row}"]
+    assert "Traceback" not in err
 
 
 def _mirror(m):
@@ -282,8 +351,8 @@ def _lines_about(err, check):
 def test_matrix_verify_names_the_one_row_with_a_wrong_coefficient(
         capsys, monkeypatch, seed):
     # one entry of one printed row raised by 1: the numeric check samples
-    # the printed rows, so it names that row alone; the row is fixed by rho
-    # (i -> 2n + 1 - i), so no other row shares its insertion
+    # the printed rows, and the walk compares each row with its own, so
+    # each names that row alone
     a = transition.matrix(6)
     r = next(k for k in range(len(a.rows) // 2, len(a.rows))
              if _mirror(a.rows[k]) == a.rows[k])
@@ -301,7 +370,7 @@ def test_matrix_verify_names_both_rows_of_errors_that_cancel_in_a_sum(
         capsys, monkeypatch):
     # +1 on one printed row and -1 on another at a column they share:
     # summed over the rows the errors would cancel, and each row is named
-    # on its own (both rows are fixed by rho, so each is its own orbit)
+    # on its own
     a = transition.matrix(5)
     first, second = 6, 9
     assert all(_mirror(a.rows[r]) == a.rows[r] for r in (first, second))
@@ -334,7 +403,7 @@ def test_matrix_verify_names_both_rows_of_an_orbit_with_a_wrong_coefficient(
     r = len(a.rows) // 2
     mirror = a.rows.index(_mirror(a.rows[r]))
     assert mirror != r
-    col_mirror = oracle.reflection(list(map(oracle.partners, a.cols)), 6)
+    col_mirror = [a.cols.index(_mirror(c)) for c in a.cols]
     last = max(c for c, v in enumerate(a.entries[r]) if v)
     assert a.entries[mirror][col_mirror[last]] == a.entries[r][last]
     _print_bumped(monkeypatch, (r, last, 1), (mirror, col_mirror[last], 1))
@@ -665,6 +734,29 @@ def test_seidel_streams_its_rows():
     assert peak < 10 * line
 
 
+def traced_peak(*argv):
+    """The traced peak of ``webperm *argv``, stdout to the null device."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_web_json_makes_one_row_at_a_time():
+    # The JSON listing holds the same table as the text listing, and each
+    # row's dict and lists only while it is written: at n = 8 both peak
+    # near 2 MiB, where building every row's dict first took 9.5 MiB.
+    assert traced_peak("web", "8", "--format", "json") < 1.5 * traced_peak(
+        "web", "8")
+    for rows in ([], [1, {"a": [2, 3]}]):
+        lazy = cli._Rows(iter(rows), len(rows))
+        assert json.dumps({"rows": lazy}, indent=1) == json.dumps(
+            {"rows": rows}, indent=1)
+
+
 def test_matrix_json_streams_its_text():
     # The payload's lists hold an 8-byte pointer an entry, about the size of
     # the text (1.3 MB at n = 7); the streamed writer adds little to them,
@@ -892,17 +984,20 @@ def test_output_determinism(capsys):
 def test_verify_oracle_suite_fails_a_key_off_the_columns(capsys, monkeypatch):
     # a crossing term in one row's expansion fails that row's syzygy check,
     # and its expansion is reported as null; the numeric check samples the
-    # matrix row, which is right
-    real = oracle.syzygy_insert
-    row = transition.matrix(3).rows[0]
+    # matrix row, which is right.  The row is the top one, a leaf of the
+    # walk, so no other row is transposed from it.
+    real = oracle._transpose
+    a = transition.matrix(3)
+    expansion = {oracle.partners(c): v
+                 for c, v in zip(a.cols, a.entries[0]) if v}
     crossing = oracle.partners(((1, 3), (2, 4), (5, 6)))
 
-    def off_basis(m):
-        coeffs = real(m)
-        if m == row:
+    def off_basis(*args):
+        coeffs = real(*args)
+        if coeffs == expansion:
             coeffs[crossing] = 1
         return coeffs
-    monkeypatch.setattr(oracle, "syzygy_insert", off_basis)
+    monkeypatch.setattr(oracle, "_transpose", off_basis)
     monkeypatch.delenv("WEBPERM_SEED", raising=False)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
     report = json.loads(out)
