@@ -33,10 +33,11 @@ from .combinat import (
 )
 from .oracle import DEFAULT_SEED
 
-# Every command fits in 60 s and 2 GiB at this n; the slowest is ``matrix 8
-# --verify``, 0.9-1.0 s and 28 MiB cold (Python 3.11.7 on a 2-vCPU KVM guest).
-# At n = 9 it took 7.0-10.5 s there and peaks at 115 MiB, but 9 becomes the
-# default only once the benchmark records that run.  ``--cap`` raises it.
+# Every command fits in 60 s and 2 GiB at this n; the heaviest are ``matrix 8
+# --verify``, 0.9-1.5 s and 27 MiB cold, and ``matrix 8 --format json``,
+# 1.0-1.4 s and 22 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
+# took 7.0-10.5 s at 115 MiB and 11.6-12.1 s at 58 MiB there, but 9 becomes
+# the default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
 # The most rows ``seidel`` prints; it has no --cap.  The rows are printed as
@@ -201,7 +202,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for line in transition.csv_lines(a):
             print(line)
     elif args.format == "json":
-        _print_json(transition.to_json(a))
+        _print_json({"n": a.n,
+                     "rows": _Rows(map(matching_to_json, a.rows), len(a.rows)),
+                     "cols": _Rows(map(matching_to_json, a.cols), len(a.cols)),
+                     "entries": _Rows(map(list, a.entries), len(a.entries))})
     else:
         for line in transition.latex_lines(a):
             print(line)
@@ -210,7 +214,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
     failures = [f"entry methods disagree on row {a.rows[r]}"
                 for r in transition.resolution_refuted_rows(a)]
-    disagree = [r for r, coeffs in oracle.check_rows(a.rows, a.cols)
+    disagree = [r for r, coeffs in oracle.check_rows(a.rows)
                 if coeffs is None or not _is_row(coeffs, a.entries[r])]
     failures.extend(f"syzygy expansion disagrees on row {a.rows[r]}"
                     for r in sorted(disagree))
@@ -293,7 +297,7 @@ def _suite_oracle(max_n: int, seed: int, trials: int) -> list[dict]:
         # the numeric check first: it refuses trials below 1 before any
         # row is expanded
         refuted = set(oracle.refuted_rows(a, trials, seed))
-        expansions = dict(oracle.check_rows(a.rows, a.cols))
+        expansions = dict(oracle.check_rows(a.rows))
         for r, (m, row) in enumerate(zip(a.rows, a.entries)):
             coeffs = expansions[r]
             checks.append(_check(
@@ -445,15 +449,16 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:
-        # The reader closed stdout, and maybe stderr too.  What is still
+    except OSError as exc:
+        # The output cannot be written: the reader closed stdout, or the
+        # device is full, and stderr may be gone too.  What is still
         # buffered goes to the null device, so the final flush stays quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         try:
             print(f"error: cannot write the output: {exc.strerror}",
                   file=sys.stderr)
-        except BrokenPipeError:
+        except OSError:
             os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return 2

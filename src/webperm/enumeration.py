@@ -8,9 +8,11 @@ time, so a caller holds only the rows it keeps.  All integers are exact
 (Python ints).
 
 The counts of Web_n read one memoized pass over the Andre-cycle
-construction (:func:`webperm.andre.andre_cycle_permutations`) per n, and
-keep no table: M(sigma) is the staircase iff the Dyck path that
-:func:`webperm.combinat.lehmer_path` reads off sigma is NENE..NE.
+construction (:func:`webperm.andre.andre_cycle_permutations`) per n,
+which keeps the first-letter counts and the g_n words whose traced
+matching is the staircase, and no table: M(sigma) is the staircase iff
+the Dyck path that :func:`webperm.combinat.lehmer_path` reads off sigma is
+NENE..NE.
 """
 
 from __future__ import annotations
@@ -108,25 +110,26 @@ def entringer(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def census(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """First-letter counts from one pass over Web_n: of all its words, and
-    of those whose traced matching is the staircase; the empty word of
-    n = 0 has no first letter.
+def census(n: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+    """One pass over Web_n: the first-letter counts of its words, the
+    empty word of n = 0 having no first letter, and the sorted words whose
+    traced matching is the staircase, g_n of them.
 
-    Memoized, as every count of Web_n reads it: at most n + ceil(n/2) ints
-    per n; after ``verify --suite all --max-n 8``, 53 entries for n = 1..8,
-    7.2 KiB by ``sys.getsizeof``.
+    Memoized, as every count of Web_n reads it: n ints and g_n words of n
+    letters per n, 155 words and 18.6 KB at n = 9; after ``verify --suite
+    all --max-n 8``, 11.6 KiB for n = 1..8, by ``sys.getsizeof`` of the
+    dict, the tuple and each word.
 
     >>> census(4)
-    ({1: 5, 2: 5, 3: 4, 4: 2}, {1: 1, 3: 1})
+    ({1: 5, 2: 5, 3: 4, 4: 2}, ((1, 2, 3, 4), (3, 4, 1, 2)))
     """
-    staircase, firsts, stairs = "NE" * n, Counter(), Counter()
+    staircase, firsts, stairs = "NE" * n, Counter(), []
     for s in andre_cycle_permutations(n):
         if s:
             firsts[s[0]] += 1
-            if lehmer_path(s) == staircase:
-                stairs[s[0]] += 1
-    return dict(sorted(firsts.items())), dict(sorted(stairs.items()))
+        if lehmer_path(s) == staircase:
+            stairs.append(s)
+    return dict(sorted(firsts.items())), tuple(sorted(stairs))
 
 
 def web_count(n: int) -> int:
@@ -135,23 +138,20 @@ def web_count(n: int) -> int:
 
 def f(n: int) -> int:
     """Web permutations of [n] whose traced matching is the staircase
-    matching {{1,2}, ..., {2n-1,2n}}: the words :func:`census` counts, and
-    at n = 0 the empty word, which it leaves out."""
-    return sum(census(n)[1].values()) if n else 1
+    matching {{1,2}, ..., {2n-1,2n}}: the words :func:`census` keeps."""
+    return len(census(n)[1])
 
 
 def f_nk(n: int, k: int) -> int:
     """As :func:`f`, restricted to permutations with first letter k."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
-    return census(n)[1].get(k, 0)
+    return sum(1 for s in census(n)[1] if s[0] == k)
 
 
 def f_witnesses(n: int) -> list[tuple[int, ...]]:
     """The permutations counted by f(n), sorted."""
-    staircase = "NE" * n
-    return sorted(s for s in andre_cycle_permutations(n)
-                  if lehmer_path(s) == staircase)
+    return list(census(n)[1])
 
 
 def cc_distribution(n: int) -> dict[int, int]:

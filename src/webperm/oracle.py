@@ -18,7 +18,9 @@ constructions compute it:
   matching, so the rows form a tree rooted at the staircase "NE"^n, whose
   row is its own column: a path's parent lowers its first peak above
   height 1 (:func:`_parent`).  Each term is one packed partner int
-  (:func:`partners`), so e_i is four exact field adds.
+  (:func:`partners`), so e_i is four exact field adds.  It takes only
+  the rows: the columns are the noncrossing matchings of their size, in
+  table order, the columns of every transition matrix of that size.
 - :func:`syzygy_expand` rewrites a whole matching, one crossing pair at a
   time, until none is left.  It has no production caller: it is the
   reference that the tests hold the walk to.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, compress, starmap
 from operator import mul
 
@@ -46,6 +48,7 @@ from .combinat import (
     Matching,
     crossing_arc_pairs,
     dyck_of_matching,
+    enumerate_matchings,
     is_nonnesting,
     m0,
     matching,
@@ -249,10 +252,11 @@ def refuted_rows(a, trials: int, seed: int) -> list[int]:
     return sorted(refuted)
 
 
-def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...]
+def check_rows(rows: Sequence[Matching]
                ) -> Iterator[tuple[int, dict[int, int] | None]]:
     """The exact expansion of each nonnesting row of a transition matrix
-    over its columns, by the walk of the module docstring.
+    over its columns, the noncrossing matchings of the rows' size in table
+    order, by the walk of the module docstring.
 
     Yields (r, expansion) once for each row index r, in walk order: the
     expansion of ``rows[r]`` keyed by column index, or None if a key is no
@@ -262,9 +266,10 @@ def check_rows(rows: tuple[Matching, ...], cols: tuple[Matching, ...]
     is transposed from its parent when it is popped, so at most
     C(n, 2) + 1 expansions are alive.
     """
-    n = len(cols[0])
+    n = len(rows[0]) if rows else 0
     w = (2 * n).bit_length()
-    column_of = {partners(c): k for k, c in enumerate(cols)}
+    column_of = {partners(c): k
+                 for k, c in enumerate(enumerate_matchings(n, "NC"))}
     wanted: dict[str, list[int]] = {}
     children: dict[str, list[tuple[str, int]]] = {}
     linked = set()

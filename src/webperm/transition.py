@@ -3,7 +3,12 @@
 Rows are indexed by nonnesting matchings, columns by noncrossing ones,
 both sorted in table order of their Dyck paths (maximum path first, see
 :func:`webperm.combinat.dyck_sort_key`).  With that ordering the matrix is
-upper-unitriangular.
+upper-unitriangular.  Both labels are the Catalan(n) Dyck paths of length
+2n, so they follow from n: a :class:`TransitionMatrix` is n and its
+entries, and builds its labels only when they are read.  The DAG and
+the support check find each column by its place in
+:func:`~webperm.combinat.dyck_paths`, and the CSV and LaTeX exports read
+only the entries.
 
 The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
@@ -40,6 +45,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
 
 from .andre import andre_cycle_permutations
@@ -49,11 +55,9 @@ from .combinat import (
     ballot_count,
     dyck_heights,
     dyck_leq,
-    dyck_of_matching,
     dyck_paths,
     enumerate_matchings,
     lehmer_path,
-    matching_to_json,
 )
 from .grid import (
     State,
@@ -66,12 +70,27 @@ from .grid import (
 
 @dataclass(frozen=True)
 class TransitionMatrix:
+    """The transition matrix of size ``n``: its ``entries``, one row per
+    Dyck path of length 2n in table order, and a column per path too.
+
+    The labels follow from ``n``: ``rows`` are the nonnesting matchings
+    and ``cols`` the noncrossing ones, each built on its first read and
+    kept.  The exports never read them; read after :func:`matrix`, the two
+    take 1.28 MiB at n = 8 and 5.68 MiB at n = 9, by ``tracemalloc``.
+    """
+
     n: int
-    rows: tuple[Matching, ...]
-    cols: tuple[Matching, ...]
     # array.array rows from matrix, which resolution_refuted_rows needs;
     # the other checks and the exporters take any sequences of ints
     entries: tuple[Sequence[int], ...]
+
+    @cached_property
+    def rows(self) -> tuple[Matching, ...]:
+        return tuple(row_labels(self.n))
+
+    @cached_property
+    def cols(self) -> tuple[Matching, ...]:
+        return tuple(col_labels(self.n))
 
 
 def row_labels(n: int) -> list[Matching]:
@@ -130,8 +149,6 @@ def matrix(n: int) -> TransitionMatrix:
     unpacked into a copy of the zero row: ``B`` through n = 9, where the
     rows take 24 MB.
     """
-    rows = tuple(row_labels(n))
-    cols = tuple(col_labels(n))
     paths = dyck_paths(n)
     column = {p: k for k, p in enumerate(paths)}
     keys = Counter((tuple(accumulate(s, max)), lehmer_path(s))
@@ -139,7 +156,7 @@ def matrix(n: int) -> TransitionMatrix:
     totals: Counter[str] = Counter()
     for (_, word), count in keys.items():
         totals[word] += count
-    zeros = array(row_typecode(max(totals.values())), [0]) * len(cols)
+    zeros = array(row_typecode(max(totals.values())), [0]) * len(paths)
     heights = [dyck_heights(p) for p in paths]
     counts = {q: zeros[:] for q in heights}
     for (q, word), count in keys.items():
@@ -163,7 +180,7 @@ def matrix(n: int) -> TransitionMatrix:
         # at n = 9 against 4,942 for this copy
         memoryview(row).cast("B")[:] = acc.pop(q).to_bytes(size, sys.byteorder)
         entries.append(row)
-    return TransitionMatrix(n, rows, cols, tuple(entries))
+    return TransitionMatrix(n, tuple(entries))
 
 
 def _key(state: State) -> tuple[bytes, int]:
@@ -187,9 +204,9 @@ def _take(values: dict[int, int], reads: list[int], s: int) -> int:
 
 def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     """The indices, in row order, of the rows of ``a`` that resolving the
-    row configurations refutes.  ``a`` has ``rows``, ``cols`` and
-    ``entries``, each row an unsigned ``array`` of one typecode over the
-    columns, as :func:`matrix` gives them.
+    row configurations refutes.  Each row of ``a.entries`` is an unsigned
+    ``array`` of one typecode over the columns, as :func:`matrix` gives
+    them.
 
     Row M should be the column count of the web permutations that
     resolving its root G(id, cells above D(M)) ends in, each traced to its
@@ -236,8 +253,10 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
     raises the peak RSS of ``matrix 9 --verify`` from 63 MiB after
     :func:`matrix` to 115 MiB (Python 3.11.7, 2-vCPU KVM guest).
     """
-    cols = a.cols if sys.byteorder == "little" else a.cols[::-1]
-    field = {dyck_of_matching(m): k for k, m in enumerate(cols)}
+    paths = dyck_paths(a.n)
+    if sys.byteorder == "big":
+        paths.reverse()
+    field = {p: k for k, p in enumerate(paths)}
     ids: dict[tuple[bytes, int], int] = {}
     # per state: a tuple of child numbers, or a terminal's field
     below: list[tuple[int, ...] | int | None] = []
@@ -280,7 +299,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
 
     # reverse row order for memory: 8,116 live values, 37.0 MB, at n = 9,
     # against about 20,400, 97.4 MB, in row order or a post-order sweep
-    refuted = [r for r in reversed(range(len(a.rows)))
+    refuted = [r for r in reversed(range(len(roots)))
                if value(roots[r])
                != int.from_bytes(a.entries[r], sys.byteorder)
                or counts[r] != sum(a.entries[r])]
@@ -294,8 +313,8 @@ def support_check(a: TransitionMatrix) -> list[dict]:
     1-based (row, col) and by the Dyck paths of the row and column
     matchings; empty means the matrix is clean.
 
-    When the rows and the columns both run over every Dyck path in table
-    order, a row r is clean if its diagonal entry is 1, every nonzero
+    The rows and the columns both run over every Dyck path in table
+    order, so a row r is clean if its diagonal entry is 1, every nonzero
     entry is positive and its column's heights lie pointwise under the
     row's, and the nonzeros number :func:`~webperm.combinat.ballot_count`
     of the row: then the nonzero columns are exactly the row's down-set,
@@ -305,10 +324,8 @@ def support_check(a: TransitionMatrix) -> list[dict]:
     :func:`~webperm.combinat.dyck_leq`, which names every violation.
     """
     violations = []
-    row_paths = [dyck_of_matching(m) for m in a.rows]
-    col_paths = [dyck_of_matching(m) for m in a.cols]
-    heights = [dyck_heights(p) for p in col_paths]
-    by_heights = row_paths == col_paths == dyck_paths(a.n)
+    paths = dyck_paths(a.n)
+    heights = [dyck_heights(p) for p in paths]
     # Each height vector packed into one int, b bits per coordinate, all
     # heights below 2^(b-1).  With the top bit of every field of q set,
     # q - p borrows across no field and keeps the top bit of field k iff
@@ -326,16 +343,15 @@ def support_check(a: TransitionMatrix) -> list[dict]:
 
     def fail(r: int, c: int, value: int, reason: str) -> None:
         violations.append({"row": r + 1, "col": c + 1, "value": value,
-                           "row_path": row_paths[r], "col_path": col_paths[c],
+                           "row_path": paths[r], "col_path": paths[c],
                            "reason": reason})
     for r, row in enumerate(a.entries):
-        if by_heights and clean(r, row):
+        if clean(r, row):
             continue
         for c, value in enumerate(row):
-            expected_positive = dyck_leq(col_paths[c], row_paths[r])
-            if (value > 0) != expected_positive:
+            if (value > 0) != dyck_leq(paths[c], paths[r]):
                 fail(r, c, value, "positivity must match path inclusion")
-            if row_paths[r] == col_paths[c] and value != 1:
+            if r == c and value != 1:
                 fail(r, c, value, "diagonal entry must be 1")
             if c < r and value != 0:
                 fail(r, c, value, "lower triangle must vanish")
@@ -379,18 +395,9 @@ def to_csv(a: TransitionMatrix) -> str:
     return "\n".join(csv_lines(a))
 
 
-def to_json(a: TransitionMatrix) -> dict:
-    return {
-        "n": a.n,
-        "rows": [matching_to_json(m) for m in a.rows],
-        "cols": [matching_to_json(m) for m in a.cols],
-        "entries": [list(row) for row in a.entries],
-    }
-
-
 def latex_lines(a: TransitionMatrix) -> Iterator[str]:
-    """The lines of :func:`to_latex`, without newlines: a bmatrix whose
-    structural lower-triangle zeros are blank cells.
+    """The LaTeX text of ``a``, one line at a time without newlines: a
+    bmatrix whose structural lower-triangle zeros are blank cells.
 
     Row r's first r cells are blank, so a row is r separators and then the
     text of the rest; a row no longer than r is blank throughout.
@@ -404,7 +411,3 @@ def latex_lines(a: TransitionMatrix) -> Iterator[str]:
         yield "  " + cells + r" \\"
     yield "\\end{bmatrix}"
 
-
-def to_latex(a: TransitionMatrix) -> str:
-    """bmatrix display with the structural lower-triangle zeros left blank."""
-    return "\n".join(latex_lines(a))

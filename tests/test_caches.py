@@ -1,3 +1,4 @@
+import functools
 import importlib
 import pkgutil
 
@@ -6,7 +7,8 @@ import webperm
 
 def test_the_package_keeps_exactly_these_caches():
     # every memo in the package with its maxsize, at module level and on
-    # classes; a new or unbounded one has to be added here
+    # classes, and every cached property, which keeps one value per
+    # instance; a new or unbounded one has to be added here
     found = {}
     for info in pkgutil.iter_modules(webperm.__path__):
         module = importlib.import_module(f"webperm.{info.name}")
@@ -18,7 +20,12 @@ def test_the_package_keeps_exactly_these_caches():
                            for attr, value in vars(obj).items())
         found.update((f"{info.name}.{name}", obj.cache_parameters()["maxsize"])
                      for name, obj in own.items() if hasattr(obj, "cache_info"))
+        found.update((f"{info.name}.{name}", "per instance")
+                     for name, obj in own.items()
+                     if isinstance(obj, functools.cached_property))
     assert found == {
         "webs._tokens": None,
         "enumeration.census": None,
+        "transition.TransitionMatrix.rows": "per instance",
+        "transition.TransitionMatrix.cols": "per instance",
     }

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import inspect
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webperm import andre, cli, enumeration, oracle, transition, webs
-from webperm.combinat import matching_from_dyck
+from webperm.combinat import dyck_paths, matching_from_dyck
 from webperm.enumeration import seidel_rows
 from webperm.grid import GridConfiguration, crossings_of, trace_matching
 
@@ -197,9 +198,9 @@ def test_matrix_verify_refutes_a_zero_term_in_place_of_the_diagonal(
     real = oracle.check_rows
     staircase = ((1, 2), (3, 4), (5, 6))
 
-    def zero_term(rows, cols):
-        zero = cols.index(((1, 6), (2, 5), (3, 4)))
-        for r, coeffs in real(rows, cols):
+    def zero_term(rows):
+        zero = transition.col_labels(3).index(((1, 6), (2, 5), (3, 4)))
+        for r, coeffs in real(rows):
             yield r, ({zero: 0} if rows[r] == staircase else coeffs)
     monkeypatch.setattr(oracle, "check_rows", zero_term)
     code, _, err = run(capsys, "matrix", "3", "--verify")
@@ -232,7 +233,7 @@ def test_matrix_verify_fails_on_a_dag_count_past_its_field(
     # patch, so the fault is the DAG's alone.
     a = transition.matrix(6)
     monkeypatch.setattr(transition, "matrix", lambda n: a)
-    target = transition.dyck_of_matching(a.cols[column])
+    target = dyck_paths(6)[column]
     monkeypatch.setattr(transition, "lehmer_path", lambda sigma: target)
     code, _, err = run(capsys, "matrix", "6", "--verify")
     assert code == 1
@@ -294,8 +295,8 @@ def _lower_a_height_1_peak(monkeypatch):
 def _perturb_one_yielded_row(monkeypatch):
     real = oracle.check_rows
 
-    def perturbed(rows, cols):
-        for r, coeffs in real(rows, cols):
+    def perturbed(rows):
+        for r, coeffs in real(rows):
             if r == 5:
                 first = next(iter(coeffs))
                 coeffs = {**coeffs, first: coeffs[first] + 1}
@@ -757,19 +758,31 @@ def test_web_json_makes_one_row_at_a_time():
             {"rows": rows}, indent=1)
 
 
-def test_matrix_json_streams_its_text():
-    # The payload's lists hold an 8-byte pointer an entry, about the size of
-    # the text (1.3 MB at n = 7); the streamed writer adds little to them,
-    # where building the whole text first took 17 MB.
-    text = len(json.dumps(transition.to_json(transition.matrix(7)), indent=1))
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            assert cli.main(["matrix", "7", "--format", "json"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < 4 * text
+def test_matrix_json_streams_its_text(capsys):
+    # The rows, the columns and the entries are each made into lists one at
+    # a time as they are written, so the traced peak at n = 7, 1.2 MiB, is
+    # the matrix, its labels and one batch of text, under the 1.26 MB of
+    # the whole text; building every list of the payload first took
+    # 3.3 MiB, and building the whole text 17 MB.
+    code, out, _ = run(capsys, "matrix", "7", "--format", "json")
+    assert code == 0
+    assert traced_peak("matrix", "7", "--format", "json") < 1.5 * len(out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_matrix_text_builds_no_labels(capsys, monkeypatch, fmt):
+    # the CSV and the LaTeX are the entries alone: neither the rows' nor
+    # the columns' matchings are built
+    def unbuilt(n):
+        raise AssertionError("the labels were built")
+    monkeypatch.setattr(transition, "row_labels", unbuilt)
+    monkeypatch.setattr(transition, "col_labels", unbuilt)
+    code, out, err = run(capsys, "matrix", "8", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1430 + 2 * (fmt == "latex")
+    if fmt == "csv":
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f7df5563d6408971f8671b2a3ed24c800ead8fbdaedf76986e0cdf191b4ce754")
 
 
 def test_seidel_refuses_too_many_rows(capsys):
@@ -813,8 +826,8 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
 
 
 def test_verify_streams_each_web_set_once(capsys, monkeypatch):
-    # one census of Web_n serves every statistic; only f_witnesses, at
-    # n = 4 and 5, streams it a second time
+    # one census of Web_n serves every statistic, the witnesses of f(n)
+    # at n = 4 and 5 too
     stream, calls = enumeration.andre_cycle_permutations, Counter()
 
     def counted(n):
@@ -825,7 +838,7 @@ def test_verify_streams_each_web_set_once(capsys, monkeypatch):
     enumeration.census.cache_clear()
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "6")
     assert code == 0 and json.loads(out)["failed"] == 0
-    assert calls == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}
+    assert calls == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
 
 def _into_closed_pipe(argv, stderr_too):
@@ -863,6 +876,25 @@ def test_streamed_csv_into_a_closed_pipe_is_a_usage_error():
     done = _into_closed_pipe(["matrix", "6"], stderr_too=False)
     assert done.returncode == 2
     assert done.stderr.decode() == "error: cannot write the output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    "web 6", "web 6 --format json", "matrix 6", "matrix 7 --format json",
+    "verify --max-n 3", "seidel --rows 5"])
+def test_output_to_a_full_device_is_a_usage_error(argv):
+    # every write to /dev/full fails with ENOSPC, at the first flush of the
+    # buffer, inside a command or at its end: one error line and exit 2
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "webperm.cli", *argv.split()],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.decode() == (f"error: cannot write the output: "
+                                    f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -115,11 +115,11 @@ def test_first_letter_refinement(n):
 def test_f_values_and_witnesses():
     assert [f(n) for n in range(1, 7)] == genocchi(6)
     assert f(0) == 1                        # the empty word, traced to ()
-    assert census(0) == ({}, {})            # which has no first letter
+    assert census(0) == ({}, ((),))         # which has no first letter
     assert f_witnesses(4) == [(1, 2, 3, 4), (3, 4, 1, 2)]
     assert f_witnesses(5) == [(1, 2, 3, 4, 5), (1, 4, 5, 2, 3), (3, 4, 1, 2, 5)]
     assert (f_nk(5, 1), f_nk(5, 3), f_nk(5, 5)) == (2, 1, 0)
-    assert sum(census(3)[1].values()) == f(3)
+    assert len(census(3)[1]) == f(3)
     with pytest.raises(ValueError):
         f_nk(3, 4)
 

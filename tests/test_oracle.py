@@ -120,7 +120,7 @@ def test_check_rows_equals_rewriting_on_every_row(n):
     cols = col_labels(n)
     column = {c: k for k, c in enumerate(cols)}
     rows = row_labels(n)
-    assert sorted(check_rows(rows, cols)) == [
+    assert sorted(check_rows(rows)) == [
         (r, {column[mp]: c for mp, c in syzygy_expand(m).items()})
         for r, m in enumerate(rows)]
 
@@ -171,11 +171,11 @@ def test_the_walk_transposes_once_per_edge(n, monkeypatch):
     # every row shares its parent's expansion: Catalan(n) - 1 transpositions
     # for all rows, and C(n, 2) for the top row alone, its parent chain
     calls = count_transposes(monkeypatch)
-    rows, cols = row_labels(n), col_labels(n)
-    assert len(list(check_rows(rows, cols))) == len(rows)
+    rows = row_labels(n)
+    assert len(list(check_rows(rows))) == len(rows)
     assert len(calls) == catalan(n) - 1
     calls.clear()
-    assert [r for r, _ in check_rows(rows[:1], cols)] == [0]
+    assert [r for r, _ in check_rows(rows[:1])] == [0]
     assert len(calls) == n * (n - 1) // 2
 
 
@@ -194,7 +194,7 @@ def test_the_walk_keeps_one_expansion_per_depth(monkeypatch):
         return Tracked(real(row, i, w))
     monkeypatch.setattr(oracle, "_transpose", tracking)
     n = 7
-    assert len(list(check_rows(row_labels(n), col_labels(n)))) == catalan(n)
+    assert len(list(check_rows(row_labels(n)))) == catalan(n)
     assert 0 < most[0] <= n * (n - 1) // 2 + 1
 
 
@@ -203,7 +203,7 @@ def test_check_rows_yields_every_row_once_in_any_order():
     rows = row_labels(5)
     shuffled = [*rows[::-1], rows[3], rows[0]]
     column = {c: k for k, c in enumerate(col_labels(5))}
-    expansions = dict(check_rows(shuffled, col_labels(5)))
+    expansions = dict(check_rows(shuffled))
     assert sorted(expansions) == list(range(len(shuffled)))
     for r, m in enumerate(shuffled):
         assert expansions[r] == {column[mp]: c
@@ -214,7 +214,7 @@ def test_check_rows_refuses_a_row_that_is_not_nonnesting():
     nesting = matching([(1, 4), (2, 3)])
     assert not is_nonnesting(nesting)
     with pytest.raises(ValueError, match="nonnesting"):
-        list(check_rows((nesting,), col_labels(2)))
+        list(check_rows((nesting,)))
 
 
 def test_top_row_counts_the_web_permutations_and_the_staircase():
@@ -224,10 +224,9 @@ def test_top_row_counts_the_web_permutations_and_the_staircase():
     eulers, gs = euler_numbers(12), genocchi(11)
     for n in range(1, 12):
         top = matching([(i, n + i) for i in range(1, n + 1)])
-        cols = col_labels(n)
-        [(_, coeffs)] = check_rows((top,), cols)
+        [(_, coeffs)] = check_rows((top,))
         assert sum(coeffs.values()) == eulers[n + 1]
-        assert coeffs[cols.index(m0(n))] == gs[n - 1]
+        assert coeffs[col_labels(n).index(m0(n))] == gs[n - 1]
     assert [width(n) for n in (7, 8, 15, 16)] == [4, 5, 5, 6]
 
 
@@ -306,7 +305,7 @@ def expansion_by_check_rows(m, claim, monkeypatch):
     of the staircase, with ``claim`` standing in for its transposition."""
     monkeypatch.setattr(oracle, "_transpose", lambda *_: {
         oracle.partners(mp): c for mp, c in claim.items()})
-    [(_, coeffs)] = check_rows((m,), col_labels(len(m)))
+    [(_, coeffs)] = check_rows((m,))
     return coeffs
 
 
@@ -454,7 +453,7 @@ def test_check_rows_samples_follow_seed_and_trials():
 @pytest.mark.parametrize("trials", [0, -1])
 def test_check_rows_rejects_trials_below_one(trials, monkeypatch):
     # the oracle suite refuses trials below 1 before it expands a row
-    def expand(rows, cols):
+    def expand(rows):
         raise AssertionError(f"expanded {rows}")
     monkeypatch.setattr(oracle, "check_rows", expand)
     with pytest.raises(ValueError, match="trials"):
@@ -545,7 +544,7 @@ def test_batched_identity_holds_on_every_matching(n):
     column = {m: k for k, m in enumerate(col_labels(n))}
     nonnesting = [r for r, m in enumerate(rows) if is_nonnesting(m)]
     assert len(nonnesting) == catalan(n)
-    assert sorted(check_rows([rows[r] for r in nonnesting], col_labels(n))) == [
+    assert sorted(check_rows([rows[r] for r in nonnesting])) == [
         (k, {column[mp]: c for mp, c in expansions[r].items()})
         for k, r in enumerate(nonnesting)]
 
@@ -622,7 +621,7 @@ def test_every_row_inserted_on_its_own_equals_its_matrix_row(n):
     # parent chain, shares no expansion with another row
     a = matrix(n)
     for m, row in zip(a.rows, a.entries):
-        [(_, coeffs)] = check_rows((m,), a.cols)
+        [(_, coeffs)] = check_rows((m,))
         assert coeffs == {c: v for c, v in enumerate(row) if v}
 
 
@@ -658,6 +657,6 @@ def test_a_key_off_the_columns_fails_both_checks(capsys, monkeypatch):
         return coeffs
     monkeypatch.setattr(oracle, "_transpose", off_basis)
     assert matrix_6_verify_failures(capsys) == expected_lines([row])
-    verdicts = sorted(check_rows(row_labels(6), col_labels(6)))
+    verdicts = sorted(check_rows(row_labels(6)))
     assert [r for r, coeffs in verdicts if coeffs is None] == [0]
     assert refuted_rows(matrix(6), MATRIX_TRIALS, 1) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from array import array
@@ -42,10 +43,30 @@ from webperm.transition import (
     row_typecode,
     support_check,
     to_csv,
-    to_json,
-    to_latex,
 )
 from webperm.webs import web_table
+
+
+def test_a_matrix_is_n_and_its_entries():
+    assert [f.name for f in dataclasses.fields(TransitionMatrix)] == [
+        "n", "entries"]
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_labels_follow_from_n_and_are_built_once(monkeypatch, n):
+    a = matrix(n)
+    assert a.rows == tuple(row_labels(n)) and a.cols == tuple(col_labels(n))
+    assert [dyck_of_matching(m) for m in a.rows] == dyck_paths(n)
+    assert [dyck_of_matching(m) for m in a.cols] == dyck_paths(n)
+
+    def again(n):
+        raise AssertionError("labels built twice")
+    monkeypatch.setattr(transition, "row_labels", again)
+    monkeypatch.setattr(transition, "col_labels", again)
+    assert a.rows is a.rows and a.cols is a.cols
+    # a matrix of the same n builds its own
+    with pytest.raises(AssertionError):
+        TransitionMatrix(n, a.entries).rows
 
 
 def test_labels_are_sorted_by_path():
@@ -226,7 +247,7 @@ def test_dag_reads_rows_in_the_hosts_byte_order(monkeypatch):
     entries = [row[:] for row in a.entries]
     entries[3][-1] += 1
     assert resolution_refuted_rows(
-        TransitionMatrix(a.n, a.rows, a.cols, tuple(entries))) == [3]
+        TransitionMatrix(a.n, tuple(entries))) == [3]
 
 
 def test_dag_count_past_its_field_spills_or_overflows(monkeypatch):
@@ -293,18 +314,17 @@ def test_dag_checks_matrices_that_matrix_did_not_build(n, golden_matrices):
     # arrays of matrix()'s typecode, pass; one entry raised, at the last
     # nonzero of a middle row, is refuted at exactly its row
     code = row_typecode(largest_column_total(n))
-    rows, cols = tuple(row_labels(n)), tuple(col_labels(n))
     sources = [literal_entries(n)]
     if n in golden_matrices:
         sources.append(golden_matrices[n])
     for entries in sources:
         entries = [array(code, row) for row in entries]
         assert resolution_refuted_rows(
-            TransitionMatrix(n, rows, cols, tuple(entries))) == []
-        r = len(rows) // 2
+            TransitionMatrix(n, tuple(entries))) == []
+        r = len(entries) // 2
         entries[r][max(c for c, v in enumerate(entries[r]) if v)] += 1
         assert resolution_refuted_rows(
-            TransitionMatrix(n, rows, cols, tuple(entries))) == [r]
+            TransitionMatrix(n, tuple(entries))) == [r]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -323,7 +343,7 @@ def test_support_check_is_clean(n):
 def _with_entry(a, r, c, value):
     """``a`` with entry (r, c), 0-based, set to ``value``."""
     return TransitionMatrix(
-        a.n, a.rows, a.cols,
+        a.n,
         tuple(tuple(value if (i, j) == (r, c) else v for j, v in enumerate(row))
               for i, row in enumerate(a.entries)))
 
@@ -407,14 +427,6 @@ def test_support_check_scans_only_the_rows_it_cannot_clear(monkeypatch, n):
     last = len(a.rows) - 1
     support_check(_with_entry(a, last, last, 2))
     assert len(calls) == catalan(n)
-
-
-def test_support_check_scans_relabelled_matrices():
-    # rows that are not the columns' paths get the dense scan, not the
-    # down-set count
-    a = matrix(3)
-    swapped = TransitionMatrix(a.n, a.rows[::-1], a.cols, a.entries)
-    assert support_check(swapped) == dense_support_check(swapped) != []
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -568,13 +580,7 @@ def test_exports():
     a = matrix(2)
     assert to_csv(a) == "1,1\n0,1"
     assert list(csv_lines(a)) == ["1,1", "0,1"]
-    latex = to_latex(a)
-    assert latex.splitlines()[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
-    data = to_json(a)
-    assert data["n"] == 2
-    assert data["entries"] == [[1, 1], [0, 1]]
-    assert data["rows"][0] == [[1, 3], [2, 4]]
-    assert data["cols"][0] == [[1, 4], [2, 3]]
+    assert list(latex_lines(a))[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
 
 
 def latex_reference(a):
@@ -590,19 +596,22 @@ def test_exports_join_each_rows_decimal_values(rows):
     # rows of every array width, signed or not, and lists; values of one
     # digit, of a byte, past a byte and negative; rows shorter than their
     # index, empty rows and no rows
-    a = TransitionMatrix(len(rows), (), (), tuple(rows))
+    a = TransitionMatrix(len(rows), tuple(rows))
     assert list(csv_lines(a)) == [",".join(map(str, row)) for row in rows]
-    assert list(latex_lines(a)) == latex_reference(a).split("\n")
-    assert to_latex(a) == latex_reference(a)
+    assert "\n".join(latex_lines(a)) == latex_reference(a)
 
 
-def test_exports_of_a_matrix_without_labels():
-    # the text comes from the entries alone: a matrix without labels still
-    # prints every row, and the blank cells count from the row index
+def test_exports_of_a_matrix_without_labels(monkeypatch):
+    # the text comes from the entries alone: no label is built, and the
+    # blank cells count from the row index
+    def unlabelled(n):
+        raise AssertionError("an export read the labels")
+    monkeypatch.setattr(transition, "row_labels", unlabelled)
+    monkeypatch.setattr(transition, "col_labels", unlabelled)
     rows = ((1, 1), (0, 1))
     for entries in [rows, *(tuple(array(code, row) for row in rows)
                             for code in "BHQ")]:
-        a = TransitionMatrix(2, (), (), entries)
+        a = TransitionMatrix(2, entries)
         assert to_csv(a) == "1,1\n0,1"
         assert list(latex_lines(a))[1:3] == ["  1 & 1 \\\\", "   & 1 \\\\"]
 
@@ -614,7 +623,7 @@ def test_exports_read_the_low_bytes_in_the_hosts_byte_order(values, code):
     # its low byte is then its last, and the text is still the values'
     row = array(code, values)
     row.byteswap()
-    a = TransitionMatrix(1, (), (), (row,))
+    a = TransitionMatrix(1, (row,))
     expected = ",".join(map(str, values))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "byteorder",
@@ -625,5 +634,5 @@ def test_exports_read_the_low_bytes_in_the_hosts_byte_order(values, code):
 def test_csv_formats_entries_outside_row_zero():
     # rows of any ints: a list row, with a value row 0 does not reach or a
     # negative one, is joined value by value
-    a = TransitionMatrix(2, (), (), ((2, 1), (0, 3), (-1, 1), (-2, 0)))
+    a = TransitionMatrix(2, ((2, 1), (0, 3), (-1, 1), (-2, 0)))
     assert to_csv(a) == "2,1\n0,3\n-1,1\n-2,0"
