@@ -33,11 +33,11 @@ from .combinat import (
 )
 from .oracle import DEFAULT_SEED
 
-# Every command fits in 60 s and 2 GiB at this n; the heaviest are ``matrix 8
-# --verify``, 0.9-1.5 s and 27 MiB cold, and ``matrix 8 --format json``,
-# 1.0-1.4 s and 22 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
-# took 7.0-10.5 s at 115 MiB and 11.6-12.1 s at 58 MiB there, but 9 becomes
-# the default only once the benchmark records that run.  ``--cap`` raises it.
+# Every command fits in 60 s and 2 GiB at this n; the heaviest is ``matrix 8
+# --verify``, 0.9-1.5 s and 27 MiB cold, where ``matrix 8 --format json`` takes
+# 0.2-0.35 s and 21 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
+# took 7.0-10.5 s at 115 MiB and 1.0-1.6 s at 53 MiB there, but 9 becomes the
+# default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
 # The most rows ``seidel`` prints; it has no --cap.  The rows are printed as
@@ -70,13 +70,37 @@ def _check_cap(name: str, n: int, cap: int) -> None:
                           f"pass a larger --cap to force it")
 
 
-def _print_json(payload: object) -> None:
+def _print_json(payload: dict, raw: dict[str, Iterable[str]]) -> None:
+    """Write the nonempty dict ``payload`` as ``json.JSONEncoder(indent=1)``
+    writes it, with the members of ``raw`` after its own: the text of each
+    value is the strings its iterable yields, that value's JSON indented
+    as the encoder indents a member (:func:`_json_list`)."""
     # in batches of the encoder's chunks: json.dumps holds the whole text,
     # and json.dump writes each chunk apart, a system call each unbuffered
     chunks = json.JSONEncoder(indent=1).iterencode(payload)
+    # the text ends in "\n}": its last two characters are held back, and
+    # the raw members go before them
+    held = ""
     while batch := "".join(islice(chunks, 8192)):
-        sys.stdout.write(batch)
-    print()
+        text = held + batch
+        sys.stdout.write(text[:-2])
+        held = text[-2:]
+    for key, value in raw.items():
+        sys.stdout.write(f",\n {json.dumps(key)}: ")
+        for part in value:
+            sys.stdout.write(part)
+    sys.stdout.write("\n}\n")
+
+
+def _json_list(items: Iterable[str]) -> Iterator[str]:
+    """The text of a JSON list that is a member of the top-level object,
+    indented as ``json.JSONEncoder(indent=1)`` indents it, from the texts
+    of its items, each already indented as an item of that list."""
+    sep = "[\n  "
+    for item in items:
+        yield sep + item
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n ]"
 
 
 class _Rows(list):
@@ -109,6 +133,28 @@ def _web_widths(n: int) -> tuple[int, int]:
     """
     identity = tuple(range(1, n + 1))
     return len(perm_to_str(identity)), len(webs.cycle_notation(identity))
+
+
+def _web_json_rows(table: Iterable[webs.WebRecord]) -> Iterator[str]:
+    """The JSON text of each record as a row of ``web --format json``.
+
+    Each row has one fixed shape, so it is written from a template: the
+    word, its cycles and the paths are digits, commas, parentheses and
+    N/E, which JSON does not escape.  The text of the matching is made by
+    the encoder once per M path, Catalan(n) strings keyed by the records'
+    shared paths.
+    """
+    matchings: dict[str, str] = {}
+    for r in table:
+        arcs = matchings.get(r.path)
+        if arcs is None:
+            arcs = matchings[r.path] = json.dumps(
+                matching_to_json(noncrossing_arcs(r.path)),
+                indent=1).replace("\n", "\n   ")
+        yield (f'{{\n   "sigma": "{perm_to_str(r.sigma)}",\n'
+               f'   "cycles": "{webs.cycle_notation(r.sigma)}",\n'
+               f'   "dyck": "{r.dyck}",\n   "matching_dyck": "{r.path}",\n'
+               f'   "matching": {arcs}\n  }}')
 
 
 def cmd_web(args: argparse.Namespace) -> int:
@@ -149,19 +195,10 @@ def cmd_web(args: argparse.Namespace) -> int:
         agreement = (len(table) == enumeration.euler_numbers(args.n + 1)[-1]
                      and all(andre.is_web(r.sigma) for r in table))
     if args.format == "json":
-        def row(r: webs.WebRecord) -> dict:
-            return {"sigma": perm_to_str(r.sigma),
-                    "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
-                    "matching_dyck": r.path,
-                    "matching": matching_to_json(noncrossing_arcs(r.path))}
-        payload = {
-            "n": args.n,
-            "source": args.source,
-            "rows": _Rows(map(row, table), len(table)),
-        }
+        raw = {"rows": _json_list(_web_json_rows(table))}
         if agreement is not None:
-            payload["agreement"] = agreement
-        _print_json(payload)
+            raw["agreement"] = [json.dumps(agreement)]
+        _print_json({"n": args.n, "source": args.source}, raw)
     else:
         word, cyc = _web_widths(args.n)
         # Web_0 is the empty word, whose row is all padding: print it empty.
@@ -202,10 +239,15 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for line in transition.csv_lines(a):
             print(line)
     elif args.format == "json":
+        # each row of entries written by byte translation, in C, as the
+        # CSV is: the encoder took 9-12 s over the 23.6 M entries of n = 9
+        sep = ",\n   "
+        entries = (f"[\n   {transition._row_text(row, sep)}\n  ]"
+                   if len(row) else "[]" for row in a.entries)
         _print_json({"n": a.n,
                      "rows": _Rows(map(matching_to_json, a.rows), len(a.rows)),
-                     "cols": _Rows(map(matching_to_json, a.cols), len(a.cols)),
-                     "entries": _Rows(map(list, a.entries), len(a.entries))})
+                     "cols": _Rows(map(matching_to_json, a.cols), len(a.cols))},
+                    {"entries": _json_list(entries)})
     else:
         for line in transition.latex_lines(a):
             print(line)

@@ -18,25 +18,26 @@ the 50,521 permutations of Web_9 it builds 1,744 Andre words and the
 permutations.  Resolution is the cross-check: ``webperm web --source
 resolve|both`` and the test suite run it, and nothing else does.  In a
 fresh interpreter (Python 3.11.7 on a 2-vCPU KVM guest), median of
-three, peak RSS of the whole process; the table's time is mostly the
-pass over each sigma that reads the path of M(sigma)
-(:func:`webperm.combinat.lehmer_path`), and each distinct path is one
-string (:func:`web_records`):
+three, peak RSS of the whole process; at n = 9 the table's time is the
+construction, 0.07 s, one pass that validates each sigma and reads its
+D(sigma) and M(sigma) off memoized halves
+(:func:`webperm.combinat.dyck_keys`), 0.11 s, and the records and their
+sort, 0.07 s; reading each sigma's paths apart made the whole of
+:func:`web_records` take 0.39-0.54 s:
 
     n    construction      resolution        web_table
-    8    0.01 s, 15 MiB    0.02 s, 17 MiB    0.07 s, 17 MiB
-    9    0.07 s, 16 MiB    0.17 s, 26 MiB    0.44 s, 28 MiB
+    8    0.01 s, 15 MiB    0.02 s, 17 MiB    0.05 s, 17 MiB
+    9    0.07 s, 16 MiB    0.17 s, 26 MiB    0.33 s, 28 MiB
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 from .andre import andre_cycle_permutations
-from .combinat import Permutation, dyck_of_permutation, lehmer_path
+from .combinat import Permutation, dyck_keys
 
 
 class WebRecord(NamedTuple):
@@ -70,34 +71,29 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     """The records of the given web permutations, in the order of
     :func:`web_table`.
 
-    Each sigma is validated, and each distinct D(sigma) and M(sigma) is
-    one string that the records share.  D is built once per key, its
-    column heights, the prefix maxima of sigma, h_i = max(h_{i-1},
-    sigma(i), i) as i distinct positive letters reach i; M is read off
-    sigma by :func:`~webperm.combinat.lehmer_path` and replaced by the
-    first equal string.  At n = 9 each memo holds 4,862 = Catalan(9)
-    keys, 0.66 MiB for D and 0.41 MiB for M by ``sys.getsizeof`` of each
-    dict and its keys.
+    Each sigma is validated before :func:`~webperm.combinat.dyck_keys`
+    reads its paths, so each distinct D(sigma) and M(sigma) is one string
+    that the records share.  The key pass's memos go when it ends; the
+    traced peak of :func:`web_table` is 2.21 MiB at n = 8 and 12.5 MiB at
+    n = 9, against 2.00 and 11.4 MiB when each sigma's paths were read
+    apart.
     """
-    dycks: dict[tuple[int, ...], str] = {}
-    paths: dict[str, str] = {}
-    # the sorted word of a permutation of [n], one per length
+    records = [WebRecord(d, s, p) for s, d, p in dyck_keys(_checked(perms))]
+    records.sort()
+    return tuple(records)
+
+
+def _checked(perms: Iterable[Permutation]) -> Iterator[Permutation]:
+    """``perms``, each checked against one sorted identity word per
+    length."""
     identities: dict[int, list[int]] = {}
-    records = []
     for s in perms:
         n = len(s)
         if n not in identities:
             identities[n] = list(range(1, n + 1))
         if sorted(s) != identities[n]:
             raise ValueError(f"not a permutation: {s}")
-        heights = tuple(accumulate(s, max))
-        d = dycks.get(heights)
-        if d is None:
-            d = dycks[heights] = dyck_of_permutation(s)
-        p = lehmer_path(s)
-        records.append(WebRecord(d, s, paths.setdefault(p, p)))
-    records.sort()
-    return tuple(records)
+        yield s
 
 
 def cycle_notation(sigma: Permutation) -> str:

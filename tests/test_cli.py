@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webperm import andre, cli, enumeration, oracle, transition, webs
-from webperm.combinat import dyck_paths, matching_from_dyck
+from webperm.combinat import (
+    dyck_paths,
+    matching_from_dyck,
+    matching_to_json,
+    noncrossing_arcs,
+    perm_to_str,
+)
 from webperm.enumeration import seidel_rows
 from webperm.grid import GridConfiguration, crossings_of, trace_matching
 
@@ -759,14 +765,73 @@ def test_web_json_makes_one_row_at_a_time():
 
 
 def test_matrix_json_streams_its_text(capsys):
-    # The rows, the columns and the entries are each made into lists one at
-    # a time as they are written, so the traced peak at n = 7, 1.2 MiB, is
-    # the matrix, its labels and one batch of text, under the 1.26 MB of
-    # the whole text; building every list of the payload first took
-    # 3.3 MiB, and building the whole text 17 MB.
+    # The rows and the columns are each made into lists one at a time as
+    # they are written, and the entries into text one row at a time, so
+    # the traced peak at n = 7 is the matrix, its labels and one batch of
+    # text, under the 1.26 MB of the whole text; building every list of
+    # the payload first took 3.3 MiB, and building the whole text 17 MB.
     code, out, _ = run(capsys, "matrix", "7", "--format", "json")
     assert code == 0
     assert traced_peak("matrix", "7", "--format", "json") < 1.5 * len(out)
+
+
+def encoded(payload):
+    """``payload`` as the JSON encoder writes it, with the final newline."""
+    return json.JSONEncoder(indent=1).encode(payload) + "\n"
+
+
+def matrix_payload(a):
+    return {"n": a.n, "rows": [matching_to_json(m) for m in a.rows],
+            "cols": [matching_to_json(m) for m in a.cols],
+            "entries": [list(row) for row in a.entries]}
+
+
+def test_print_json_holds_the_closing_brace_back_across_batches(capsys):
+    # _print_json joins the encoder's chunks 8,192 at a time; with 8,193
+    # chunks here, the last batch is the closing "}" alone, and the "\n"
+    # before it ends the batch before
+    payload = {"n": list(range(8185))}
+    assert len(list(json.JSONEncoder(indent=1).iterencode(payload))) == 8193
+    cli._print_json(payload, {"x": ["2"]})
+    assert capsys.readouterr().out == encoded({**payload, "x": 2})
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_matrix_json_is_the_encoders_text(capsys, n):
+    code, out, _ = run(capsys, "matrix", str(n), "--format", "json")
+    assert code == 0
+    assert out == encoded(matrix_payload(transition.matrix(n)))
+
+
+@pytest.mark.parametrize("entries", [
+    (array("H", [1, 300]), array("H", [0, 1])),   # a value past 255
+    (array("B"), array("B", [7])),                # an empty row
+    (),                                           # no rows
+])
+def test_matrix_json_of_hand_built_rows_is_the_encoders_text(
+        capsys, monkeypatch, entries):
+    a = transition.TransitionMatrix(2, entries)
+    monkeypatch.setattr(transition, "matrix", lambda n: a)
+    code, out, _ = run(capsys, "matrix", "2", "--format", "json")
+    assert code == 0
+    assert out == encoded(matrix_payload(a))
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("source", ["characterize", "resolve", "both"])
+def test_web_json_is_the_encoders_text(capsys, n, source):
+    code, out, _ = run(capsys, "web", str(n), "--source", source,
+                       "--format", "json")
+    assert code == 0
+    rows = [{"sigma": perm_to_str(r.sigma),
+             "cycles": webs.cycle_notation(r.sigma), "dyck": r.dyck,
+             "matching_dyck": r.path,
+             "matching": matching_to_json(noncrossing_arcs(r.path))}
+            for r in webs.web_table(n)]
+    payload = {"n": n, "source": source, "rows": rows}
+    if source != "characterize":
+        payload["agreement"] = True
+    assert out == encoded(payload)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex"])

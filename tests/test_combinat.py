@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from webperm.combinat import (
     catalan,
     cells_above,
     dyck_heights,
+    dyck_keys,
     dyck_leq,
     dyck_of_matching,
     dyck_of_permutation,
@@ -19,6 +21,7 @@ from webperm.combinat import (
     inverse,
     is_noncrossing,
     is_nonnesting,
+    lehmer_path,
     m0,
     matching,
     matching_from_dyck,
@@ -167,6 +170,44 @@ def test_dyck_of_permutation_minimality(n):
             prev = heights[i - 1] if i else 0
             if heights[i] - 1 >= max(prev, i + 1):
                 assert sigma[i] == heights[i]
+
+
+def _per_sigma(perms):
+    return [(s, dyck_of_permutation(s), lehmer_path(s)) for s in perms]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_dyck_keys_read_both_paths_of_every_permutation(n):
+    # every sigma of S_n, not only the web permutations, both parities of n
+    perms = list(itertools.permutations(range(1, n + 1)))
+    assert list(dyck_keys(perms)) == _per_sigma(perms)
+
+
+def test_dyck_keys_keep_the_halves_of_each_length_apart():
+    # the suffix (3, 1) holds D's last two steps from height 2 in S_3 and
+    # from height 4 in S_4; the lengths take turns, so a memo shared
+    # across them gives wrong paths
+    by_length = [list(itertools.permutations(range(1, n + 1)))
+                 for n in (3, 4, 5)]
+    stream = [s for group in itertools.zip_longest(*by_length)
+              for s in group if s is not None]
+    assert list(dyck_keys(stream)) == _per_sigma(stream)
+
+
+def test_dyck_keys_past_letter_255():
+    rng = random.Random(3807)
+    perms = [tuple(rng.sample(range(1, 301), 300)) for _ in range(4)]
+    # shared halves: the same prefix under two suffixes, and the reverse
+    perms += [perms[0][:150] + perms[0][150:][::-1],
+              perms[1][:150][::-1] + perms[1][150:]]
+    assert list(dyck_keys(perms)) == _per_sigma(perms)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_dyck_keys_share_one_string_per_path(n):
+    keys = list(dyck_keys(itertools.permutations(range(1, n + 1))))
+    paths = [p for _, d, m in keys for p in (d, m)]
+    assert len({id(p) for p in paths}) == len(set(paths)) == catalan(n)
 
 
 def _prefix_leq(p: str, q: str) -> bool:

@@ -9,6 +9,7 @@ from webperm.combinat import (
     catalan,
     dyck_of_matching,
     dyck_of_permutation,
+    lehmer_path,
     noncrossing_arcs,
 )
 from webperm.grid import (
@@ -100,9 +101,15 @@ def test_web_records_past_letter_255():
     rng = random.Random(3201)
     perms = [tuple(rng.sample(range(1, 301), 300)) for _ in range(3)]
     perms.append(tuple(range(300, 0, -1)))
+    # a word with the suffix of the first, one with the prefix of the
+    # fourth, so that both memos are read past 255, and a shorter word
+    # between them
+    perms += [tuple(sorted(perms[0][:150])) + perms[0][150:], (2, 1),
+              perms[3][:150] + tuple(sorted(perms[3][150:]))]
     for rec in web_records(perms):
         full = GridConfiguration(rec.sigma, crossings_of(rec.sigma))
         assert rec.dyck == dyck_of_permutation(rec.sigma)
+        assert rec.path == lehmer_path(rec.sigma)
         assert noncrossing_arcs(rec.path) == trace_matching(full)
 
 
