@@ -141,8 +141,9 @@ def _web_json_rows(table: Iterable[webs.WebRecord]) -> Iterator[str]:
     Each row has one fixed shape, so it is written from a template: the
     word, its cycles and the paths are digits, commas, parentheses and
     N/E, which JSON does not escape.  The text of the matching is made by
-    the encoder once per M path, Catalan(n) strings keyed by the records'
-    shared paths.
+    the encoder once per M path and kept for the listing, Catalan(n)
+    strings keyed by the records' shared paths: 0.44 MiB at n = 8 and
+    1.56 MiB at n = 9, by ``sys.getsizeof`` of the dict and its strings.
     """
     matchings: dict[str, str] = {}
     for r in table:
