@@ -22,6 +22,7 @@ from itertools import islice
 from . import andre, enumeration, grid, oracle, transition, webs
 from .combinat import (
     CapExceeded,
+    Matching,
     all_permutations,
     catalan,
     dyck_of_matching,
@@ -35,8 +36,8 @@ from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the heaviest is ``matrix 8
 # --verify``, 0.9-1.5 s and 27 MiB cold, where ``matrix 8 --format json`` takes
-# 0.2-0.35 s and 21 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
-# took 7.0-10.5 s at 115 MiB and 1.0-1.6 s at 53 MiB there, but 9 becomes the
+# 0.25-0.5 s and 21 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
+# took 7.0-10.5 s at 115 MiB and 1.3-2.1 s at 53 MiB there, but 9 becomes the
 # default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
@@ -75,16 +76,8 @@ def _print_json(payload: dict, raw: dict[str, Iterable[str]]) -> None:
     writes it, with the members of ``raw`` after its own: the text of each
     value is the strings its iterable yields, that value's JSON indented
     as the encoder indents a member (:func:`_json_list`)."""
-    # in batches of the encoder's chunks: json.dumps holds the whole text,
-    # and json.dump writes each chunk apart, a system call each unbuffered
-    chunks = json.JSONEncoder(indent=1).iterencode(payload)
-    # the text ends in "\n}": its last two characters are held back, and
-    # the raw members go before them
-    held = ""
-    while batch := "".join(islice(chunks, 8192)):
-        text = held + batch
-        sys.stdout.write(text[:-2])
-        held = text[-2:]
+    # the encoder's text ends in "\n}", which the raw members go before
+    sys.stdout.write(json.JSONEncoder(indent=1).encode(payload)[:-2])
     for key, value in raw.items():
         sys.stdout.write(f",\n {json.dumps(key)}: ")
         for part in value:
@@ -103,20 +96,11 @@ def _json_list(items: Iterable[str]) -> Iterator[str]:
     yield "[]" if sep == "[\n  " else "\n ]"
 
 
-class _Rows(list):
-    """``count`` rows that the JSON encoder makes one at a time from the
-    iterable ``rows`` as it walks them, so one row is alive at a time.  The
-    encoder reads the length only to print an empty list as ``[]``."""
-
-    def __init__(self, rows: Iterable, count: int) -> None:
-        super().__init__()
-        self._rows, self._count = rows, count
-
-    def __iter__(self) -> Iterator:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return self._count
+def _matching_text(m: Matching, depth: int) -> str:
+    """The JSON text of the matching ``m`` as ``json.JSONEncoder(indent=1)``
+    writes it ``depth`` levels into the top-level object."""
+    return json.dumps(matching_to_json(m), indent=1).replace(
+        "\n", "\n" + " " * depth)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +133,8 @@ def _web_json_rows(table: Iterable[webs.WebRecord]) -> Iterator[str]:
     for r in table:
         arcs = matchings.get(r.path)
         if arcs is None:
-            arcs = matchings[r.path] = json.dumps(
-                matching_to_json(noncrossing_arcs(r.path)),
-                indent=1).replace("\n", "\n   ")
+            arcs = matchings[r.path] = _matching_text(
+                noncrossing_arcs(r.path), 3)
         yield (f'{{\n   "sigma": "{perm_to_str(r.sigma)}",\n'
                f'   "cycles": "{webs.cycle_notation(r.sigma)}",\n'
                f'   "dyck": "{r.dyck}",\n   "matching_dyck": "{r.path}",\n'
@@ -240,15 +223,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         for line in transition.csv_lines(a):
             print(line)
     elif args.format == "json":
-        # each row of entries written by byte translation, in C, as the
-        # CSV is: the encoder took 9-12 s over the 23.6 M entries of n = 9
-        sep = ",\n   "
-        entries = (f"[\n   {transition._row_text(row, sep)}\n  ]"
-                   if len(row) else "[]" for row in a.entries)
-        _print_json({"n": a.n,
-                     "rows": _Rows(map(matching_to_json, a.rows), len(a.rows)),
-                     "cols": _Rows(map(matching_to_json, a.cols), len(a.cols))},
-                    {"entries": _json_list(entries)})
+        # the entries are joined in C, as the CSV is: the encoder took
+        # 9-12 s over the 23.6 M entries of n = 9
+        _print_json({"n": a.n}, {
+            "rows": _json_list(_matching_text(m, 2) for m in a.rows),
+            "cols": _json_list(_matching_text(m, 2) for m in a.cols),
+            "entries": _json_list(transition.json_entry_texts(a))})
     else:
         for line in transition.latex_lines(a):
             print(line)

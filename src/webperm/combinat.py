@@ -374,15 +374,15 @@ def dyck_keys(perms: Iterable[Permutation]
       prefix, the largest of [n] missing from the suffix.
     - M's path is the suffix's with "NE" inserted at r_h, ..., r_1, each
       insertion one read of a row ``path -> [path with "NE" at r]``.
-    - D is the prefix's part joined to the suffix's, memoized per prefix
-      part and keyed by the suffix's part, so at most one entry per D.
+    - D is the prefix's part joined to the suffix's.
 
     Over Web_n, at n = 8 and at n = 9, the memos hold 880 and 1,661
     prefixes, at most n!/(n - h)!; 880 and 5,825 suffixes, at most n!/h!;
     617 and 2,033 insertion rows, at most one per Dyck path of length
     2(n - h) to 2n - 2, a bound both reach; the Catalan(n) D paths; and
-    2,336 and 7,414 strings, the Dyck paths of length 2(n - h) to 2n and
-    the parts of D: 0.66 MiB and 2.56 MiB in all, by ``tracemalloc``.
+    2,075 and 6,985 strings, the Dyck paths of length 2(n - h) to 2n and
+    the suffixes' parts of D: 0.64 MiB and 2.48 MiB in all, by
+    ``tracemalloc``.
     Every sigma must be a permutation; the callers check it.
 
     >>> [keys[1:] for keys in dyck_keys([(2, 4, 1, 3), (2, 1)])]
@@ -391,21 +391,18 @@ def dyck_keys(perms: Iterable[Permutation]
     strings: dict[str, str] = {}
     intern = strings.setdefault
     inserts: dict[str, list[str]] = {}
-    halves: dict[int, tuple[dict, dict, dict]] = {}
+    halves: dict[int, tuple[dict, dict]] = {}
     n = h = -1
     for s in perms:
         if len(s) != n:
             n = len(s)
             h = n // 2
-            prefixes, suffixes, joins = halves.setdefault(n, ({}, {}, {}))
+            prefixes, suffixes = halves.setdefault(n, ({}, {}))
         head, tail = s[:h], s[h:]
         prefix = prefixes.get(head)
         if prefix is None:
-            start = _dyck_steps(head, 0)
-            start = intern(start, start)
-            prefix = prefixes[head] = (_ranks(head), start,
-                                       joins.setdefault(start, {}))
-        ranks, start, joined = prefix
+            prefix = prefixes[head] = (_ranks(head), _dyck_steps(head, 0))
+        ranks, start = prefix
         suffix = suffixes.get(tail)
         if suffix is None:
             path, end = lehmer_path(tail), _dyck_steps(tail, _top(tail, n))
@@ -418,11 +415,8 @@ def dyck_keys(perms: Iterable[Permutation]
                     intern(p, p) for p in (path[:k] + "NE" + path[k:]
                                            for k in range(len(path) // 2 + 1))]
             path = row[r]
-        dyck = joined.get(end)
-        if dyck is None:
-            dyck = start + end
-            dyck = joined[end] = intern(dyck, dyck)
-        yield s, dyck, path
+        dyck = start + end
+        yield s, intern(dyck, dyck), path
 
 
 def _ranks(head: Permutation) -> tuple[int, ...]:

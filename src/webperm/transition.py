@@ -7,8 +7,8 @@ upper-unitriangular.  Both labels are the Catalan(n) Dyck paths of length
 2n, so they follow from n: a :class:`TransitionMatrix` is n and its
 entries, and builds its labels only when they are read.  The DAG and
 the support check find each column by its place in
-:func:`~webperm.combinat.dyck_paths`, and the CSV and LaTeX exports read
-only the entries.
+:func:`~webperm.combinat.dyck_paths`, and the CSV and LaTeX exports and
+the JSON text of the entries read only the entries.
 
 The entry of row M and column M' counts web permutations sigma with
 D(sigma) contained in D(M) and traced matching M'.  :func:`matrix`
@@ -397,6 +397,16 @@ def csv_lines(a: TransitionMatrix) -> Iterator[str]:
 
 def to_csv(a: TransitionMatrix) -> str:
     return "\n".join(csv_lines(a))
+
+
+def json_entry_texts(a: TransitionMatrix) -> Iterator[str]:
+    """The JSON text of each row of entries of ``a``, as
+    ``json.JSONEncoder(indent=1)`` writes a list of ints that is an item
+    of a list in the top-level object: one entry a line, joined in C as
+    the CSV is."""
+    for row in a.entries:
+        yield ("[\n   " + _row_text(row, ",\n   ") + "\n  ]" if len(row)
+               else "[]")
 
 
 def latex_lines(a: TransitionMatrix) -> Iterator[str]:

@@ -74,7 +74,7 @@ def web_records(perms: Iterable[Permutation]) -> tuple[WebRecord, ...]:
     Each sigma is validated before :func:`~webperm.combinat.dyck_keys`
     reads its paths, so each distinct D(sigma) and M(sigma) is one string
     that the records share.  The key pass's memos go when it ends; the
-    traced peak of :func:`web_table` is 2.21 MiB at n = 8 and 12.5 MiB at
+    traced peak of :func:`web_table` is 2.18 MiB at n = 8 and 12.2 MiB at
     n = 9, against 2.00 and 11.4 MiB when each sigma's paths were read
     apart.
     """

@@ -758,15 +758,11 @@ def test_web_json_makes_one_row_at_a_time():
     # near 2 MiB, where building every row's dict first took 9.5 MiB.
     assert traced_peak("web", "8", "--format", "json") < 1.5 * traced_peak(
         "web", "8")
-    for rows in ([], [1, {"a": [2, 3]}]):
-        lazy = cli._Rows(iter(rows), len(rows))
-        assert json.dumps({"rows": lazy}, indent=1) == json.dumps(
-            {"rows": rows}, indent=1)
 
 
 def test_matrix_json_streams_its_text(capsys):
-    # The rows and the columns are each made into lists one at a time as
-    # they are written, and the entries into text one row at a time, so
+    # The rows, the columns and the entries are each made into text one
+    # item at a time as they are written, so
     # the traced peak at n = 7 is the matrix, its labels and one batch of
     # text, under the 1.26 MB of the whole text; building every list of
     # the payload first took 3.3 MiB, and building the whole text 17 MB.
@@ -784,16 +780,6 @@ def matrix_payload(a):
     return {"n": a.n, "rows": [matching_to_json(m) for m in a.rows],
             "cols": [matching_to_json(m) for m in a.cols],
             "entries": [list(row) for row in a.entries]}
-
-
-def test_print_json_holds_the_closing_brace_back_across_batches(capsys):
-    # _print_json joins the encoder's chunks 8,192 at a time; with 8,193
-    # chunks here, the last batch is the closing "}" alone, and the "\n"
-    # before it ends the batch before
-    payload = {"n": list(range(8185))}
-    assert len(list(json.JSONEncoder(indent=1).iterencode(payload))) == 8193
-    cli._print_json(payload, {"x": ["2"]})
-    assert capsys.readouterr().out == encoded({**payload, "x": 2})
 
 
 @pytest.mark.parametrize("n", range(8))
