@@ -7,12 +7,15 @@ row accumulates the previous one, read in alternating direction (Seidel
 time, so a caller holds only the rows it keeps.  All integers are exact
 (Python ints).
 
-The counts of Web_n read one memoized pass over the Andre-cycle
-construction (:func:`webperm.andre.andre_cycle_permutations`) per n,
-which keeps the first-letter counts and the g_n words whose traced
-matching is the staircase, and no table: M(sigma) is the staircase iff
-the Dyck path that :func:`webperm.combinat.dyck_keys` reads off sigma is
-NENE..NE.
+The counts of Web_n read one memoized census per n, which keeps no
+table.  Its first-letter counts come from one pass over the Andre-cycle
+construction (:func:`webperm.andre.andre_cycle_permutations`), the
+stream the transition matrix counts.  Its staircase words, the web
+permutations whose traced matching is the staircase, come from a
+search over the definition of Web_n instead: M(sigma) is the staircase
+iff every Lehmer entry of sigma is even (see
+:func:`webperm.combinat.lehmer_path`), so the search builds sigma from
+even Lehmer entries only and tests each cycle as it closes.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
-from .andre import andre_cycle_permutations, cycle_count
-from .combinat import dyck_keys
+from .andre import _andre, andre_cycle_permutations, cycle_count
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +113,17 @@ def entringer(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def census(n: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
-    """One pass over Web_n: the first-letter counts of its words, the
-    empty word of n = 0 having no first letter, and the sorted words whose
-    traced matching is the staircase, g_n of them, the words whose M path
-    from :func:`~webperm.combinat.dyck_keys` is NENE..NE.  The pass takes
-    0.16-0.17 s at n = 9, in process, where reading each word's path
-    apart took 0.26-0.37 s (Python 3.11.7, 2-vCPU KVM guest).
+    """The first-letter counts of Web_n, the empty word of n = 0 having no
+    first letter, and the sorted words of Web_n whose traced matching is
+    the staircase, g_n of them.
+
+    The counts are one pass over the Andre-cycle construction, which
+    certifies the set the transition matrix counts; the words are
+    :func:`_staircase_words`, a search that shares nothing with that
+    construction.  The pass takes 0.06-0.08 s at n = 9 and 0.44-0.49 s at
+    n = 10, the search 7-9 ms and 34-39 ms, in process, where reading every
+    word's M path in the pass took 0.17-0.27 s and 1.34-1.96 s (Python
+    3.11.7, 2-vCPU KVM guest).
 
     Memoized, as every count of Web_n reads it: n ints and g_n words of n
     letters per n, 155 words and 18.6 KB at n = 9; after ``verify --suite
@@ -126,13 +133,68 @@ def census(n: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
     >>> census(4)
     ({1: 5, 2: 5, 3: 4, 4: 2}, ((1, 2, 3, 4), (3, 4, 1, 2)))
     """
-    staircase, firsts, stairs = "NE" * n, Counter(), []
-    for s, _, path in dyck_keys(andre_cycle_permutations(n)):
-        if s:
-            firsts[s[0]] += 1
-        if path == staircase:
-            stairs.append(s)
-    return dict(sorted(firsts.items())), tuple(sorted(stairs))
+    firsts = Counter(s[0] for s in andre_cycle_permutations(n) if s)
+    return dict(sorted(firsts.items())), _staircase_words(n)
+
+
+def _staircase_words(n: int) -> tuple[tuple[int, ...], ...]:
+    """The web permutations of [n] whose traced matching is the staircase,
+    in lexicographic order, by a depth-first search over even Lehmer codes.
+
+    M(sigma) is the staircase iff every Lehmer entry of sigma is even, so
+    sigma(i) is the letter of rank 0, 2, 4, ... among the letters not yet
+    placed, tried in increasing order.  Placing sigma(i) = v either joins
+    the path of placed images that ends at i to the one that starts at v,
+    or closes a cycle when that is one path; a closed cycle must be an
+    Andre cycle (:func:`_andre_cycle`), or the branch is cut.  The search
+    visits at most prod_{j<n} (floor(j/2) + 1) codes, 576 at n = 8 of the
+    40,320 permutations, and takes 0.24 s at n = 11 and 1.5 s at n = 12,
+    in process (Python 3.11.7, 2-vCPU KVM guest).
+
+    >>> _staircase_words(5)
+    ((1, 2, 3, 4, 5), (1, 4, 5, 2, 3), (3, 4, 1, 2, 5))
+    """
+    sigma = [0] * (n + 1)
+    # head[e] is the first letter of the path of placed images that ends at
+    # e, read where e has no image yet, and tail[v] the last letter of the
+    # path that starts at v, read where v is no image yet
+    head, tail = list(range(n + 1)), list(range(n + 1))
+    free = list(range(1, n + 1))
+    words = []
+
+    def place(i: int) -> None:
+        if i > n:
+            words.append(tuple(sigma[1:]))
+            return
+        for r in range(0, len(free), 2):
+            v = free.pop(r)
+            sigma[i] = v
+            s, e = head[i], tail[v]
+            if e != i:
+                head[e], tail[s] = s, e
+                place(i + 1)
+                head[e], tail[s] = v, i
+            elif _andre_cycle(sigma, v):
+                place(i + 1)
+            free.insert(r, v)
+
+    place(1)
+    return tuple(words)
+
+
+def _andre_cycle(sigma: list[int], v: int) -> bool:
+    """True iff the closed cycle of ``sigma`` (1-based, entry 0 unused)
+    through ``v`` is an Andre cycle: the one-pass test on the word after
+    its minimum.  :func:`webperm.andre.is_andre_cycle` would also check
+    that the letters are distinct, which doubled the search's time at
+    n = 9 and 10."""
+    cycle = [v]
+    x = sigma[v]
+    while x != v:
+        cycle.append(x)
+        x = sigma[x]
+    k = cycle.index(min(cycle))
+    return _andre((*cycle[k + 1:], *cycle[:k]))
 
 
 def web_count(n: int) -> int:

@@ -35,9 +35,11 @@ highest set bit is the top-left cell, and a cell is maximal iff its
 upper-left cone (:func:`_cone`) meets the mask in that cell alone.  A
 smoothed child clears the resolved bit, and a switched child recomputes
 the cells the switch moves, so only the root's mask is built from a
-crossing set (:func:`_root`).  Fully resolving the identity configuration yields the web permutations;
-resolving :func:`row_configuration` of a nonnesting matching M yields
-the web permutations that make up row M of the transition matrix.
+crossing set (:func:`_root`; :func:`row_roots` builds the identity's
+once for the roots of many rows).  Fully resolving the identity
+configuration yields the web permutations; resolving
+:func:`row_configuration` of a nonnesting matching M yields the web
+permutations that make up row M of the transition matrix.
 """
 
 from __future__ import annotations
@@ -243,6 +245,25 @@ def _root(g: GridConfiguration) -> State:
     """The resolution state of ``g``: sigma and the mask of its crossings
     that are not elbows."""
     return g.sigma, _mask(crossings_of(g.sigma) - g.elbows, len(g.sigma))
+
+
+def row_roots(rows: Iterable[Matching], n: int) -> Iterator[State]:
+    """The state :func:`_root` gives :func:`row_configuration` of each
+    matching of ``rows``, all of size ``n``, with the crossings of the
+    identity made into a mask once: the row's root has every crossing
+    unresolved but the cells above D(m).  A row that is not nonnesting
+    raises :class:`ValueError`, as in :func:`row_configuration`.
+
+    >>> [bin(mask) for _, mask in row_roots([((1, 2), (3, 4)),
+    ...                                       ((1, 3), (2, 4))], 2)]
+    ['0b0', '0b1000']
+    """
+    sigma = identity(n)
+    full = _mask(crossings_of(sigma), n)
+    for m in rows:
+        if not is_nonnesting(m):
+            raise ValueError(f"matching is not nonnesting: {m}")
+        yield sigma, full & ~_mask(cells_above(dyck_of_matching(m)), n)
 
 
 def pick_top_left(unresolved: int, n: int) -> Cell:

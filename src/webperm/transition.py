@@ -62,10 +62,9 @@ from .combinat import (
 )
 from .grid import (
     State,
-    _root,
     _step,
     pick_top_left,
-    row_configuration,
+    row_roots,
 )
 
 
@@ -285,7 +284,7 @@ def resolution_refuted_rows(a: TransitionMatrix) -> list[int]:
         reads[s] += 1
         return s
 
-    roots = [number(_root(row_configuration(m))) for m in a.rows]
+    roots = [number(state) for state in row_roots(a.rows, a.n)]
     counts = [terminals[s] for s in roots]
     del ids, terminals
 

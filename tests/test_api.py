@@ -91,7 +91,7 @@ def test_the_modules_import_only_lower_layers():
         "andre": {"combinat"},
         "grid": {"combinat"},
         "oracle": {"combinat"},
-        "enumeration": {"andre", "combinat"},
+        "enumeration": {"andre"},
         "transition": {"andre", "combinat", "grid"},
         "webs": {"andre", "combinat"},
         "cli": {"andre", "combinat", "enumeration", "grid", "oracle",

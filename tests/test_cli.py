@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webperm import andre, cli, enumeration, oracle, transition, webs
+from webperm import andre, cli, combinat, enumeration, oracle, transition, webs
 from webperm.combinat import (
     dyck_paths,
     matching_from_dyck,
@@ -877,8 +877,8 @@ def test_verify_nonzero_exit_on_failure(capsys, monkeypatch):
 
 
 def test_verify_streams_each_web_set_once(capsys, monkeypatch):
-    # one census of Web_n serves every statistic, the witnesses of f(n)
-    # at n = 4 and 5 too
+    # one census of Web_n serves every statistic; only its first letters
+    # stream, as f(n) and its witnesses at n = 4 and 5 come from a search
     stream, calls = enumeration.andre_cycle_permutations, Counter()
 
     def counted(n):
@@ -890,6 +890,19 @@ def test_verify_streams_each_web_set_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "6")
     assert code == 0 and json.loads(out)["failed"] == 0
     assert calls == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+
+
+def test_verify_runs_no_key_pass_for_the_census(capsys, monkeypatch):
+    # the census reads neither path of any sigma: f(n), f(n, k) and the
+    # witnesses come from the search over even Lehmer codes
+    def boom(perms):
+        raise AssertionError("the census ran the key pass")
+
+    monkeypatch.setattr(combinat, "dyck_keys", boom)
+    monkeypatch.setattr(enumeration, "dyck_keys", boom, raising=False)
+    enumeration.census.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "6")
+    assert code == 0 and json.loads(out)["failed"] == 0
 
 
 def _into_closed_pipe(argv, stderr_too):

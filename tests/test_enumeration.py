@@ -3,7 +3,9 @@ from collections import Counter
 import pytest
 
 from conftest import even_lehmer_code, perm_from_str
+from webperm import enumeration
 from webperm.andre import andre_cycle_permutations, cycle_count, foata, rlmin
+from webperm.combinat import lehmer_path
 from webperm.enumeration import (
     cc_distribution,
     census,
@@ -37,9 +39,31 @@ SEIDEL_9 = [
 @pytest.mark.parametrize("n", range(10))
 def test_f_counts_the_web_permutations_of_even_lehmer_code(n):
     # M(sigma) is the staircase iff every Lehmer entry of sigma is even, a
-    # second construction of f(n) that reads no matching
-    count = sum(map(even_lehmer_code, andre_cycle_permutations(n)))
+    # second construction of f(n) that reads no matching; the search's
+    # words are the stream's words whose M path is the staircase
+    stream = list(andre_cycle_permutations(n))
+    count = sum(map(even_lehmer_code, stream))
     assert count == f(n) == [1, *genocchi(9)][n]
+    staircase = "NE" * n
+    assert census(n)[1] == tuple(sorted(s for s in stream
+                                        if lehmer_path(s) == staircase))
+
+
+def test_f_is_the_genocchi_number_through_n_11(monkeypatch):
+    # f reads the search's words alone: with the stream that counts first
+    # letters stubbed out, which takes seconds past n = 9, it still counts
+    monkeypatch.setattr(enumeration, "andre_cycle_permutations",
+                        lambda n: iter(()))
+    census.cache_clear()
+    try:
+        assert [f(n) for n in range(1, 12)] == genocchi(11)
+    finally:
+        census.cache_clear()
+
+
+def test_census_rejects_negative_n():
+    with pytest.raises(ValueError):
+        census(-1)
 
 
 def test_seidel_rows():

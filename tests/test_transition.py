@@ -30,6 +30,7 @@ from webperm.grid import (
     pick_top_left,
     resolve,
     row_configuration,
+    row_roots,
 )
 from webperm.oracle import syzygy_expand
 from webperm.transition import (
@@ -146,6 +147,19 @@ def test_resolution_matrix_traces_each_web_permutation_once(monkeypatch):
     monkeypatch.setattr(transition, "lehmer_path", counting)
     assert resolution_refuted_rows(a) == []
     assert len(traced) == len(set(traced)) == 61
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_row_roots_are_the_roots_of_the_row_configurations(n):
+    rows = row_labels(n)
+    assert list(row_roots(rows, n)) == [_root(row_configuration(m))
+                                        for m in rows]
+
+
+def test_row_roots_refuse_a_row_that_is_not_nonnesting():
+    rows = [matching([(1, 2), (3, 4)]), matching([(1, 4), (2, 3)])]
+    with pytest.raises(ValueError, match="not nonnesting"):
+        list(row_roots(rows, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
