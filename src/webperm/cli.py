@@ -289,7 +289,7 @@ def _suite_euler(max_n: int) -> list[dict]:
 
 def _suite_entringer(max_n: int) -> list[dict]:
     return [_check(f"#{{sigma in Web_{n} : sigma_1 = {n + 1 - k}}} = E({n},{k})",
-                   n, k, enumeration.census(n)[0].get(n + 1 - k, 0),
+                   n, k, enumeration.census(n).get(n + 1 - k, 0),
                    enumeration.entringer(n, k))
             for n in range(1, max_n + 1) for k in range(1, n + 1)]
 

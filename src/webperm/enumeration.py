@@ -7,15 +7,17 @@ row accumulates the previous one, read in alternating direction (Seidel
 time, so a caller holds only the rows it keeps.  All integers are exact
 (Python ints).
 
-The counts of Web_n read one memoized census per n, which keeps no
-table.  Its first-letter counts come from one pass over the Andre-cycle
-construction (:func:`webperm.andre.andre_cycle_permutations`), the
-stream the transition matrix counts.  Its staircase words, the web
-permutations whose traced matching is the staircase, come from a
-search over the definition of Web_n instead: M(sigma) is the staircase
-iff every Lehmer entry of sigma is even (see
-:func:`webperm.combinat.lehmer_path`), so the search builds sigma from
-even Lehmer entries only and tests each cycle as it closes.
+The counts of Web_n read two memos per n, neither of which keeps a
+table.  The first-letter counts, :func:`census`, come from one pass over
+the Andre-cycle construction
+(:func:`webperm.andre.andre_cycle_permutations`), the stream the
+transition matrix counts.  The staircase words, the web permutations
+whose traced matching is the staircase, come from a search over the
+definition of Web_n instead, which f(n), f(n, k) and their witnesses
+read without the stream: M(sigma) is the staircase iff every Lehmer
+entry of sigma is even (see :func:`webperm.combinat.lehmer_path`), so
+the search builds sigma from even Lehmer entries only and tests each
+cycle as it closes.
 """
 
 from __future__ import annotations
@@ -112,31 +114,24 @@ def entringer(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def census(n: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+def census(n: int) -> dict[int, int]:
     """The first-letter counts of Web_n, the empty word of n = 0 having no
-    first letter, and the sorted words of Web_n whose traced matching is
-    the staircase, g_n of them.
-
-    The counts are one pass over the Andre-cycle construction, which
-    certifies the set the transition matrix counts; the words are
-    :func:`_staircase_words`, a search that shares nothing with that
-    construction.  The pass takes 0.06-0.08 s at n = 9 and 0.44-0.49 s at
-    n = 10, the search 7-9 ms and 34-39 ms, in process, where reading every
-    word's M path in the pass took 0.17-0.27 s and 1.34-1.96 s (Python
+    first letter, by one pass over the Andre-cycle construction, which
+    certifies the set the transition matrix counts.  The pass takes
+    0.06-0.08 s at n = 9 and 0.44-0.49 s at n = 10, in process (Python
     3.11.7, 2-vCPU KVM guest).
 
-    Memoized, as every count of Web_n reads it: n ints and g_n words of n
-    letters per n, 155 words and 18.6 KB at n = 9; after ``verify --suite
-    all --max-n 8``, 11.6 KiB for n = 1..8, by ``sys.getsizeof`` of the
-    dict, the tuple and each word.
+    Memoized, as :func:`web_count` and the Entringer refinement read it:
+    n ints per n.
 
     >>> census(4)
-    ({1: 5, 2: 5, 3: 4, 4: 2}, ((1, 2, 3, 4), (3, 4, 1, 2)))
+    {1: 5, 2: 5, 3: 4, 4: 2}
     """
     firsts = Counter(s[0] for s in andre_cycle_permutations(n) if s)
-    return dict(sorted(firsts.items())), _staircase_words(n)
+    return dict(sorted(firsts.items()))
 
 
+@lru_cache(maxsize=None)
 def _staircase_words(n: int) -> tuple[tuple[int, ...], ...]:
     """The web permutations of [n] whose traced matching is the staircase,
     in lexicographic order, by a depth-first search over even Lehmer codes.
@@ -148,12 +143,21 @@ def _staircase_words(n: int) -> tuple[tuple[int, ...], ...]:
     or closes a cycle when that is one path; a closed cycle must be an
     Andre cycle (:func:`_andre_cycle`), or the branch is cut.  The search
     visits at most prod_{j<n} (floor(j/2) + 1) codes, 576 at n = 8 of the
-    40,320 permutations, and takes 0.24 s at n = 11 and 1.5 s at n = 12,
-    in process (Python 3.11.7, 2-vCPU KVM guest).
+    40,320 permutations, and shares nothing with the construction that
+    :func:`census` streams.  It takes 7-9 ms at n = 9, 34-39 ms at n = 10,
+    0.24 s at n = 11 and 1.5 s at n = 12, in process, where reading every
+    word's M path in the stream took 0.17-0.27 s and 1.34-1.96 s at n = 9
+    and 10 (Python 3.11.7, 2-vCPU KVM guest).
+
+    Memoized, as f, f(n, k) and the witnesses read it: g_n words of n
+    letters per n, 155 words and 18.6 KB at n = 9, by ``sys.getsizeof``
+    of the tuple and each word.
 
     >>> _staircase_words(5)
     ((1, 2, 3, 4, 5), (1, 4, 5, 2, 3), (3, 4, 1, 2, 5))
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     sigma = [0] * (n + 1)
     # head[e] is the first letter of the path of placed images that ends at
     # e, read where e has no image yet, and tail[v] the last letter of the
@@ -198,25 +202,26 @@ def _andre_cycle(sigma: list[int], v: int) -> bool:
 
 
 def web_count(n: int) -> int:
-    return sum(census(n)[0].values()) if n else 1
+    return sum(census(n).values()) if n else 1
 
 
 def f(n: int) -> int:
     """Web permutations of [n] whose traced matching is the staircase
-    matching {{1,2}, ..., {2n-1,2n}}: the words :func:`census` keeps."""
-    return len(census(n)[1])
+    matching {{1,2}, ..., {2n-1,2n}}: the words of the search over even
+    Lehmer codes, :func:`_staircase_words`."""
+    return len(_staircase_words(n))
 
 
 def f_nk(n: int, k: int) -> int:
     """As :func:`f`, restricted to permutations with first letter k."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n}, {k})")
-    return sum(1 for s in census(n)[1] if s[0] == k)
+    return sum(1 for s in _staircase_words(n) if s[0] == k)
 
 
 def f_witnesses(n: int) -> list[tuple[int, ...]]:
     """The permutations counted by f(n), sorted."""
-    return list(census(n)[1])
+    return list(_staircase_words(n))
 
 
 def cc_distribution(n: int) -> dict[int, int]:

@@ -26,6 +26,7 @@ def test_the_package_keeps_exactly_these_caches():
     assert found == {
         "webs._tokens": None,
         "enumeration.census": None,
+        "enumeration._staircase_words": None,
         "transition.TransitionMatrix.rows": "per instance",
         "transition.TransitionMatrix.cols": "per instance",
     }

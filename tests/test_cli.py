@@ -130,8 +130,8 @@ def _break_syzygy(monkeypatch):
     # one coefficient of every transposition raised by 1
     real = oracle._transpose
 
-    def wrong(row, i, w):
-        coeffs = real(row, i, w)
+    def wrong(row, e):
+        coeffs = real(row, e)
         top = next(iter(coeffs))
         return {**coeffs, top: coeffs[top] + 1}
     monkeypatch.setattr(oracle, "_transpose", wrong)
@@ -254,8 +254,8 @@ def test_matrix_verify_catches_a_dropped_smoothing_state(capsys, monkeypatch):
     # transposition loses the last smoothing state e_i w it adds
     real = oracle._transpose
 
-    def dropping(row, i, w):
-        coeffs = real(row, i, w)
+    def dropping(row, e):
+        coeffs = real(row, e)
         added = [key for key in coeffs if key not in row]
         if added:
             del coeffs[added[-1]]
@@ -283,14 +283,28 @@ def _mutate(monkeypatch, name, old, new):
 
 def _keep_the_sign_of_a_held_term(monkeypatch):
     # a term joining i to i + 1 gives +a to itself, not -a
-    _mutate(monkeypatch, "_transpose", "out[key] -= 2 * a", "out[key] -= 0")
+    _mutate(monkeypatch, "_transpose", "out[c] -= 2 * a", "out[c] -= 0")
 
 
 def _join_the_wrong_partners(monkeypatch):
-    # e_i writes q into the field of q and p into the field of p
-    _mutate(monkeypatch, "_transpose",
+    # e_i writes q into the field of q and p into the field of p, so its
+    # map sends columns to matchings that are no column
+    _mutate(monkeypatch, "_e_map",
             "(q - i << w * p) + (p - i - 1 << w * q)",
             "(q - i << w * q) + (p - i - 1 << w * p)")
+
+
+def _misdirect_one_e_i_target(monkeypatch):
+    # one entry of the map of e_2 sends the staircase, a term of every row,
+    # to the next column
+    real = oracle._e_map
+
+    def corrupt(keys, column_of, i, w):
+        e = real(keys, column_of, i, w)
+        if i == 2:
+            e[-1] = (e[-1] + 1) % len(e)
+        return e
+    monkeypatch.setattr(oracle, "_e_map", corrupt)
 
 
 def _lower_a_height_1_peak(monkeypatch):
@@ -312,7 +326,8 @@ def _perturb_one_yielded_row(monkeypatch):
 
 @pytest.mark.parametrize("breaker", [
     _keep_the_sign_of_a_held_term, _join_the_wrong_partners,
-    _lower_a_height_1_peak, _perturb_one_yielded_row])
+    _misdirect_one_e_i_target, _lower_a_height_1_peak,
+    _perturb_one_yielded_row])
 def test_matrix_verify_catches_a_fault_in_the_walk(capsys, monkeypatch,
                                                    breaker):
     # the printed matrix is right, so only the exact oracle fails, and it
@@ -901,6 +916,7 @@ def test_verify_runs_no_key_pass_for_the_census(capsys, monkeypatch):
     monkeypatch.setattr(combinat, "dyck_keys", boom)
     monkeypatch.setattr(enumeration, "dyck_keys", boom, raising=False)
     enumeration.census.cache_clear()
+    enumeration._staircase_words.cache_clear()
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "6")
     assert code == 0 and json.loads(out)["failed"] == 0
 
@@ -1078,21 +1094,23 @@ def test_output_determinism(capsys):
 
 
 def test_verify_oracle_suite_fails_a_key_off_the_columns(capsys, monkeypatch):
-    # a crossing term in one row's expansion fails that row's syzygy check,
+    # a step to a target off the columns fails that row's syzygy check,
     # and its expansion is reported as null; the numeric check samples the
     # matrix row, which is right.  The row is the top one, a leaf of the
     # walk, so no other row is transposed from it.
     real = oracle._transpose
     a = transition.matrix(3)
-    expansion = {oracle.partners(c): v
-                 for c, v in zip(a.cols, a.entries[0]) if v}
-    crossing = oracle.partners(((1, 3), (2, 4), (5, 6)))
+    expansion = {c: v for c, v in enumerate(a.entries[0]) if v}
 
-    def off_basis(*args):
-        coeffs = real(*args)
-        if coeffs == expansion:
-            coeffs[crossing] = 1
-        return coeffs
+    def off_basis(coeffs, e):
+        out = real(coeffs, e)
+        if out == expansion:
+            # the step that reaches the top row, with one term sent off
+            e = list(e)
+            e[next(c for c in coeffs if e[c] != oracle.HELD)] = (
+                oracle.NO_COLUMN)
+            out = real(coeffs, e)
+        return out
     monkeypatch.setattr(oracle, "_transpose", off_basis)
     monkeypatch.delenv("WEBPERM_SEED", raising=False)
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")

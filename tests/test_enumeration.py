@@ -7,6 +7,7 @@ from webperm import enumeration
 from webperm.andre import andre_cycle_permutations, cycle_count, foata, rlmin
 from webperm.combinat import lehmer_path
 from webperm.enumeration import (
+    _staircase_words,
     cc_distribution,
     census,
     entringer,
@@ -45,25 +46,42 @@ def test_f_counts_the_web_permutations_of_even_lehmer_code(n):
     count = sum(map(even_lehmer_code, stream))
     assert count == f(n) == [1, *genocchi(9)][n]
     staircase = "NE" * n
-    assert census(n)[1] == tuple(sorted(s for s in stream
-                                        if lehmer_path(s) == staircase))
+    assert _staircase_words(n) == tuple(sorted(
+        s for s in stream if lehmer_path(s) == staircase))
 
 
-def test_f_is_the_genocchi_number_through_n_11(monkeypatch):
-    # f reads the search's words alone: with the stream that counts first
-    # letters stubbed out, which takes seconds past n = 9, it still counts
-    monkeypatch.setattr(enumeration, "andre_cycle_permutations",
-                        lambda n: iter(()))
-    census.cache_clear()
+def test_f_is_the_genocchi_number_through_n_11():
+    # the search alone, past n = 9 where the stream takes seconds
     try:
         assert [f(n) for n in range(1, 12)] == genocchi(11)
     finally:
+        _staircase_words.cache_clear()
+
+
+def test_f_reads_no_stream(monkeypatch):
+    # f, f(n, k) and the witnesses come from the search over even Lehmer
+    # codes, which never runs the Andre-cycle construction
+    def boom(n):
+        raise AssertionError(f"streamed Web_{n}")
+    monkeypatch.setattr(enumeration, "andre_cycle_permutations", boom)
+    _staircase_words.cache_clear()
+    try:
+        assert [f(n) for n in range(1, 10)] == genocchi(9)
+        assert (f_nk(7, 1), f_witnesses(4)) == (8, [(1, 2, 3, 4),
+                                                   (3, 4, 1, 2)])
+        census.cache_clear()
+        with pytest.raises(AssertionError, match="streamed Web_4"):
+            census(4)
+    finally:
+        _staircase_words.cache_clear()
         census.cache_clear()
 
 
 def test_census_rejects_negative_n():
     with pytest.raises(ValueError):
         census(-1)
+    with pytest.raises(ValueError):
+        f(-1)
 
 
 def test_seidel_rows():
@@ -130,7 +148,7 @@ def test_web_count_rejects_negative_n():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_first_letter_refinement(n):
     # Web_0's empty word has no first letter
-    firsts, _ = census(n)
+    firsts = census(n)
     assert set(firsts) <= set(range(1, n + 1))
     for k in range(1, n + 1):
         assert firsts.get(n + 1 - k, 0) == entringer(n, k)
@@ -139,11 +157,12 @@ def test_first_letter_refinement(n):
 def test_f_values_and_witnesses():
     assert [f(n) for n in range(1, 7)] == genocchi(6)
     assert f(0) == 1                        # the empty word, traced to ()
-    assert census(0) == ({}, ((),))         # which has no first letter
+    assert census(0) == {}                  # which has no first letter
+    assert _staircase_words(0) == ((),)
     assert f_witnesses(4) == [(1, 2, 3, 4), (3, 4, 1, 2)]
     assert f_witnesses(5) == [(1, 2, 3, 4, 5), (1, 4, 5, 2, 3), (3, 4, 1, 2, 5)]
     assert (f_nk(5, 1), f_nk(5, 3), f_nk(5, 5)) == (2, 1, 0)
-    assert len(census(3)[1]) == f(3)
+    assert len(_staircase_words(3)) == f(3)
     with pytest.raises(ValueError):
         f_nk(3, 4)
 

@@ -23,8 +23,11 @@ from webperm.combinat import (
 from webperm.enumeration import euler_numbers, genocchi
 from webperm.grid import web_permutations_for
 from webperm.oracle import (
+    HELD,
     MATRIX_TRIALS,
     MODULUS,
+    NO_COLUMN,
+    _e_map,
     _field_bytes,
     _minor_batches,
     _parent,
@@ -102,9 +105,26 @@ def partners(arcs, n):
     return sum(q << width(n) * p for p, q in enumerate(partner_tuple(arcs, n)))
 
 
-def by_partners(expansion, n):
-    """A ``Matching``-keyed expansion keyed by packed partner ints instead."""
-    return {partners(m, n): c for m, c in expansion.items()}
+def by_columns(expansion, n):
+    """A ``Matching``-keyed expansion keyed by column index instead."""
+    column = {c: k for k, c in enumerate(col_labels(n))}
+    return {column[m]: c for m, c in expansion.items()}
+
+
+def e_map(n, i):
+    """The e_i column map of size n, over the packed partner ints of this
+    module's own :func:`partners`."""
+    keys = [partners(c, n) for c in col_labels(n)]
+    return _e_map(keys, {key: c for c, key in enumerate(keys)}, i, width(n))
+
+
+def joined(m, i):
+    """e_i m, read off the arcs: i joined to i + 1, and their old partners
+    to each other."""
+    partner = partner_tuple(m, len(m))
+    p, q = sorted((partner[i], partner[i + 1]))
+    rest = [arc for arc in m if i not in arc and i + 1 not in arc]
+    return matching(rest + [(i, i + 1), (p, q)])
 
 
 def swapped(m, i):
@@ -125,17 +145,44 @@ def test_check_rows_equals_rewriting_on_every_row(n):
         for r, m in enumerate(rows)]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_e_map_joins_i_to_i_plus_1_and_their_old_partners(n):
+    # the field arithmetic of the map against e_i read off the arcs
+    cols = col_labels(n)
+    for i in range(1, 2 * n):
+        assert e_map(n, i) == [HELD if (i, i + 1) in w
+                               else cols.index(joined(w, i)) for w in cols]
+
+
+def test_e_map_marks_a_target_that_is_no_column():
+    # with the column of the staircase unknown, e_1 and e_3 of the other
+    # column of n = 2 are no column, and the staircase itself is held
+    keys = [partners(c, 2) for c in col_labels(2)]
+    column_of = {keys[0]: 0}
+    assert [_e_map(keys, column_of, i, width(2)) for i in (1, 2, 3)] == [
+        [NO_COLUMN, HELD], [HELD, 0], [NO_COLUMN, HELD]]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_transpose_is_one_plucker_relation(n):
     # on a noncrossing w, swapping i and i + 1 negates w if w joins them,
     # and otherwise gives the expansion of the one crossing pair of s_i w
-    for w in enumerate_matchings(n, "NC"):
-        for i in range(1, 2 * n):
-            got = _transpose({partners(w, n): 1}, i, width(n))
+    maps = {i: e_map(n, i) for i in range(1, 2 * n)}
+    for k, w in enumerate(col_labels(n)):
+        for i, e in maps.items():
+            got = _transpose({k: 1}, e)
             if (i, i + 1) in w:
-                assert got == {partners(w, n): -1}
+                assert got == {k: -1}
             else:
-                assert got == by_partners(syzygy_expand(swapped(w, i)), n)
+                assert got == by_columns(syzygy_expand(swapped(w, i)), n)
+
+
+def test_a_target_off_the_columns_poisons_the_step():
+    # one term sent to no column: the step yields no expansion at all
+    e = e_map(3, 2)
+    assert _transpose({4: 1}, e) == {4: 1, e[4]: 1}
+    e[4] = NO_COLUMN
+    assert _transpose({4: 1}, e) is None
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -159,9 +206,9 @@ def count_transposes(monkeypatch):
     """Count the calls of ``_transpose`` from here on."""
     real, calls = oracle._transpose, []
 
-    def counting(row, i, w):
-        calls.append(i)
-        return real(row, i, w)
+    def counting(row, e):
+        calls.append(e)
+        return real(row, e)
     monkeypatch.setattr(oracle, "_transpose", counting)
     return calls
 
@@ -188,14 +235,43 @@ def test_the_walk_keeps_one_expansion_per_depth(monkeypatch):
         def __del__(self):
             alive[0] -= 1
 
-    def tracking(row, i, w):
+    def tracking(row, e):
         alive[0] += 1
         most[0] = max(most[0], alive[0])
-        return Tracked(real(row, i, w))
+        return Tracked(real(row, e))
     monkeypatch.setattr(oracle, "_transpose", tracking)
     n = 7
-    assert len(list(check_rows(row_labels(n)))) == catalan(n)
+    # counted, not kept: a yielded expansion is the walk's own dict, so a
+    # caller that keeps them all keeps every expansion alive
+    assert sum(1 for _ in check_rows(row_labels(n))) == catalan(n)
     assert 0 < most[0] <= n * (n - 1) // 2 + 1
+
+
+def ancestors(path):
+    """The paths above ``path`` in the walk, up to the staircase."""
+    while up := _parent(path):
+        path = up[0]
+        yield path
+
+
+def test_a_poisoned_row_poisons_its_subtree(monkeypatch):
+    # a step that meets no column yields None for its row and for every row
+    # below it in the walk, and none of those is transposed
+    n = 5
+    paths = dyck_paths(n)
+    below = {p: {q for q in paths if p in ancestors(q)} for p in paths}
+    # the row under the staircase with the most rows below it
+    target = max(filter(_parent, paths), key=lambda p: len(below[p]))
+    assert len(below[target]) > 1
+    expansion = by_columns(syzygy_expand(matching_from_dyck(target, "NN")), n)
+    real = oracle._transpose
+    monkeypatch.setattr(oracle, "_transpose", lambda row, e: (
+        None if real(row, e) == expansion else real(row, e)))
+    calls = count_transposes(monkeypatch)
+    verdicts = dict(check_rows(row_labels(n)))
+    assert {r for r, coeffs in verdicts.items() if coeffs is None} == {
+        r for r, p in enumerate(paths) if p == target or p in below[target]}
+    assert len(calls) == catalan(n) - 1 - len(below[target])
 
 
 def test_check_rows_yields_every_row_once_in_any_order():
@@ -300,11 +376,18 @@ def numeric_check(m, claim, trials=20, seed=1729):
     return not refuted_rows(as_matrix([m], [claim], len(m)), trials, seed)
 
 
-def expansion_by_check_rows(m, claim, monkeypatch):
+def expansion_by_check_rows(m, target, monkeypatch):
     """The expansion ``check_rows`` yields for the one row ``m``, a child
-    of the staircase, with ``claim`` standing in for its transposition."""
-    monkeypatch.setattr(oracle, "_transpose", lambda *_: {
-        oracle.partners(mp): c for mp, c in claim.items()})
+    of the staircase, with the staircase's entry of the e_i map standing
+    for a step to the matching ``target``: its column, or
+    :data:`~webperm.oracle.NO_COLUMN` if it is none."""
+    real, cols = oracle._e_map, col_labels(len(m))
+
+    def standing_in(*args):
+        e = real(*args)
+        e[-1] = cols.index(target) if target in cols else NO_COLUMN
+        return e
+    monkeypatch.setattr(oracle, "_e_map", standing_in)
     [(_, coeffs)] = check_rows((m,))
     return coeffs
 
@@ -324,12 +407,14 @@ def test_verify_expansion_refutes_wrong_coefficients():
 
 
 def test_verify_expansion_validates_support(monkeypatch):
-    # a crossing term, or one of another size, is no column: check_rows
-    # yields no expansion for the row
+    # a step to a crossing matching, or to one of another size, meets no
+    # column: check_rows yields no expansion for the row
     row = matching([(1, 3), (2, 4)])
-    for claim in ({row: 1}, {m0(3): 1}):
-        assert expansion_by_check_rows(row, claim, monkeypatch) is None
-    assert expansion_by_check_rows(row, {m0(2): 1}, monkeypatch) == {1: 1}
+    for target in (row, m0(3)):
+        assert expansion_by_check_rows(row, target, monkeypatch) is None
+    assert expansion_by_check_rows(row, m0(2), monkeypatch) == {1: 2}
+    assert expansion_by_check_rows(row, matching([(1, 4), (2, 3)]),
+                                   monkeypatch) == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -640,21 +725,22 @@ def expected_lines(rows):
 
 
 def test_a_key_off_the_columns_fails_both_checks(capsys, monkeypatch):
-    # an expansion with a crossing term names its row, and check_rows
+    # a step to a target off the columns names its row, and check_rows
     # yields no expansion for it; the printed row is right, so the numeric
     # check, which samples it, passes it.  The top row is a leaf of the
     # walk, so no other row is transposed from it.
     real = oracle._transpose
     row = row_labels(6)[0]
-    expansion = by_partners(syzygy_expand(row), 6)
-    crossing = partners(matching([(1, 3), (2, 4), (5, 7), (6, 8), (9, 11),
-                                  (10, 12)]), 6)
+    expansion = by_columns(syzygy_expand(row), 6)
 
-    def off_basis(*args):
-        coeffs = real(*args)
-        if coeffs == expansion:
-            coeffs[crossing] = 1
-        return coeffs
+    def off_basis(coeffs, e):
+        out = real(coeffs, e)
+        if out == expansion:
+            # the step that reaches the top row, with one term sent off
+            e = list(e)
+            e[next(c for c in coeffs if e[c] != HELD)] = NO_COLUMN
+            out = real(coeffs, e)
+        return out
     monkeypatch.setattr(oracle, "_transpose", off_basis)
     assert matrix_6_verify_failures(capsys) == expected_lines([row])
     verdicts = sorted(check_rows(row_labels(6)))

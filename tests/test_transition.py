@@ -427,6 +427,39 @@ def test_support_check_equals_the_dense_scan_when_a_nonzero_moves():
                     assert support_check(moved) == dense_support_check(moved)
 
 
+def _with_wide_entry(a, r, c, value):
+    """``a``, with array rows, with entry (r, c) set to ``value`` in a copy
+    of row r of the same typecode."""
+    rows = list(a.entries)
+    rows[r] = rows[r][:]
+    rows[r][c] = value
+    return TransitionMatrix(a.n, tuple(rows))
+
+
+@pytest.mark.parametrize("typecode", ["H", "Q"])
+def test_support_check_equals_the_dense_scan_on_wide_rows(typecode):
+    # 256, and the top value of the typecode with its low byte 0, read as
+    # zeros by a check of the low bytes alone: put in every entry, inside
+    # the down-set and outside it, and moved from a nonzero to a zero
+    a = matrix(4)
+    wide = TransitionMatrix(4, tuple(array(typecode, row)
+                                     for row in a.entries))
+    assert support_check(wide) == dense_support_check(wide) == []
+    values = (256, (1 << 8 * wide.entries[0].itemsize) - 256)
+    for r, row in enumerate(a.entries):
+        for c in range(len(row)):
+            for value in values:
+                broken = _with_wide_entry(wide, r, c, value)
+                assert support_check(broken) == dense_support_check(broken)
+            if c != r and row[c]:
+                for there in range(len(row)):
+                    if not row[there]:
+                        moved = _with_wide_entry(
+                            _with_wide_entry(wide, r, c, 0), r, there, 256)
+                        assert (support_check(moved)
+                                == dense_support_check(moved) != [])
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_support_check_scans_only_the_rows_it_cannot_clear(monkeypatch, n):
     real = transition.dyck_leq
