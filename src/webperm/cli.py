@@ -35,9 +35,9 @@ from .combinat import (
 from .oracle import DEFAULT_SEED
 
 # Every command fits in 60 s and 2 GiB at this n; the heaviest is ``matrix 8
-# --verify``, 0.9-1.5 s and 27 MiB cold, where ``matrix 8 --format json`` takes
+# --verify``, 0.5-0.6 s and 27 MiB cold, where ``matrix 8 --format json`` takes
 # 0.25-0.5 s and 21 MiB (Python 3.11.7 on a 2-vCPU KVM guest).  At n = 9 they
-# took 7.0-10.5 s at 115 MiB and 1.3-2.1 s at 53 MiB there, but 9 becomes the
+# took 4.6-5.5 s at 112 MiB and 1.3-2.1 s at 53 MiB there, but 9 becomes the
 # default only once the benchmark records that run.  ``--cap`` raises it.
 DEFAULT_CAP = 8
 
